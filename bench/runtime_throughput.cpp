@@ -52,8 +52,10 @@ int main() {
     std::vector<runtime::Job> jobs;
     jobs.reserve(kJobs);
     for (unsigned j = 0; j < kJobs; ++j) {
-      jobs.push_back(
-          {runtime::FirJob{kPoints, taps, inputs[j % kDistinctInputs]}, ""});
+      // Built in place: moving a temporary Job makes GCC 12 warn about the
+      // variant's other alternatives (-Wmaybe-uninitialized).
+      jobs.emplace_back().work =
+          runtime::FirJob{kPoints, taps, inputs[j % kDistinctInputs]};
     }
     return jobs;
   };

@@ -191,6 +191,13 @@ bool parse_line(Reader& r, Line& l) {
   for (RcUop& u : l.rc) {
     if (!parse_rc_uop(r, u)) return false;
   }
+  // The quad handler key is derived, not stored: a quad line whose shape
+  // names no handler is rejected like any other bad tag.
+  l.key = cgra::tc::derive_quad_key(l);
+  if ((l.quad || l.kind == Line::Kind::kQuadFast) &&
+      l.key == cgra::tc::kNoQuadKey) {
+    return false;
+  }
   return parse_lsu_uop(r, l.lsu) && parse_mxcu_uop(r, l.mxcu) &&
          parse_lcu_uop(r, l.lcu);
 }

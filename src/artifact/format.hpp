@@ -89,7 +89,7 @@ inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
       lane[l] = (lane[l] ^ data[i + l]) * kPrime;
     }
   }
-  for (unsigned l = 0; i < n; ++i, ++l) lane[l] = (lane[l] ^ data[i]) * kPrime;
+  for (; i < n; ++i) lane[i % 8] = (lane[i % 8] ^ data[i]) * kPrime;
   std::uint64_t h = kBasis;
   for (unsigned l = 0; l < 8; ++l) {
     for (unsigned b = 0; b < 8; ++b) {

@@ -1,6 +1,7 @@
 #include "cgra/alu.hpp"
 
-#include <limits>
+#include <array>
+#include <utility>
 
 #include "common/status.hpp"
 
@@ -8,8 +9,11 @@ namespace vwr2a::cgra {
 
 namespace {
 
-SWord as_signed(Word w) { return static_cast<SWord>(w); }
-Word as_word(SWord s) { return static_cast<Word>(s); }
+template <std::size_t... I>
+constexpr auto alu_table(std::index_sequence<I...>) {
+  return std::array<Word (*)(Word, Word), sizeof...(I)>{
+      &alu_op<static_cast<isa::RcOp>(I)>...};
+}
 
 std::int16_t lane(Word w, unsigned i) {
   return static_cast<std::int16_t>((w >> (16 * i)) & 0xFFFFu);
@@ -23,61 +27,11 @@ Word pack(std::int16_t lo, std::int16_t hi) {
 } // namespace
 
 Word alu_eval(isa::RcOp op, Word a, Word b) {
-  using isa::RcOp;
-  const SWord sa = as_signed(a);
-  const SWord sb = as_signed(b);
-  switch (op) {
-    case RcOp::kNop:
-      return 0;
-    case RcOp::kSadd:
-      return as_word(static_cast<SWord>(
-          static_cast<std::int64_t>(sa) + static_cast<std::int64_t>(sb)));
-    case RcOp::kSsub:
-      return as_word(static_cast<SWord>(
-          static_cast<std::int64_t>(sa) - static_cast<std::int64_t>(sb)));
-    case RcOp::kSmul:
-      return as_word(static_cast<SWord>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb)) &
-          0xFFFFFFFFll));
-    case RcOp::kFxpMul:
-      // Fixed-point mode: drop the low 16 bits of the 64-bit product, keep
-      // the next 32 (paper Sec 3.1).
-      return as_word(static_cast<SWord>(
-          (static_cast<std::int64_t>(sa) * static_cast<std::int64_t>(sb)) >> 16));
-    case RcOp::kSll:
-      return a << (b & 31u);
-    case RcOp::kSrl:
-      return a >> (b & 31u);
-    case RcOp::kSra:
-      return as_word(sa >> (b & 31u));
-    case RcOp::kLand:
-      return a & b;
-    case RcOp::kLor:
-      return a | b;
-    case RcOp::kLxor:
-      return a ^ b;
-    case RcOp::kLnot:
-      return ~a;
-    case RcOp::kMv:
-      return a;
-    case RcOp::kCmpEq:
-      return a == b ? 1u : 0u;
-    case RcOp::kCmpLt:
-      return sa < sb ? 1u : 0u;
-    case RcOp::kCmpLe:
-      return sa <= sb ? 1u : 0u;
-    case RcOp::kMax:
-      return sa >= sb ? a : b;
-    case RcOp::kMin:
-      return sa <= sb ? a : b;
-    case RcOp::kAbs:
-      if (sa == std::numeric_limits<SWord>::min()) {
-        return as_word(std::numeric_limits<SWord>::max());
-      }
-      return as_word(sa < 0 ? -sa : sa);
-    default:
-      throw DecodeError("alu_eval: bad RC opcode");
-  }
+  static constexpr auto kOps = alu_table(
+      std::make_index_sequence<static_cast<std::size_t>(isa::RcOp::kCount)>{});
+  const auto i = static_cast<std::size_t>(op);
+  if (i >= kOps.size()) throw DecodeError("alu_eval: bad RC opcode");
+  return kOps[i](a, b);
 }
 
 energy::Event alu_energy_event(isa::RcOp op) {
@@ -90,11 +44,6 @@ energy::Event alu_energy_event(isa::RcOp op) {
     default:
       return energy::Event::kAluOp;
   }
-}
-
-bool alu_is_unary(isa::RcOp op) {
-  using isa::RcOp;
-  return op == RcOp::kLnot || op == RcOp::kMv || op == RcOp::kAbs;
 }
 
 Word alu_eval_simd16(isa::RcOp op, Word a, Word b) {

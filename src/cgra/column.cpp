@@ -1,6 +1,7 @@
 #include "cgra/column.hpp"
 
 #include <string>
+#include <utility>
 
 #include "cgra/alu.hpp"
 #include "cgra/shuffle.hpp"
@@ -439,100 +440,6 @@ const ShuffleTables& shuffle_tables() {
   return t;
 }
 
-/// Four-lane ALU evaluation with the opcode switch hoisted out of the lane
-/// loop. Per-lane semantics are exactly alu_eval() (alu.cpp); the
-/// differential trace fuzz pins the two implementations to each other.
-inline void alu_eval4(isa::RcOp op, const Word* a, const Word* b, Word* o) {
-  using isa::RcOp;
-  constexpr unsigned kN = arch::kRcsPerColumn;
-  switch (op) {
-    case RcOp::kSadd:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            static_cast<std::int64_t>(static_cast<SWord>(a[r])) +
-            static_cast<std::int64_t>(static_cast<SWord>(b[r]))));
-      }
-      break;
-    case RcOp::kSsub:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            static_cast<std::int64_t>(static_cast<SWord>(a[r])) -
-            static_cast<std::int64_t>(static_cast<SWord>(b[r]))));
-      }
-      break;
-    case RcOp::kSmul:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            (static_cast<std::int64_t>(static_cast<SWord>(a[r])) *
-             static_cast<std::int64_t>(static_cast<SWord>(b[r]))) &
-            0xFFFFFFFFll));
-      }
-      break;
-    case RcOp::kFxpMul:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(
-            (static_cast<std::int64_t>(static_cast<SWord>(a[r])) *
-             static_cast<std::int64_t>(static_cast<SWord>(b[r]))) >> 16));
-      }
-      break;
-    case RcOp::kSll:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] << (b[r] & 31u);
-      break;
-    case RcOp::kSrl:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] >> (b[r] & 31u);
-      break;
-    case RcOp::kSra:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<Word>(static_cast<SWord>(a[r]) >> (b[r] & 31u));
-      }
-      break;
-    case RcOp::kLand:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] & b[r];
-      break;
-    case RcOp::kLor:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] | b[r];
-      break;
-    case RcOp::kLxor:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] ^ b[r];
-      break;
-    case RcOp::kLnot:
-      for (unsigned r = 0; r < kN; ++r) o[r] = ~a[r];
-      break;
-    case RcOp::kMv:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r];
-      break;
-    case RcOp::kCmpEq:
-      for (unsigned r = 0; r < kN; ++r) o[r] = a[r] == b[r] ? 1u : 0u;
-      break;
-    case RcOp::kCmpLt:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) < static_cast<SWord>(b[r]) ? 1u : 0u;
-      }
-      break;
-    case RcOp::kCmpLe:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) <= static_cast<SWord>(b[r]) ? 1u : 0u;
-      }
-      break;
-    case RcOp::kMax:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) >= static_cast<SWord>(b[r]) ? a[r] : b[r];
-      }
-      break;
-    case RcOp::kMin:
-      for (unsigned r = 0; r < kN; ++r) {
-        o[r] = static_cast<SWord>(a[r]) <= static_cast<SWord>(b[r]) ? a[r] : b[r];
-      }
-      break;
-    case RcOp::kAbs:
-      for (unsigned r = 0; r < kN; ++r) o[r] = alu_eval(RcOp::kAbs, a[r], 0);
-      break;
-    default:
-      for (unsigned r = 0; r < kN; ++r) o[r] = alu_eval(op, a[r], b[r]);
-      break;
-  }
-}
-
 } // namespace
 
 void Column::save_state(Checkpoint& ck) const {
@@ -655,96 +562,198 @@ inline unsigned Column::trace_lsu_addr(const tc::LsuUop& u) {
   }
 }
 
-inline void Column::quad_load(const tc::Src& s, Word* v) const {
-  using K = tc::Src::K;
-  switch (s.k) {
-    case K::kImm:
-      v[0] = v[1] = v[2] = v[3] = s.imm;
+inline void Column::mxcu_eval(const tc::MxcuUop& u, unsigned& new_idx,
+                              SWord& new_aux) const {
+  using isa::MxcuOp;
+  switch (u.op) {
+    case MxcuOp::kSetIdx:
+      new_idx = static_cast<unsigned>(u.imm);
       break;
-    case K::kRf:
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        v[r] = rcs_[r].rf[s.idx];
-      }
+    case MxcuOp::kAddIdx:
+      new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + u.imm);
       break;
-    case K::kVwr: {
-      const Word* row = vwrs_[s.vwr].trace_row().data() + idx_;
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        v[r] = row[r * arch::kSliceWords];
-      }
+    case MxcuOp::kSetIdxSrf:
+      new_idx = srf_.trace_read(u.srf);
       break;
-    }
-    case K::kSrf: {
-      const Word x = srf_.trace_read(s.idx);
-      v[0] = v[1] = v[2] = v[3] = x;
+    case MxcuOp::kAddIdxSrf:
+      new_idx = idx_ + srf_.trace_read(u.srf);
       break;
-    }
+    case MxcuOp::kAndIdxSrf:
+      new_idx = idx_ & srf_.trace_read(u.srf);
+      break;
+    case MxcuOp::kSetAux:
+      new_aux = u.imm;
+      break;
+    case MxcuOp::kAddAux:
+      new_aux = aux_ + u.imm;
+      break;
+    case MxcuOp::kIdxFromAux:
+      new_idx = static_cast<unsigned>(aux_);
+      break;
     default:
-      v[0] = v[1] = v[2] = v[3] = 0;
-      break;
+      break;  // kNop, kStIdxSrf
+  }
+  new_idx %= arch::kSliceWords;
+}
+
+inline void Column::commit_mxcu(const tc::MxcuUop& u) {
+  unsigned new_idx = idx_;
+  SWord new_aux = aux_;
+  mxcu_eval(u, new_idx, new_aux);
+  idx_ = new_idx;
+  aux_ = new_aux;
+}
+
+/// Quad handlers: one instantiation per handler key (tracecache.hpp), with
+/// the operand loads, the ALU op and the store fixed at compile time, so a
+/// replayed quad line runs no opcode or operand switch. Semantics mirror
+/// step() for a line whose four RCs share one lane-relative shape: every
+/// lane reads pre-cycle state, then every lane commits.
+struct Column::QuadOps {
+  static constexpr unsigned kN = arch::kRcsPerColumn;
+  static constexpr unsigned kS = arch::kSliceWords;
+  static constexpr unsigned kImm = static_cast<unsigned>(tc::Src::K::kImm);
+  static constexpr unsigned kRf = static_cast<unsigned>(tc::Src::K::kRf);
+  static constexpr unsigned kVwr = static_cast<unsigned>(tc::Src::K::kVwr);
+  static constexpr unsigned kSrf = static_cast<unsigned>(tc::Src::K::kSrf);
+  static constexpr unsigned kDstRf = static_cast<unsigned>(tc::Dst::kRf);
+  static constexpr unsigned kDstVwr = static_cast<unsigned>(tc::Dst::kVwr);
+
+  /// An operand of kind `Kind` (a Src::K value or tc::kQuadUnary), routed
+  /// once: lane r at slice index idx is then a plain load.
+  template <unsigned Kind>
+  struct In {
+    const Word* row = nullptr;       // kVwr: VWR row base
+    const RcState* rcs = nullptr;    // kRf: lane 0's RC state
+    unsigned entry = 0;              // kRf: register file entry
+    Word v = 0;                      // kImm, kSrf: broadcast value
+
+    In(const Column& c, const tc::Src& s) {
+      if constexpr (Kind == kImm) {
+        v = s.imm;
+      } else if constexpr (Kind == kSrf) {
+        v = c.srf_.trace_read(s.idx);
+      } else if constexpr (Kind == kVwr) {
+        row = c.vwrs_[s.vwr].trace_row().data();
+      } else if constexpr (Kind == kRf) {
+        rcs = c.rcs_.data();
+        entry = s.idx;
+      }
+    }
+    Word operator()(unsigned r, unsigned idx) const {
+      if constexpr (Kind == kVwr) {
+        return row[idx + r * kS];
+      } else if constexpr (Kind == kRf) {
+        return rcs[r].rf[entry];
+      } else {
+        return v;  // broadcast, or 0 for a unary op's b
+      }
+    }
+  };
+
+  /// A destination of kind `D` (a Dst value below tc::kQuadDstKinds).
+  template <unsigned D>
+  struct Out {
+    Word* row = nullptr;        // kVwr
+    RcState* rcs = nullptr;     // kRf
+    unsigned entry = 0;
+
+    Out(Column& c, const tc::RcUop& q) {
+      if constexpr (D == kDstVwr) {
+        row = c.vwrs_[q.vwr].trace_row().data();
+      } else if constexpr (D == kDstRf) {
+        rcs = c.rcs_.data();
+        entry = q.idx;
+      }
+    }
+    void operator()(unsigned r, unsigned idx, Word v) const {
+      if constexpr (D == kDstVwr) {
+        row[idx + r * kS] = v;
+      } else if constexpr (D == kDstRf) {
+        rcs[r].rf[entry] = v;
+      }
+    }
+  };
+
+  /// Runs the quad line's RCs `iters` times, advancing the slice index by
+  /// `step` after each iteration: one plain line is iters = 1, a fused DBNZ
+  /// self-loop its whole trip count. Routing is resolved once (no quad line
+  /// writes the SRF or moves a row, so broadcasts and row bases are
+  /// invariant), and each iteration loads every lane before storing any,
+  /// so a destination aliasing a source stays exact.
+  template <isa::RcOp Op, unsigned A, unsigned B, unsigned D>
+  static void run(Column& c, const tc::RcUop& q, std::uint64_t iters,
+                  std::int32_t step) {
+    const In<A> a(c, q.a);
+    const In<B> b(c, q.b);
+    const Out<D> d(c, q);
+    unsigned idx = c.idx_;
+    Word o[kN] = {};
+    for (std::uint64_t it = 0; it < iters; ++it) {
+      for (unsigned r = 0; r < kN; ++r) o[r] = alu_op<Op>(a(r, idx), b(r, idx));
+      for (unsigned r = 0; r < kN; ++r) d(r, idx, o[r]);
+      idx = static_cast<unsigned>(static_cast<SWord>(idx) + step) % kS;
+    }
+    // rc_prev_ is unobservable inside a fused quad body (no kPrev operand
+    // compiles into a quad line), so only the last iteration's outputs matter.
+    for (unsigned r = 0; r < kN; ++r) c.rc_prev_[r] = o[r];
+    c.idx_ = idx;
+  }
+
+  using Handler = void (*)(Column&, const tc::RcUop&, std::uint64_t,
+                           std::int32_t);
+
+  /// Null exactly at invalid keys, which no compiled or decoded line carries.
+  template <std::size_t K>
+  static constexpr Handler handler_of() {
+    // Key coordinates: the inverse of tc::quad_key.
+    constexpr unsigned d = K % tc::kQuadDstKinds;
+    constexpr unsigned b = K / tc::kQuadDstKinds % (tc::kQuadSrcKinds + 1);
+    constexpr unsigned a =
+        K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1)) % tc::kQuadSrcKinds;
+    constexpr unsigned op =
+        K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1) * tc::kQuadSrcKinds);
+    static_assert(tc::quad_key(op, a, b, d) == K);
+    if constexpr (tc::quad_key_valid(op, a, b, d)) {
+      return &run<static_cast<isa::RcOp>(op), a, b, d>;
+    } else {
+      return nullptr;
+    }
+  }
+  template <std::size_t... K>
+  static constexpr std::array<Handler, tc::kQuadKeys> table(
+      std::index_sequence<K...>) {
+    return {handler_of<K>()...};
+  }
+
+  /// Indexed by tc::Line::key.
+  static const std::array<Handler, tc::kQuadKeys> kTable;
+};
+
+const std::array<Column::QuadOps::Handler, tc::kQuadKeys>
+    Column::QuadOps::kTable =
+        Column::QuadOps::table(std::make_index_sequence<tc::kQuadKeys>{});
+
+inline void Column::exec_quad(const tc::Line& L, std::uint64_t iters) {
+  const QuadOps::Handler run = QuadOps::kTable[L.key];
+  if (!L.has_mxcu || L.mxcu.op == isa::MxcuOp::kAddIdx) {
+    run(*this, L.rc[0], iters, L.has_mxcu ? L.mxcu.imm : 0);
+    return;
+  }
+  // The set/aux index forms commit their MXCU op every iteration.
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    run(*this, L.rc[0], 1, 0);
+    commit_mxcu(L.mxcu);
   }
 }
 
-/// All four RCs share one shape; the source/dest dispatch and the ALU
-/// opcode switch are hoisted out of the lane loop (the rc_all() idiom of
-/// every kernel inner loop).
-inline void Column::exec_quad_rcs(const tc::Line& L) {
-  const tc::RcUop& q = L.rc[0];
-  Word av[arch::kRcsPerColumn];
-  Word bv[arch::kRcsPerColumn];
-  quad_load(q.a, av);
-  if (q.unary) {
-    bv[0] = bv[1] = bv[2] = bv[3] = 0;
+/// The inner-loop fast path: a quad RC op plus at most a register-only MXCU
+/// op; everything else takes the generic evaluate/commit line.
+inline void Column::exec_dispatch(const tc::Line& L) {
+  if (L.kind == tc::Line::Kind::kQuadFast) {
+    exec_quad(L, 1);
   } else {
-    quad_load(q.b, bv);
-  }
-  Word outs[arch::kRcsPerColumn];
-  alu_eval4(q.op, av, bv, outs);
-  switch (q.d) {
-    case tc::Dst::kRf:
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        rcs_[r].rf[q.idx] = outs[r];
-      }
-      break;
-    case tc::Dst::kVwr: {
-      Word* row = vwrs_[q.vwr].trace_row().data() + idx_;
-      for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-        row[r * arch::kSliceWords] = outs[r];
-      }
-      break;
-    }
-    default:
-      break;  // kNone (kSrf never compiles as a quad)
-  }
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rc_prev_[r] = outs[r];
-}
-
-/// The inner-loop fast path: a quad RC op plus at most a register-only
-/// MXCU index update. No LSU, no LCU, no SRF traffic outside the quad.
-void Column::exec_quad_fast(const tc::Line& L) {
-  exec_quad_rcs(L);
-  if (L.has_mxcu) {
-    using isa::MxcuOp;
-    unsigned new_idx = idx_;
-    switch (L.mxcu.op) {
-      case MxcuOp::kSetIdx:
-        new_idx = static_cast<unsigned>(L.mxcu.imm);
-        break;
-      case MxcuOp::kAddIdx:
-        new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + L.mxcu.imm);
-        break;
-      case MxcuOp::kSetAux:
-        aux_ = L.mxcu.imm;
-        break;
-      case MxcuOp::kAddAux:
-        aux_ += L.mxcu.imm;
-        break;
-      case MxcuOp::kIdxFromAux:
-        new_idx = static_cast<unsigned>(aux_);
-        break;
-      default:
-        break;
-    }
-    idx_ = new_idx % arch::kSliceWords;
+    exec_traced_line(L);
   }
 }
 
@@ -809,39 +818,8 @@ void Column::exec_traced_line(const tc::Line& L) {
   SWord new_aux = aux_;
   int pend_mx_srf = -1;
   if (L.has_mxcu) {
-    const tc::MxcuUop& u = L.mxcu;
-    switch (u.op) {
-      case MxcuOp::kSetIdx:
-        new_idx = static_cast<unsigned>(u.imm);
-        break;
-      case MxcuOp::kAddIdx:
-        new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + u.imm);
-        break;
-      case MxcuOp::kSetIdxSrf:
-        new_idx = srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kAddIdxSrf:
-        new_idx = idx_ + srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kAndIdxSrf:
-        new_idx = idx_ & srf_.trace_read(u.srf);
-        break;
-      case MxcuOp::kSetAux:
-        new_aux = u.imm;
-        break;
-      case MxcuOp::kAddAux:
-        new_aux = aux_ + u.imm;
-        break;
-      case MxcuOp::kIdxFromAux:
-        new_idx = static_cast<unsigned>(aux_);
-        break;
-      case MxcuOp::kStIdxSrf:
-        pend_mx_srf = u.srf;
-        break;
-      default:
-        break;
-    }
-    new_idx %= arch::kSliceWords;
+    mxcu_eval(L.mxcu, new_idx, new_aux);
+    if (L.mxcu.op == MxcuOp::kStIdxSrf) pend_mx_srf = L.mxcu.srf;
   }
 
   // ---- LCU register op (control ops live in the block terminator).
@@ -890,7 +868,7 @@ void Column::exec_traced_line(const tc::Line& L) {
 
   // ---- RCs: evaluate (pre-cycle reads), then commit.
   if (L.quad) {
-    exec_quad_rcs(L);
+    QuadOps::kTable[L.key](*this, L.rc[0], 1, 0);
   } else if (L.rc_mask != 0) {
     Word outs[arch::kRcsPerColumn];
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
@@ -1001,62 +979,6 @@ void Column::step_traced() {
   pc_ = next;
 }
 
-bool Column::run_fused_quad1(const tc::Line& L, std::uint64_t iters) {
-  using K = tc::Src::K;
-  if (L.kind != tc::Line::Kind::kQuadFast) return false;
-  const tc::RcUop& q = L.rc[0];
-  if (q.d != tc::Dst::kVwr || q.a.k != K::kVwr) return false;
-  const bool b_vwr = !q.unary && q.b.k == K::kVwr;
-  if (!b_vwr && !q.unary && q.b.k != K::kImm && q.b.k != K::kSrf) {
-    return false;
-  }
-  // Only a plain index step may ride along (aux/set forms stay generic).
-  if (L.has_mxcu && L.mxcu.op != isa::MxcuOp::kAddIdx) return false;
-  if (iters == 0) return true;  // dbnz with cnt handled by the caller
-
-  // Loop-invariant routing: row bases cannot move and the SRF cannot be
-  // written by a quad-fast body, so the broadcast operand is fixed too.
-  const Word* const arow = vwrs_[q.a.vwr].trace_row().data();
-  const Word* const brow = b_vwr ? vwrs_[q.b.vwr].trace_row().data() : nullptr;
-  Word* const drow = vwrs_[q.vwr].trace_row().data();
-  constexpr unsigned S = arch::kSliceWords;
-  const std::int32_t step = L.has_mxcu ? L.mxcu.imm : 0;
-  unsigned idx = idx_;
-  Word av[arch::kRcsPerColumn];
-  Word bv[arch::kRcsPerColumn];
-  Word outs[arch::kRcsPerColumn];
-  if (!b_vwr) {
-    Word bc = 0;
-    if (!q.unary) bc = q.b.k == K::kImm ? q.b.imm : srf_.trace_read(q.b.idx);
-    bv[0] = bv[1] = bv[2] = bv[3] = bc;
-  }
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    av[0] = arow[idx];
-    av[1] = arow[idx + S];
-    av[2] = arow[idx + 2 * S];
-    av[3] = arow[idx + 3 * S];
-    if (b_vwr) {
-      bv[0] = brow[idx];
-      bv[1] = brow[idx + S];
-      bv[2] = brow[idx + 2 * S];
-      bv[3] = brow[idx + 3 * S];
-    }
-    alu_eval4(q.op, av, bv, outs);
-    drow[idx] = outs[0];
-    drow[idx + S] = outs[1];
-    drow[idx + 2 * S] = outs[2];
-    drow[idx + 3 * S] = outs[3];
-    if (step != 0) {
-      idx = static_cast<unsigned>(static_cast<SWord>(idx) + step) % S;
-    }
-  }
-  // rc_prev_ is unobservable inside a quad-fast body (no kPrev operands
-  // compile into one), so only the last iteration's outputs matter.
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rc_prev_[r] = outs[r];
-  idx_ = idx;
-  return true;
-}
-
 Cycle Column::step_block_traced(Cycle budget_left) {
   const CompiledTrace& T = *trace_;
   const tc::Line* lines = T.lines.data();
@@ -1068,9 +990,12 @@ Cycle Column::step_block_traced(Cycle budget_left) {
     const Word cnt = lcu_rf_[b.rd];
     const std::uint64_t iters = cnt == 0 ? (1ull << 32) : cnt;
     if (iters * b.len > budget_left) throw tc::ReplayBudgetExceeded{};
-    // Single-line elementwise bodies take the batched path (routing
-    // hoisted out of the trip count); everything else replays per line.
-    if (b.len != 1 || !run_fused_quad1(lines[b.first], iters)) {
+    // A single quad line runs its key's specialized loop (routing hoisted
+    // out of the trip count); everything else replays per line.
+    const tc::Line& first = lines[b.first];
+    if (b.len == 1 && first.kind == tc::Line::Kind::kQuadFast) {
+      exec_quad(first, iters);
+    } else {
       for (std::uint64_t it = 0; it < iters; ++it) {
         for (unsigned i = 0; i < b.len; ++i) {
           exec_dispatch(lines[b.first + i]);

@@ -206,23 +206,18 @@ class Column {
   unsigned lsu_address(const isa::LsuInstr& instr);
 
   // --- trace replay internals (column.cpp) -----------------------------------
+  /// Template-specialized quad handlers and their key-indexed table.
+  struct QuadOps;
   void exec_traced_line(const tc::Line& L);
-  void exec_quad_fast(const tc::Line& L);
-  void exec_quad_rcs(const tc::Line& L);
-  void quad_load(const tc::Src& s, Word* v) const;
-  /// Batched replay of a fused DBNZ self-loop whose whole body is one
-  /// elementwise quad line (VWR source, VWR/SRF/imm second operand, VWR
-  /// destination, at most a register-only index step): the operand routing,
-  /// row base pointers and broadcast values are resolved once for the whole
-  /// trip count instead of per iteration. Per-iteration load/compute/store
-  /// order is preserved exactly, so results are bit-identical even when the
-  /// destination row aliases a source. Returns false when the shape does
-  /// not apply (caller falls back to the per-line loop).
-  bool run_fused_quad1(const tc::Line& L, std::uint64_t iters);
-  void exec_dispatch(const tc::Line& L) {
-    L.kind == tc::Line::Kind::kQuadFast ? exec_quad_fast(L)
-                                        : exec_traced_line(L);
-  }
+  void exec_dispatch(const tc::Line& L);
+  /// Replays a kQuadFast line `iters` times (1, or a fused self-loop's trip
+  /// count) through its key's handler, MXCU op included.
+  void exec_quad(const tc::Line& L, std::uint64_t iters);
+  /// MXCU evaluate against pre-cycle state: the next slice index and aux
+  /// register (kStIdxSrf leaves both unchanged; its SRF write is the
+  /// caller's to commit).
+  void mxcu_eval(const tc::MxcuUop& u, unsigned& new_idx, SWord& new_aux) const;
+  void commit_mxcu(const tc::MxcuUop& u);
   /// Evaluates a block terminator; returns the next pc and sets `exit`.
   unsigned eval_term(const tc::Block& b, bool& exit);
   Word trace_src(const tc::Src& s) const;

@@ -487,6 +487,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
       line.rc_mask |= 1u << r;
     }
     line.quad = quad_shape(line);
+    line.key = tc::derive_quad_key(line);
     const isa::LsuInstr& lsu = L.lsu;
     if (lsu.op != LsuOp::kNop) {
       line.has_lsu = true;
@@ -640,6 +641,18 @@ std::shared_ptr<const CompiledTrace> compile_trace(
 }
 
 namespace tc {
+
+std::uint16_t derive_quad_key(const Line& line) {
+  if (!line.quad || line.rc_mask != 0xF) return kNoQuadKey;
+  const RcUop& q = line.rc[0];
+  if (q.unary != alu_is_unary(q.op)) return kNoQuadKey;
+  const auto op = static_cast<unsigned>(q.op);
+  const auto a = static_cast<unsigned>(q.a.k);
+  const unsigned b = q.unary ? kQuadUnary : static_cast<unsigned>(q.b.k);
+  const auto d = static_cast<unsigned>(q.d);
+  if (!quad_key_valid(op, a, b, d)) return kNoQuadKey;
+  return static_cast<std::uint16_t>(quad_key(op, a, b, d));
+}
 
 SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1) {
   SyncPlan p;

@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "cgra/alu.hpp"
 #include "common/types.hpp"
 #include "energy/meter.hpp"
 #include "isa/instr.hpp"
@@ -122,6 +123,36 @@ struct LcuUop {
   std::int32_t imm = 0;
 };
 
+// --- quad handler keys ---------------------------------------------------------
+//
+// A quad line (all four RCs run one lane-uniform op) replays through a static
+// table of template-specialized handlers, indexed by a dense key over
+// (RcOp x a-source kind x b-source kind-or-unary x destination kind). The
+// key is derived from the line's fields, never stored in the artifact, so
+// the compiler and the artifact decoder agree by construction.
+
+inline constexpr unsigned kQuadSrcKinds = 4;  ///< Src::K kImm..kSrf
+inline constexpr unsigned kQuadUnary = 4;     ///< b coordinate of unary ops
+inline constexpr unsigned kQuadDstKinds = 3;  ///< Dst kNone..kVwr
+inline constexpr unsigned kQuadKeys = static_cast<unsigned>(isa::RcOp::kCount) *
+                                      kQuadSrcKinds * (kQuadSrcKinds + 1) *
+                                      kQuadDstKinds;
+inline constexpr std::uint16_t kNoQuadKey = 0xFFFF;
+
+/// Key of (op, a, b, d); b is a Src::K below kQuadSrcKinds or kQuadUnary.
+constexpr unsigned quad_key(unsigned op, unsigned a, unsigned b, unsigned d) {
+  return ((op * kQuadSrcKinds + a) * (kQuadSrcKinds + 1) + b) * kQuadDstKinds +
+         d;
+}
+
+/// True when (op, a, b, d) names a handler: a real opcode, in-range
+/// coordinates, and a b coordinate that is kQuadUnary exactly for unary ops.
+constexpr bool quad_key_valid(unsigned op, unsigned a, unsigned b, unsigned d) {
+  return op > 0 && op < static_cast<unsigned>(isa::RcOp::kCount) &&
+         a < kQuadSrcKinds && b <= kQuadUnary && d < kQuadDstKinds &&
+         (b == kQuadUnary) == alu_is_unary(static_cast<isa::RcOp>(op));
+}
+
 /// One flattened VLIW line.
 struct Line {
   /// Replay dispatch class, precomputed so the hot loop takes one branch.
@@ -133,11 +164,20 @@ struct Line {
   std::uint8_t rc_mask = 0;  ///< bit r set when RC r is active
   bool quad = false;  ///< all 4 RCs identical shape: rc[0] is lane-relative
   bool has_lsu = false, has_mxcu = false, has_lcu = false;
+  /// Quad handler key (derive_quad_key); kNoQuadKey unless `quad`.
+  std::uint16_t key = kNoQuadKey;
   std::array<RcUop, arch::kRcsPerColumn> rc{};
   LsuUop lsu;
   MxcuUop mxcu;
   LcuUop lcu;
 };
+
+/// The one derivation of a line's quad handler key from its fields, shared
+/// by compile_trace and the artifact decoder. Returns kNoQuadKey when the
+/// line is not quad or its rc[0] shape lies outside the handler space
+/// (lane-crossing operands, SRF destination, arity flag disagreeing with
+/// the opcode): a decoder treats that as a bad tag.
+std::uint16_t derive_quad_key(const Line& line);
 
 /// Block terminator kinds (the LCU control-flow decision re-evaluated each
 /// replay; everything else in the block is straight-line).

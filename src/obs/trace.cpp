@@ -8,13 +8,17 @@
 namespace vwr2a::obs {
 
 // One ring per emitting thread. head counts events ever emitted; the live
-// window is the last min(head, buf.size()) events, so the exact number of
-// drop-oldest evictions is head - buf.size() once the ring has wrapped.
+// window is the last min(head, cap) events, so the exact number of
+// drop-oldest evictions is head - cap once the ring has wrapped. The buffer
+// reserves cap events at creation but grows by push_back until full, so a
+// thread that emits little commits little memory (a reserved, untouched
+// buffer costs address space, not resident pages); it never reallocates.
 // The per-ring mutex is only ever contended by snapshot()/reset(); an
 // emitting thread otherwise takes it uncontended.
 struct Tracer::Ring {
   mutable std::mutex mu;
-  std::vector<TraceEvent> buf;  // sized once at creation, never reallocated
+  std::vector<TraceEvent> buf;  // capacity cap, filled lazily
+  std::size_t cap = 1;
   std::uint64_t head = 0;
   std::uint32_t tid = 0;
 };
@@ -42,7 +46,8 @@ Tracer::Ring& Tracer::ring() {
     auto owned = std::make_unique<Ring>();
     owned->tid = thread_slot();
     std::lock_guard<std::mutex> lock(im.mu);
-    owned->buf.resize(im.cap);
+    owned->cap = im.cap;
+    owned->buf.reserve(im.cap);
     r = owned.get();
     im.rings.push_back(std::move(owned));
   }
@@ -55,8 +60,14 @@ void Tracer::emit(TraceEvent e) {
   if (e.ts_ns == 0) e.ts_ns = now_ns();
   e.tid = r.tid;
   std::lock_guard<std::mutex> lock(r.mu);
-  if (r.buf.empty()) return;
-  r.buf[r.head % r.buf.size()] = e;
+  // Slots below buf.size() hold older events (or pre-reset ones) and are
+  // overwritten; the first pass over the ring appends.
+  const std::size_t slot = r.head % r.cap;
+  if (slot < r.buf.size()) {
+    r.buf[slot] = e;
+  } else {
+    r.buf.push_back(e);
+  }
   ++r.head;
 }
 
@@ -75,7 +86,7 @@ Tracer::Snapshot Tracer::snapshot() const {
     std::lock_guard<std::mutex> rlock(r.mu);
     if (r.head == 0) continue;
     ++out.threads;
-    const std::size_t cap = r.buf.size();
+    const std::size_t cap = r.cap;
     const std::uint64_t kept = r.head < cap ? r.head : cap;
     out.dropped += r.head - kept;
     // Oldest-to-newest: the oldest surviving event sits at head % cap once

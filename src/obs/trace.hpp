@@ -62,7 +62,8 @@ class Tracer {
   void emit(TraceEvent e);
 
   /// Capacity (events) for rings created after this call. Existing rings
-  /// keep their size. Default 32768 events/thread (~2.6 MB).
+  /// keep their size. Default 32768 events/thread (~2.6 MB once full; a
+  /// ring commits memory only as it fills).
   void set_ring_capacity(std::size_t cap);
 
   struct Snapshot {

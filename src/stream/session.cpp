@@ -79,8 +79,13 @@ runtime::Job Session::make_job(WindowView window) {
     job.work = runtime::BioTrackerJob{cfg_.target, std::move(window.segment),
                                       window.offset};
   }
-  job.tag = "s" + std::to_string(id_) + "/w" +
-            std::to_string(stats_.windows_submitted);
+  // Appended piecewise: GCC 12 flags a literal + std::string&& concatenation
+  // with a spurious -Wrestrict.
+  std::string tag(1, 's');
+  tag += std::to_string(id_);
+  tag += "/w";
+  tag += std::to_string(stats_.windows_submitted);
+  job.tag = std::move(tag);
   job.pin = static_cast<int>(device_);
   // Flight-recorder correlation id: stable across the window's whole life
   // (placement, queue, device run, completion, delivery). windows_submitted

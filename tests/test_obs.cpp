@@ -249,6 +249,48 @@ TEST(ObsTrace, RingOverflowKeepsNewestAndCountsDropsExactly) {
   Tracer::get().set_ring_capacity(32768);  // restore the default
 }
 
+/// Rings fill lazily: the same ring snapshotted part-full, after it wraps,
+/// and refilled after a reset must keep drop-oldest order and exact drops.
+TEST(ObsTrace, LazyRingSnapshotsBeforeFillAndAfterWrap) {
+  ObsScope scope(false, true);
+  Tracer::get().set_ring_capacity(64);
+  auto overflow_values = [](const Tracer::Snapshot& snap) {
+    std::vector<std::uint64_t> v;
+    for (const TraceEvent& e : snap.events) {
+      if (std::string(e.name) == "test.lazy") v.push_back(e.a1);
+    }
+    return v;
+  };
+  Tracer::Snapshot part, wrapped, refilled;
+  std::thread t([&] {
+    for (std::uint64_t i = 0; i < 40; ++i) instant("test.lazy", 0, i);
+    part = Tracer::get().snapshot();
+    for (std::uint64_t i = 40; i < 100; ++i) instant("test.lazy", 0, i);
+    wrapped = Tracer::get().snapshot();
+    Tracer::get().reset();
+    for (std::uint64_t i = 0; i < 10; ++i) instant("test.lazy", 0, 1000 + i);
+    refilled = Tracer::get().snapshot();
+  });
+  t.join();
+
+  const std::vector<std::uint64_t> p = overflow_values(part);
+  ASSERT_EQ(p.size(), 40u);
+  EXPECT_EQ(part.dropped, 0u);
+  for (std::size_t i = 0; i < p.size(); ++i) EXPECT_EQ(p[i], i);
+
+  const std::vector<std::uint64_t> w = overflow_values(wrapped);
+  ASSERT_EQ(w.size(), 64u);
+  EXPECT_EQ(wrapped.dropped, 36u);
+  for (std::size_t i = 0; i < w.size(); ++i) EXPECT_EQ(w[i], 36 + i);
+
+  // After a reset the full-size buffer is overwritten from slot 0 again.
+  const std::vector<std::uint64_t> r = overflow_values(refilled);
+  ASSERT_EQ(r.size(), 10u);
+  EXPECT_EQ(refilled.dropped, 0u);
+  for (std::size_t i = 0; i < r.size(); ++i) EXPECT_EQ(r[i], 1000 + i);
+  Tracer::get().set_ring_capacity(32768);  // restore the default
+}
+
 TEST(ObsTrace, CaptureRoundTripsThroughDisk) {
   ObsScope scope(false, true);
   std::thread t([] {

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "artifact/codec.hpp"
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
@@ -787,6 +790,193 @@ TEST(TraceCacheFuzz, BatchedReplayMatchesInterpreterLanes) {
     }
   }
   EXPECT_GT(batched_trials, 10u);
+}
+
+// --- quad handler keys ---------------------------------------------------------
+
+/// One quad line for handler key (op, a, b, d). `alias` routes the
+/// destination onto a source (same VWR row or same RC register) and makes
+/// both operands read one location; otherwise every operand is distinct
+/// where the register space allows.
+isa::RcInstr quad_rc_for(unsigned op, unsigned a, unsigned b, unsigned d,
+                         bool alias) {
+  using isa::RcDst;
+  using isa::RcSrc;
+  using K = cgra::tc::Src::K;
+  auto src = [alias](unsigned kind, bool second) {
+    switch (static_cast<K>(kind)) {
+      case K::kImm:
+        return RcSrc::kImm;
+      case K::kRf:
+        return second && !alias ? RcSrc::kR1 : RcSrc::kR0;
+      case K::kVwr:
+        return second && !alias ? RcSrc::kVwrB : RcSrc::kVwrA;
+      default:
+        return RcSrc::kSrf;
+    }
+  };
+  RcDst dst = RcDst::kNone;
+  if (d == static_cast<unsigned>(cgra::tc::Dst::kRf)) {
+    dst = alias ? RcDst::kR0 : RcDst::kR1;
+  } else if (d == static_cast<unsigned>(cgra::tc::Dst::kVwr)) {
+    dst = alias ? RcDst::kVwrA : RcDst::kVwrC;
+  }
+  const RcSrc sb = b == cgra::tc::kQuadUnary ? RcSrc::kZero : src(b, true);
+  return rc_op(static_cast<isa::RcOp>(op), dst, src(a, false), sb,
+               /*srf=*/5, /*imm=*/-3);
+}
+
+/// The MXCU op riding along with the quad line: mostly nonzero index steps
+/// (wrapping the slice), with the set/aux forms and no-op rotated in.
+isa::MxcuInstr quad_mxcu_for(unsigned key) {
+  isa::MxcuInstr m;
+  switch (key % 7) {
+    case 0: return mxcu_add_idx(1);
+    case 1: return mxcu_add_idx(3);
+    case 2: return mxcu_add_idx(-5);
+    case 3: return mxcu_set_idx(7);
+    case 4:
+      m.op = isa::MxcuOp::kAddAux;
+      m.imm = 2;
+      return m;
+    case 5:
+      m.op = isa::MxcuOp::kIdxFromAux;
+      return m;
+    default:
+      return m;  // no MXCU op
+  }
+}
+
+/// Plain: three copies of the quad line in one straight-line block.
+/// Fused: the quad line as a single-line DBNZ self-loop over 37 iterations,
+/// more than one slice's worth, so the index wraps.
+isa::ColumnProgram quad_key_program(const isa::RcInstr& rc,
+                                    const isa::MxcuInstr& mx, bool fused) {
+  ProgramBuilder pb;
+  isa::MxcuInstr aux;
+  aux.op = isa::MxcuOp::kSetAux;
+  aux.imm = 11;
+  pb.line().lcu(lcu_set(0, 37)).mxcu(aux).emit();
+  if (fused) {
+    Label loop = pb.make_label();
+    pb.bind(loop);
+    pb.line().rc_all(rc).mxcu(mx).lcu(lcu_dbnz(0), loop).emit();
+  } else {
+    for (int i = 0; i < 3; ++i) pb.line().rc_all(rc).mxcu(mx).emit();
+  }
+  pb.line().lcu(lcu_exit()).emit();
+  return pb.build();
+}
+
+/// Every reachable handler key, as plain lines and as a fused self-loop,
+/// with and without destination/source aliasing: the traced run must match
+/// the interpreter in state, cycles and every energy event count.
+TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
+  using cgra::tc::kQuadKeys;
+  unsigned covered = 0;
+  for (unsigned op = 0; op < static_cast<unsigned>(isa::RcOp::kCount); ++op) {
+    for (unsigned a = 0; a < cgra::tc::kQuadSrcKinds; ++a) {
+      for (unsigned b = 0; b <= cgra::tc::kQuadUnary; ++b) {
+        for (unsigned d = 0; d < cgra::tc::kQuadDstKinds; ++d) {
+          if (!cgra::tc::quad_key_valid(op, a, b, d)) continue;
+          const unsigned key = cgra::tc::quad_key(op, a, b, d);
+          ASSERT_LT(key, kQuadKeys);
+          ++covered;
+          for (int variant = 0; variant < 4; ++variant) {
+            const bool fused = (variant & 1) != 0;
+            const bool alias = (variant & 2) != 0;
+            const isa::ColumnProgram prog = quad_key_program(
+                quad_rc_for(op, a, b, d, alias), quad_mxcu_for(key), fused);
+            const std::string what = "key " + std::to_string(key) +
+                                     (fused ? " fused" : " plain") +
+                                     (alias ? " aliased" : "");
+            const auto trace = cgra::compile_trace(prog);
+            ASSERT_TRUE(trace->ok) << what << ": " << trace->bail_reason;
+            const cgra::tc::Line& line = trace->lines[1];
+            ASSERT_EQ(line.key, key) << what;
+            ASSERT_EQ(line.kind, cgra::tc::Line::Kind::kQuadFast) << what;
+            if (fused) {
+              ASSERT_TRUE(trace->blocks[trace->block_of[1]].fuse_self_loop)
+                  << what;
+            }
+
+            Rig ri(ExecMode::kInterpret);
+            Rig rt(ExecMode::kTraceCache);
+            ri.seed(Rng(key * 4 + variant));
+            rt.seed(Rng(key * 4 + variant));
+            const isa::KernelImage img = make_kernel("quad", 0, prog);
+            ri.acc.run_kernel(ri.acc.register_kernel(img));
+            rt.acc.run_kernel(rt.acc.register_kernel(img));
+            EXPECT_EQ(rt.acc.interpreted_cycles(), 0u) << what;
+            expect_identical(ri, rt, what);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  // 15 binary ops x 4 x 4 operand kinds + 3 unary ops x 4, x 3 destinations.
+  EXPECT_EQ(covered, (15u * 4 * 4 + 3u * 4) * 3);
+}
+
+/// The artifact stores no handler key: the decoder derives it with the
+/// compiler's function, so a round-tripped trace carries the same keys and
+/// replays identically, and a quad line whose shape names no handler is
+/// rejected like a bad tag.
+TEST(TraceCacheQuadKeys, ArtifactRoundTripDerivesKeysAndDispatchesIdentically) {
+  const unsigned op = static_cast<unsigned>(isa::RcOp::kFxpMul);
+  const unsigned vwr = static_cast<unsigned>(cgra::tc::Src::K::kVwr);
+  const unsigned srf = static_cast<unsigned>(cgra::tc::Src::K::kSrf);
+  const unsigned dvwr = static_cast<unsigned>(cgra::tc::Dst::kVwr);
+  const isa::ColumnProgram prog = quad_key_program(
+      quad_rc_for(op, vwr, srf, dvwr, /*alias=*/true), mxcu_add_idx(3),
+      /*fused=*/true);
+  const auto compiled = cgra::compile_trace(prog);
+  ASSERT_TRUE(compiled->ok);
+
+  std::vector<std::uint8_t> bytes;
+  artifact::encode_trace(*compiled, bytes);
+  auto decoded = std::make_shared<cgra::CompiledTrace>();
+  artifact::Reader r(bytes.data(), bytes.size());
+  ASSERT_TRUE(artifact::parse_trace(r, *decoded));
+  ASSERT_EQ(decoded->lines.size(), compiled->lines.size());
+  for (std::size_t i = 0; i < compiled->lines.size(); ++i) {
+    EXPECT_EQ(decoded->lines[i].key, compiled->lines[i].key) << "line " << i;
+  }
+  EXPECT_EQ(decoded->lines[1].key, cgra::tc::quad_key(op, vwr, srf, dvwr));
+
+  // Replay the decoded trace (served as if hydrated from an artifact).
+  struct OneTrace : cgra::TraceSource {
+    std::shared_ptr<const cgra::CompiledTrace> t;
+    std::shared_ptr<const cgra::CompiledTrace> load_trace(
+        const std::string&, const isa::ColumnProgram&) override {
+      return t;
+    }
+  } source;
+  source.t = decoded;
+  cgra::TraceCache hydrated;
+  hydrated.set_source(&source);
+  Rig ri(ExecMode::kInterpret);
+  Rig rt(ExecMode::kTraceCache);
+  rt.acc.set_trace_cache(&hydrated);
+  ri.seed(Rng(5));
+  rt.seed(Rng(5));
+  const isa::KernelImage img = make_kernel("quadart", 0, prog);
+  ri.acc.run_kernel(ri.acc.register_kernel(img));
+  rt.acc.run_kernel(rt.acc.register_kernel(img));
+  EXPECT_EQ(hydrated.stats().hydrated, 1u);
+  EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
+  expect_identical(ri, rt, "artifact-decoded quad trace");
+
+  // An SRF destination is outside the handler space: the decoder refuses
+  // the line instead of dispatching it.
+  cgra::CompiledTrace bad = *compiled;
+  bad.lines[1].rc[0].d = cgra::tc::Dst::kSrf;
+  std::vector<std::uint8_t> bad_bytes;
+  artifact::encode_trace(bad, bad_bytes);
+  cgra::CompiledTrace out;
+  artifact::Reader br(bad_bytes.data(), bad_bytes.size());
+  EXPECT_FALSE(artifact::parse_trace(br, out));
 }
 
 TEST(TraceCache, StaticHazardBailsToInterpreterWithSameFault) {
