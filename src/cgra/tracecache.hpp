@@ -40,7 +40,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -128,8 +127,8 @@ struct LcuUop {
 // A quad line (all four RCs run one lane-uniform op) replays through a static
 // table of template-specialized handlers, indexed by a dense key over
 // (RcOp x a-source kind x b-source kind-or-unary x destination kind). The
-// key is derived from the line's fields, never stored in the artifact, so
-// the compiler and the artifact decoder agree by construction.
+// key is a pure function of the line's fields (derive_quad_key, called by
+// compile_trace), so it can never disagree with the line it dispatches.
 
 inline constexpr unsigned kQuadSrcKinds = 4;  ///< Src::K kImm..kSrf
 inline constexpr unsigned kQuadUnary = 4;     ///< b coordinate of unary ops
@@ -172,11 +171,12 @@ struct Line {
   LcuUop lcu;
 };
 
-/// The one derivation of a line's quad handler key from its fields, shared
-/// by compile_trace and the artifact decoder. Returns kNoQuadKey when the
-/// line is not quad or its rc[0] shape lies outside the handler space
-/// (lane-crossing operands, SRF destination, arity flag disagreeing with
-/// the opcode): a decoder treats that as a bad tag.
+/// The one derivation of a line's quad handler key from its fields, called
+/// by compile_trace. Returns kNoQuadKey when the line is not quad or its
+/// rc[0] shape lies outside the handler space (lane-crossing operands, SRF
+/// destination, arity flag disagreeing with the opcode). compile_trace only
+/// marks a line quad when its shape is inside that space, so every quad
+/// line it emits carries a key that Column indexes the handler table with.
 std::uint16_t derive_quad_key(const Line& line);
 
 /// Block terminator kinds (the LCU control-flow decision re-evaluated each
@@ -242,17 +242,6 @@ class CompiledTrace {
 /// result carries ok = false and the interpreter stays authoritative.
 std::shared_ptr<const CompiledTrace> compile_trace(const isa::ColumnProgram& prog);
 
-/// A read-only provider of precompiled traces consulted on cache miss
-/// (implemented by artifact::Store, the mmap'd binary artifact). Must be
-/// safe to call concurrently. Returning nullptr means "not in the
-/// artifact": the caller compiles in-process, transparently.
-class TraceSource {
- public:
-  virtual ~TraceSource() = default;
-  virtual std::shared_ptr<const CompiledTrace> load_trace(
-      const std::string& variant, const isa::ColumnProgram& prog) = 0;
-};
-
 /// Thread-safe cache of compiled traces, keyed by (variant namespace,
 /// program content). Negative results (ok = false) are cached too, so a
 /// non-traceable kernel costs one compile attempt fleet-wide, not one per
@@ -263,12 +252,10 @@ class TraceCache {
     std::uint64_t hits = 0;      ///< lookups served from the cache
     std::uint64_t compiled = 0;  ///< programs compiled to replayable traces
     std::uint64_t bailed = 0;    ///< programs that stayed on the interpreter
-    std::uint64_t hydrated = 0;  ///< misses served by the artifact source
   };
 
   /// Returns the compiled trace for `prog` under the `variant` namespace
-  /// (soc::ArchConfig::name()), on first use loading it from the attached
-  /// artifact source (when it has the entry) or compiling it in-process.
+  /// (soc::ArchConfig::name()), compiling it on first use.
   std::shared_ptr<const CompiledTrace> get_or_compile(
       const std::string& variant, const isa::ColumnProgram& prog) {
     const std::uint64_t h = hash_program(variant, prog);
@@ -280,39 +267,15 @@ class TraceCache {
         return it->second.trace;
       }
     }
-    std::shared_ptr<const CompiledTrace> trace;
-    if (source_ != nullptr) trace = source_->load_trace(variant, prog);
-    if (trace != nullptr) {
-      ++hydrated_;
-    } else {
-      trace = compile_trace(prog);
-      trace->ok ? ++compiled_ : ++bailed_;
-    }
+    std::shared_ptr<const CompiledTrace> trace = compile_trace(prog);
+    trace->ok ? ++compiled_ : ++bailed_;
     entries_.emplace(h, Entry{variant, prog, trace});
     return trace;
   }
 
-  /// Attaches (or detaches, nullptr) the precompiled-trace source. Attach
-  /// before the cache goes concurrent (see ImageCache::set_source).
-  void set_source(TraceSource* source) {
-    std::lock_guard<std::mutex> lock(mu_);
-    source_ = source;
-  }
-
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return Stats{hits_, compiled_, bailed_, hydrated_};
-  }
-
-  /// Visits every cached trace (hash order; the artifact builder re-sorts
-  /// by content). Runs under the cache lock with the cache quiescent by
-  /// contract -- the builder's enumeration hook, not a runtime path.
-  void for_each_trace(
-      const std::function<void(const std::string&, const isa::ColumnProgram&,
-                               const std::shared_ptr<const CompiledTrace>&)>&
-          fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [h, e] : entries_) fn(e.variant, e.prog, e.trace);
+    return Stats{hits_, compiled_, bailed_};
   }
 
  private:
@@ -338,11 +301,9 @@ class TraceCache {
 
   mutable std::mutex mu_;
   std::multimap<std::uint64_t, Entry> entries_;
-  TraceSource* source_ = nullptr;
   std::uint64_t hits_ = 0;
   std::uint64_t compiled_ = 0;
   std::uint64_t bailed_ = 0;
-  std::uint64_t hydrated_ = 0;
 };
 
 namespace tc {

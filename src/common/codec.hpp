@@ -1,0 +1,128 @@
+#pragma once
+// The one binary codec behind the repo's on-disk formats: device
+// checkpoints (runtime/checkpoint.cpp), traffic journals (.vwr2jrn,
+// obs/journal.cpp) and trace captures (.vwr2trc, obs/capture.cpp). It holds
+// a little-endian Writer, a bounds-checked sticky-failure Reader and the
+// FNV-1a checksum the checksummed formats are defined with. Keeping one
+// implementation means byte order, string framing and the reject-on-
+// truncation discipline cannot drift between formats.
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace vwr2a::codec {
+
+/// Checksum: 8 interleaved FNV-1a 64 lanes (byte i feeds lane i mod 8,
+/// lane l seeded with offset-basis + l), folded FNV-style into one value.
+/// Interleaving breaks the serial multiply dependency of plain FNV-1a, so
+/// wide cores run ~8 lanes in parallel; every byte still feeds a full FNV
+/// chain, so random-corruption detection matches plain FNV-1a. The value is
+/// part of the checkpoint and journal formats: changing it changes files.
+inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
+  constexpr std::uint64_t kBasis = 1469598103934665603ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t lane[8];
+  for (unsigned l = 0; l < 8; ++l) lane[l] = kBasis + l;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (unsigned l = 0; l < 8; ++l) {
+      lane[l] = (lane[l] ^ data[i + l]) * kPrime;
+    }
+  }
+  for (; i < n; ++i) lane[i % 8] = (lane[i % 8] ^ data[i]) * kPrime;
+  std::uint64_t h = kBasis;
+  for (unsigned l = 0; l < 8; ++l) {
+    for (unsigned b = 0; b < 8; ++b) {
+      h = (h ^ static_cast<std::uint8_t>(lane[l] >> (8 * b))) * kPrime;
+    }
+  }
+  return h;
+}
+
+/// Appends little-endian scalars to a byte vector.
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
+
+  void u8(std::uint8_t v) { out_->push_back(v); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v), 4); }
+  /// u32 length, then the bytes.
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    out_->insert(out_->end(), s.begin(), s.end());
+  }
+
+ private:
+  void put(std::uint64_t v, unsigned bytes) {
+    for (unsigned i = 0; i < bytes; ++i) {
+      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  std::vector<std::uint8_t>* out_;
+};
+
+/// Patches a u64 already written at `off` (header fix-ups).
+inline void patch_u64(std::vector<std::uint8_t>& buf, std::uint64_t off,
+                      std::uint64_t v) {
+  for (unsigned i = 0; i < 8; ++i) {
+    buf[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// A cursor over a byte range that can never read outside it: every
+/// primitive sets `ok = false` (and returns 0) instead of over-reading.
+/// Callers check ok after a group of reads -- sticky-failure style, so a
+/// truncated or lying buffer degrades to a clean reject, never UB.
+class Reader {
+ public:
+  Reader(const std::uint8_t* data, std::size_t n) : p_(data), n_(n) {}
+
+  bool ok() const { return ok_; }
+  std::size_t remaining() const { return n_ - pos_; }
+  bool at_end() const { return pos_ == n_; }
+
+  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
+  std::uint64_t u64() { return get(8); }
+  std::int32_t i32() { return static_cast<std::int32_t>(get(4)); }
+
+  /// Length-prefixed string (Writer::str); the length is validated against
+  /// the remaining bytes before anything is copied, so a lying prefix
+  /// cannot over-allocate.
+  std::string str() {
+    const std::uint32_t len = u32();
+    if (!ok_ || len > remaining()) {
+      ok_ = false;
+      return {};
+    }
+    std::string s(reinterpret_cast<const char*>(p_ + pos_), len);
+    pos_ += len;
+    return s;
+  }
+
+ private:
+  std::uint64_t get(unsigned bytes) {
+    if (!ok_ || bytes > remaining()) {
+      ok_ = false;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(p_[pos_ + i]) << (8 * i);
+    }
+    pos_ += bytes;
+    return v;
+  }
+
+  const std::uint8_t* p_;
+  std::size_t n_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+} // namespace vwr2a::codec

@@ -132,9 +132,6 @@ Stats read_stats(Reader& r) {
   f.total_device_cycles = r.u64();
   f.stagings = r.u64();
   f.total_pj = r.f64();
-  f.images_hydrated = r.u64();
-  f.traces_hydrated = r.u64();
-  f.artifact_attached = r.u8();
   f.devices_failed = r.u64();
   f.devices_revived = r.u64();
   f.devices_dead = r.u64();
@@ -162,9 +159,6 @@ void put_stats(std::vector<std::uint8_t>& out, const Stats& v) {
   put_u64(out, v.total_device_cycles);
   put_u64(out, v.stagings);
   put_f64(out, v.total_pj);
-  put_u64(out, v.images_hydrated);
-  put_u64(out, v.traces_hydrated);
-  put_u8(out, v.artifact_attached);
   put_u64(out, v.devices_failed);
   put_u64(out, v.devices_revived);
   put_u64(out, v.devices_dead);

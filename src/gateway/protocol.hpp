@@ -26,8 +26,8 @@
 namespace vwr2a::gateway {
 
 /// The versioning byte every frame carries (bumped on breaking changes).
-/// v2: STATS gained the artifact-hydration fields (images_hydrated,
-/// traces_hydrated, artifact_attached).
+/// v2: STATS gained three warm-start fields reporting on a prebuilt
+/// kernel cache (removed again in v7).
 /// v3: STATS gained the fault-and-recovery fields (devices_failed,
 /// devices_revived, devices_dead, jobs_rescued, checkpoints_restored) --
 /// the DEVICE_LOST/RECOVERED picture a tenant polls for.
@@ -44,7 +44,9 @@ namespace vwr2a::gateway {
 /// -- the cross-wire trace propagation a remote client feeds into its
 /// local flight recorder. All five are 0 unless the server runs with
 /// obs spans enabled.
-inline constexpr std::uint8_t kProtocolVersion = 6;
+/// v7: STATS dropped the three v2 warm-start fields, along with the
+/// prebuilt kernel cache they reported on.
+inline constexpr std::uint8_t kProtocolVersion = 7;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -166,12 +168,6 @@ struct Stats {
   std::uint64_t total_device_cycles = 0;  ///< sum of device-local clocks
   std::uint64_t stagings = 0;
   double total_pj = 0.0;  ///< fleet energy
-  /// Artifact warm-start telemetry (v2): kernel images / compiled traces
-  /// hydrated from the fleet's prebuilt artifact, and whether one is
-  /// attached at all (0/1).
-  std::uint64_t images_hydrated = 0;
-  std::uint64_t traces_hydrated = 0;
-  std::uint8_t artifact_attached = 0;
   /// Fault-and-recovery telemetry (v3): cumulative DEVICE_LOST/RECOVERED
   /// counts, the current dead-device count, and how the fleet coped
   /// (queued jobs re-placed, resident state adopted elsewhere).

@@ -630,9 +630,6 @@ void fold_fleet(Stats& s, const runtime::FleetStats& fleet) {
   s.total_device_cycles = fleet.total_device_cycles;
   s.stagings = fleet.stagings;
   s.total_pj = fleet.total_pj;
-  s.images_hydrated = fleet.image_cache.hydrated;
-  s.traces_hydrated = fleet.trace_cache.hydrated;
-  s.artifact_attached = fleet.artifact_attached ? 1 : 0;
   s.devices_failed = fleet.devices_failed;
   s.devices_revived = fleet.devices_revived;
   s.devices_dead = fleet.devices_dead;

@@ -9,21 +9,13 @@
 //
 // Thread-safe, compile-once. Worker threads of the runtime pool race
 // through get_or_build() when they lazily instantiate kernels. Each key
-// owns a once-flag: the first thread to miss a key runs the builder (or the
-// artifact source, below) outside the cache-wide lock, every other thread
-// racing on the *same* key blocks on that key's flag, and threads missing
-// *different* keys assemble concurrently. Exactly one build per key ever
+// owns a once-flag: the first thread to miss a key runs the builder outside
+// the cache-wide lock, every other thread racing on the *same* key blocks on
+// that key's flag, and threads missing *different* keys assemble
+// concurrently. Exactly one build per key ever
 // runs -- Stats::builds counts actual builder executions, so a duplicate
-// build would be observable, and tests/test_artifact.cpp pins builds == 1
-// under a deliberate many-thread race.
-//
-// Hydration. An ImageSource (e.g. artifact::Store, a mmap'd prebuilt
-// binary artifact) can be attached with set_source(): a miss first asks the
-// source for a prebuilt image and only falls back to the in-process builder
-// when the source has no entry. Hydrated and built images are
-// indistinguishable to callers (the builder is deterministic and the
-// artifact stores its exact output); Stats splits misses into builds vs
-// hydrated so cold-start telemetry can see the artifact working.
+// build would be observable, and tests/test_isa.cpp pins builds == 1 under
+// a deliberate many-thread race.
 
 #include <atomic>
 #include <cstdint>
@@ -38,17 +30,6 @@
 
 namespace vwr2a::isa {
 
-/// A read-only provider of prebuilt kernel images consulted on cache miss
-/// (implemented by artifact::Store). Must be safe to call concurrently.
-/// Returning nullptr means "not in the artifact": the caller assembles
-/// in-process, transparently.
-class ImageSource {
- public:
-  virtual ~ImageSource() = default;
-  virtual std::shared_ptr<const KernelImage> load_image(
-      const std::string& key) = 0;
-};
-
 /// Process-wide (or pool-wide) cache of assembled kernel images.
 class ImageCache {
  public:
@@ -57,13 +38,11 @@ class ImageCache {
     std::uint64_t hits = 0;    ///< lookups that found the key present
     std::uint64_t misses = 0;  ///< lookups that created the key's entry
     std::size_t entries = 0;   ///< images currently cached
-    std::uint64_t builds = 0;    ///< in-process builder executions
-    std::uint64_t hydrated = 0;  ///< misses served by the artifact source
+    std::uint64_t builds = 0;  ///< builder executions
   };
 
-  /// Returns the image cached under `key`, building (and caching) it on
-  /// first use -- from the attached artifact source when it has the key,
-  /// via `build` otherwise. The returned image is immutable and shared.
+  /// Returns the image cached under `key`, building (and caching) it via
+  /// `build` on first use. The returned image is immutable and shared.
   /// Concurrent callers of the same key run `build` exactly once.
   std::shared_ptr<const KernelImage> get_or_build(
       const std::string& key, const std::function<KernelImage()>& build) {
@@ -81,44 +60,16 @@ class ImageCache {
       }
     }
     std::call_once(e->once, [&] {
-      std::shared_ptr<const KernelImage> image;
-      if (source_ != nullptr) image = source_->load_image(key);
-      if (image != nullptr) {
-        hydrated_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        image = std::make_shared<const KernelImage>(build());
-        builds_.fetch_add(1, std::memory_order_relaxed);
-      }
-      e->image = std::move(image);
+      e->image = std::make_shared<const KernelImage>(build());
+      builds_.fetch_add(1, std::memory_order_relaxed);
     });
     return e->image;
   }
 
-  /// Attaches (or detaches, nullptr) the prebuilt-image source. Not
-  /// synchronized against in-flight lookups: attach before the cache goes
-  /// concurrent (the DevicePool attaches in its constructor, before any
-  /// job can run). Keys already cached are unaffected.
-  void set_source(ImageSource* source) { source_ = source; }
-
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return Stats{hits_, misses_, images_.size(),
-                 builds_.load(std::memory_order_relaxed),
-                 hydrated_.load(std::memory_order_relaxed)};
-  }
-
-  /// Visits every completed image in key order (in-flight builds are
-  /// skipped). Runs under the cache lock with the cache quiescent by
-  /// contract -- this is the artifact builder's enumeration hook, not a
-  /// runtime path.
-  void for_each_image(
-      const std::function<void(const std::string&,
-                               const std::shared_ptr<const KernelImage>&)>& fn)
-      const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, entry] : images_) {
-      if (entry->image != nullptr) fn(key, entry->image);
-    }
+                 builds_.load(std::memory_order_relaxed)};
   }
 
   /// Compiled-trace cache living next to the encoded images: every device
@@ -138,11 +89,9 @@ class ImageCache {
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Entry>> images_;
-  ImageSource* source_ = nullptr;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::atomic<std::uint64_t> builds_{0};
-  std::atomic<std::uint64_t> hydrated_{0};
   cgra::TraceCache traces_;  ///< thread-safe on its own lock
 };
 

@@ -1,69 +1,21 @@
 #include "obs/capture.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <unordered_map>
 
+#include "common/codec.hpp"
+
 namespace vwr2a::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'W', 'R', '2', 'A', 'T', 'R', 'C'};
+/// File magic: "VWR2ATRC" little-endian.
+constexpr std::uint64_t kMagic = 0x4352544132525756ull;
 constexpr std::uint32_t kFormatVersion = 1;
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-// Bounds-checked little-endian reader over the loaded file bytes.
-class Reader {
- public:
-  explicit Reader(const std::string& buf) : buf_(buf) {}
-  bool u8(std::uint8_t* v) {
-    if (pos_ + 1 > buf_.size()) return false;
-    *v = static_cast<std::uint8_t>(buf_[pos_++]);
-    return true;
-  }
-  bool u32(std::uint32_t* v) {
-    if (pos_ + 4 > buf_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool u64(std::uint64_t* v) {
-    if (pos_ + 8 > buf_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(buf_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool bytes(std::string* v, std::size_t n) {
-    if (pos_ + n > buf_.size()) return false;
-    v->assign(buf_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-  std::size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
 
 bool fail(std::string* why, const char* msg) {
   if (why != nullptr) *why = msg;
@@ -125,33 +77,32 @@ Capture to_capture(const Tracer::Snapshot& snap) {
 bool save_capture(const Tracer::Snapshot& snap, const std::string& path,
                   std::string* why) {
   const Capture cap = to_capture(snap);
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kFormatVersion);
-  put_u32(out, cap.threads);
-  put_u64(out, cap.dropped);
-  put_u32(out, static_cast<std::uint32_t>(cap.names.size()));
-  for (const std::string& n : cap.names) {
-    put_u32(out, static_cast<std::uint32_t>(n.size()));
-    out.append(n);
-  }
-  put_u64(out, cap.events.size());
+  std::vector<std::uint8_t> out;
+  codec::Writer w(out);
+  w.u64(kMagic);
+  w.u32(kFormatVersion);
+  w.u32(cap.threads);
+  w.u64(cap.dropped);
+  w.u32(static_cast<std::uint32_t>(cap.names.size()));
+  for (const std::string& n : cap.names) w.str(n);
+  w.u64(cap.events.size());
   for (const Capture::Ev& e : cap.events) {
-    put_u32(out, e.name);
-    put_u32(out, e.tid);
-    put_u8(out, e.kind);
-    put_u64(out, e.ts_ns);
-    put_u64(out, e.dur_ns);
-    put_u64(out, e.window);
-    put_u64(out, e.sim_begin);
-    put_u64(out, e.sim_dur);
-    put_u64(out, e.a1);
-    put_u64(out, e.a2);
-    put_u64(out, e.a3);
+    w.u32(e.name);
+    w.u32(e.tid);
+    w.u8(e.kind);
+    w.u64(e.ts_ns);
+    w.u64(e.dur_ns);
+    w.u64(e.window);
+    w.u64(e.sim_begin);
+    w.u64(e.sim_dur);
+    w.u64(e.a1);
+    w.u64(e.a2);
+    w.u64(e.a3);
   }
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return fail(why, "cannot open capture file for writing");
-  f.write(out.data(), static_cast<std::streamsize>(out.size()));
+  f.write(reinterpret_cast<const char*>(out.data()),
+          static_cast<std::streamsize>(out.size()));
   f.flush();
   if (!f) return fail(why, "short write to capture file");
   return true;
@@ -160,35 +111,27 @@ bool save_capture(const Tracer::Snapshot& snap, const std::string& path,
 bool load_capture(const std::string& path, Capture* out, std::string* why) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return fail(why, "cannot open capture file");
-  std::string buf((std::istreambuf_iterator<char>(f)),
-                  std::istreambuf_iterator<char>());
-  Reader r(buf);
-  std::string magic;
-  if (!r.bytes(&magic, sizeof(kMagic)) ||
-      std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0) {
-    return fail(why, "bad magic (not a .vwr2trc capture)");
-  }
-  std::uint32_t version = 0;
-  if (!r.u32(&version)) return fail(why, "truncated header");
+  const std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(f)),
+                                      std::istreambuf_iterator<char>());
+  codec::Reader r(buf.data(), buf.size());
+  if (r.u64() != kMagic) return fail(why, "bad magic (not a .vwr2trc capture)");
+  const std::uint32_t version = r.u32();
+  if (!r.ok()) return fail(why, "truncated header");
   if (version != kFormatVersion) return fail(why, "unsupported capture version");
   Capture cap;
-  std::uint64_t nevents = 0;
-  std::uint32_t nnames = 0;
-  if (!r.u32(&cap.threads) || !r.u64(&cap.dropped) || !r.u32(&nnames)) {
-    return fail(why, "truncated header");
-  }
+  cap.threads = r.u32();
+  cap.dropped = r.u64();
+  const std::uint32_t nnames = r.u32();
+  if (!r.ok()) return fail(why, "truncated header");
   // Every name needs at least its 4-byte length on disk.
   if (nnames > r.remaining() / 4) return fail(why, "name count exceeds file");
   cap.names.reserve(nnames);
   for (std::uint32_t i = 0; i < nnames; ++i) {
-    std::uint32_t len = 0;
-    std::string n;
-    if (!r.u32(&len) || len > r.remaining() || !r.bytes(&n, len)) {
-      return fail(why, "truncated string table");
-    }
-    cap.names.push_back(std::move(n));
+    cap.names.push_back(r.str());
+    if (!r.ok()) return fail(why, "truncated string table");
   }
-  if (!r.u64(&nevents)) return fail(why, "truncated event count");
+  const std::uint64_t nevents = r.u64();
+  if (!r.ok()) return fail(why, "truncated event count");
   constexpr std::size_t kEvBytes = 4 + 4 + 1 + 8 * 8;
   if (nevents > r.remaining() / kEvBytes) {
     return fail(why, "event count exceeds file");
@@ -196,12 +139,18 @@ bool load_capture(const std::string& path, Capture* out, std::string* why) {
   cap.events.reserve(nevents);
   for (std::uint64_t i = 0; i < nevents; ++i) {
     Capture::Ev e;
-    if (!r.u32(&e.name) || !r.u32(&e.tid) || !r.u8(&e.kind) ||
-        !r.u64(&e.ts_ns) || !r.u64(&e.dur_ns) || !r.u64(&e.window) ||
-        !r.u64(&e.sim_begin) || !r.u64(&e.sim_dur) || !r.u64(&e.a1) ||
-        !r.u64(&e.a2) || !r.u64(&e.a3)) {
-      return fail(why, "truncated event record");
-    }
+    e.name = r.u32();
+    e.tid = r.u32();
+    e.kind = r.u8();
+    e.ts_ns = r.u64();
+    e.dur_ns = r.u64();
+    e.window = r.u64();
+    e.sim_begin = r.u64();
+    e.sim_dur = r.u64();
+    e.a1 = r.u64();
+    e.a2 = r.u64();
+    e.a3 = r.u64();
+    if (!r.ok()) return fail(why, "truncated event record");
     if (e.name >= cap.names.size()) return fail(why, "event name out of range");
     cap.events.push_back(e);
   }

@@ -3,7 +3,8 @@
 // A capture is a string table (event names) plus fixed-size little-endian
 // event records; load/save, Chrome trace_event JSON export and window-chain
 // analysis live here so the vwr2a_trace tool, gateway_soak and the obs
-// tests all share one implementation. Format (all little-endian):
+// tests all share one implementation. Format (all little-endian, through
+// common/codec.hpp):
 //
 //   magic   "VWR2ATRC"                     8 bytes
 //   u32     format version (1)

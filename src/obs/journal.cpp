@@ -1,9 +1,10 @@
 #include "obs/journal.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
-#include "artifact/format.hpp"
+#include "common/codec.hpp"
 
 namespace vwr2a::obs {
 
@@ -50,7 +51,7 @@ std::uint32_t Journal::conn_open(std::uint64_t ts_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint32_t conn = next_conn_++;
   if (failed_ || finalized_) return conn;
-  artifact::Writer w(records_);
+  codec::Writer w(records_);
   w.u8(JournalRecord::kConnOpen);
   w.u32(conn);
   w.u64(next_seq_++);
@@ -61,7 +62,7 @@ std::uint32_t Journal::conn_open(std::uint64_t ts_ns) {
 void Journal::conn_close(std::uint32_t conn, std::uint64_t ts_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   if (failed_ || finalized_) return;
-  artifact::Writer w(records_);
+  codec::Writer w(records_);
   w.u8(JournalRecord::kConnClose);
   w.u32(conn);
   w.u64(next_seq_++);
@@ -72,7 +73,7 @@ void Journal::frame(std::uint32_t conn, std::uint64_t ts_ns,
                     const std::vector<std::uint8_t>& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (failed_ || finalized_) return;
-  artifact::Writer w(records_);
+  codec::Writer w(records_);
   w.u8(JournalRecord::kFrame);
   w.u32(conn);
   w.u64(next_seq_++);
@@ -110,7 +111,7 @@ bool Journal::finalize(std::string* why) {
 
   std::vector<std::uint8_t> file;
   file.reserve(kHeaderBytes + records_.size() + 16 + 24 * digests_.size());
-  artifact::Writer w(file);
+  codec::Writer w(file);
   w.u64(kJournalMagic);
   w.u32(kJournalVersion);
   w.u32(protocol_);
@@ -127,14 +128,14 @@ bool Journal::finalize(std::string* why) {
     w.u64(d.windows);
     w.u64(d.fnv);
   }
-  artifact::patch_u64(file, kOffFileSize, file.size());
-  artifact::patch_u64(file, kOffTrailerOff, trailer_off);
-  artifact::patch_u64(
+  codec::patch_u64(file, kOffFileSize, file.size());
+  codec::patch_u64(file, kOffTrailerOff, trailer_off);
+  codec::patch_u64(
       file, kOffPayloadFnv,
-      artifact::fnv1a(file.data() + kHeaderBytes, file.size() - kHeaderBytes));
+      codec::fnv1a(file.data() + kHeaderBytes, file.size() - kHeaderBytes));
   // header_fnv is computed with its own field still zero.
-  artifact::patch_u64(file, kOffHeaderFnv,
-                      artifact::fnv1a(file.data(), kHeaderBytes));
+  codec::patch_u64(file, kOffHeaderFnv,
+                   codec::fnv1a(file.data(), kHeaderBytes));
 
   std::ofstream f(path_, std::ios::binary | std::ios::trunc);
   if (!f) return fail(why, "journal: cannot reopen '" + path_ + "'");
@@ -155,7 +156,7 @@ bool load_journal(const std::string& path, JournalFile* out,
     return fail(why, "journal: file shorter than the header");
   }
 
-  artifact::Reader hdr(buf.data(), kHeaderBytes);
+  codec::Reader hdr(buf.data(), kHeaderBytes);
   if (hdr.u64() != kJournalMagic) {
     return fail(why, "journal: bad magic (not a .vwr2jrn file)");
   }
@@ -175,10 +176,10 @@ bool load_journal(const std::string& path, JournalFile* out,
   std::uint8_t hcopy[kHeaderBytes];
   std::memcpy(hcopy, buf.data(), kHeaderBytes);
   for (unsigned i = 0; i < 8; ++i) hcopy[kOffHeaderFnv + i] = 0;
-  if (artifact::fnv1a(hcopy, kHeaderBytes) != header_fnv) {
+  if (codec::fnv1a(hcopy, kHeaderBytes) != header_fnv) {
     return fail(why, "journal: header checksum mismatch");
   }
-  if (artifact::fnv1a(buf.data() + kHeaderBytes, buf.size() - kHeaderBytes) !=
+  if (codec::fnv1a(buf.data() + kHeaderBytes, buf.size() - kHeaderBytes) !=
       payload_fnv) {
     return fail(why, "journal: payload checksum mismatch");
   }
@@ -187,7 +188,7 @@ bool load_journal(const std::string& path, JournalFile* out,
   }
 
   // Record stream: bytes [kHeaderBytes, trailer_off).
-  artifact::Reader r(buf.data() + kHeaderBytes, trailer_off - kHeaderBytes);
+  codec::Reader r(buf.data() + kHeaderBytes, trailer_off - kHeaderBytes);
   std::uint64_t expect_seq = 0;
   while (!r.at_end()) {
     JournalRecord rec;
@@ -219,7 +220,7 @@ bool load_journal(const std::string& path, JournalFile* out,
   }
 
   // Trailer: bytes [trailer_off, file end).
-  artifact::Reader t(buf.data() + trailer_off, buf.size() - trailer_off);
+  codec::Reader t(buf.data() + trailer_off, buf.size() - trailer_off);
   const std::uint32_t count = t.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     JournalDigest d;

@@ -16,16 +16,16 @@
 // output words makes "replay reproduces the soak" a meaningful bit-exact
 // gate on any machine and any fleet shape.
 //
-// File layout (all little-endian; artifact-codec conventions -- see
-// src/artifact/format.hpp and docs/observability.md):
+// File layout (all little-endian, through the shared codec -- see
+// src/common/codec.hpp and docs/observability.md):
 //
 //   header (48 bytes)
 //     u64 magic      "VWR2AJRN"
 //     u32 version    kJournalVersion
 //     u32 protocol   gateway wire version the traffic was recorded under
 //     u64 file_size  total bytes, trailing-garbage/truncation check
-//     u64 payload_fnv  artifact::fnv1a over bytes [48, file_size)
-//     u64 header_fnv   artifact::fnv1a over the header, this field zeroed
+//     u64 payload_fnv  codec::fnv1a over bytes [48, file_size)
+//     u64 header_fnv   codec::fnv1a over the header, this field zeroed
 //     u64 trailer_off  absolute offset of the digest trailer
 //   records, in global arrival order
 //     u8 kind (1 conn-open, 2 frame, 3 conn-close), u32 conn, u64 seq,

@@ -1,10 +1,10 @@
 #include "runtime/checkpoint.hpp"
 
-#include "artifact/format.hpp"
+#include "common/codec.hpp"
 
 namespace vwr2a::runtime {
 
-// Layout (all little-endian, through artifact::Writer):
+// Layout (all little-endian, through codec::Writer):
 //   u64 magic, u32 version, u64 payload_fnv
 //   payload:
 //     str arch
@@ -17,7 +17,7 @@ namespace vwr2a::runtime {
 
 std::vector<std::uint8_t> encode_checkpoint(const DeviceCheckpoint& c) {
   std::vector<std::uint8_t> out;
-  artifact::Writer w(out);
+  codec::Writer w(out);
   w.u64(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u64(0);  // payload checksum, patched below
@@ -34,9 +34,9 @@ std::vector<std::uint8_t> encode_checkpoint(const DeviceCheckpoint& c) {
     w.u64(r.stamp);
     for (Word v : r.data) w.i32(v);
   }
-  artifact::patch_u64(out, 12,
-                      artifact::fnv1a(out.data() + payload_off,
-                                      out.size() - payload_off));
+  codec::patch_u64(out, 12,
+                   codec::fnv1a(out.data() + payload_off,
+                                out.size() - payload_off));
   return out;
 }
 
@@ -48,14 +48,14 @@ bool decode_checkpoint(const std::vector<std::uint8_t>& blob,
   };
   constexpr std::size_t kPrologue = 8 + 4 + 8;
   if (blob.size() < kPrologue) return reject("checkpoint: truncated prologue");
-  artifact::Reader r(blob.data(), blob.size());
+  codec::Reader r(blob.data(), blob.size());
   if (r.u64() != kCheckpointMagic) return reject("checkpoint: bad magic");
   if (r.u32() != kCheckpointVersion) {
     return reject("checkpoint: unsupported version");
   }
   const std::uint64_t want = r.u64();
   const std::uint64_t got =
-      artifact::fnv1a(blob.data() + kPrologue, blob.size() - kPrologue);
+      codec::fnv1a(blob.data() + kPrologue, blob.size() - kPrologue);
   if (want != got) return reject("checkpoint: payload checksum mismatch");
 
   DeviceCheckpoint c;

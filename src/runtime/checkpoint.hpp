@@ -14,13 +14,13 @@
 // healthy device -- of any architecture variant -- reproduces the exact
 // output words the dead device would have produced.
 //
-// The encoding follows the src/artifact/ codec conventions: a magic u64,
-// a format version, explicit little-endian field-by-field layout through
-// artifact::Writer, an FNV-1a 64 checksum over the payload, and a bounds-
-// checked sticky-failure parse through artifact::Reader. A corrupt blob is
-// rejected cleanly (decode returns false with a reason); the pool then
-// restores nothing and the target device re-stages the image from scratch,
-// which costs cycles but never correctness.
+// The encoding goes through the shared codec (common/codec.hpp): a magic
+// u64, a format version, explicit little-endian field-by-field layout
+// through codec::Writer, a codec::fnv1a checksum over the payload, and a
+// bounds-checked sticky-failure parse through codec::Reader. A corrupt
+// blob is rejected cleanly (decode returns false with a reason); the pool
+// then restores nothing and the target device re-stages the image from
+// scratch, which costs cycles but never correctness.
 
 #include <array>
 #include <cstdint>
@@ -54,7 +54,7 @@ struct DeviceCheckpoint {
   std::uint64_t write_gen = 0;        ///< source SPM generation at capture
 };
 
-/// Serializes a checkpoint (artifact codec conventions, see above).
+/// Serializes a checkpoint (shared codec, see above).
 std::vector<std::uint8_t> encode_checkpoint(const DeviceCheckpoint& c);
 
 /// Parses a checkpoint blob. Returns false (and a reason, when `why` is

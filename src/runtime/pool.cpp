@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
-#include "artifact/store.hpp"
 #include "common/log.hpp"
 #include "common/status.hpp"
 #include "obs/metrics.hpp"
@@ -76,28 +74,6 @@ DevicePool::DevicePool(Config cfg) : cfg_(std::move(cfg)) {
         "DevicePool: device_arch must be empty, one entry, or one per device");
   }
 
-  // Attach the prebuilt artifact (if any) before the devices exist, so
-  // even the first kernel lookup can hydrate. VWR2A_ARTIFACT overrides the
-  // config path; any failure to open degrades to a cold start, never an
-  // error (see artifact/store.hpp's failure model).
-  std::string artifact_path = cfg_.artifact_path;
-  if (cfg_.artifact_env) {
-    if (const char* env = std::getenv("VWR2A_ARTIFACT");
-        env != nullptr && env[0] != '\0') {
-      artifact_path = env;
-    }
-  }
-  if (!artifact_path.empty()) {
-    std::string why;
-    artifact_ = artifact::Store::open(artifact_path, &why);
-    if (artifact_) {
-      cache_.set_source(artifact_.get());
-      cache_.traces().set_source(artifact_.get());
-    } else {
-      log::Line(log::Level::kWarn) << "DevicePool: starting cold, " << why;
-    }
-  }
-
   for (const FaultEvent& ev : cfg_.faults.events) {
     if (ev.device >= cfg_.devices) {
       throw HostError("DevicePool: fault plan names a device outside the fleet");
@@ -116,24 +92,6 @@ DevicePool::DevicePool(Config cfg) : cfg_(std::move(cfg)) {
     devices_[d].device =
         std::make_unique<Device>(d, cache_, arch, cfg_.device_opts);
     sched_speed_.push_back(arch_speed(arch));
-  }
-  if (artifact_ && cfg_.artifact_prewarm) {
-    // Hydrate each distinct variant's whole working set concurrently; the
-    // caches' miss paths are thread-safe and per-key serialized.
-    std::vector<std::string> variants;
-    for (const DeviceState& ds : devices_) {
-      const std::string name = ds.device->arch().name();
-      if (std::find(variants.begin(), variants.end(), name) == variants.end()) {
-        variants.push_back(name);
-      }
-    }
-    std::vector<std::thread> warmers;
-    warmers.reserve(variants.size());
-    for (const std::string& v : variants) {
-      warmers.emplace_back(
-          [this, v] { artifact_->prewarm(cache_, v); });
-    }
-    for (std::thread& t : warmers) t.join();
   }
 
   // A scripted fault at job 0 lands before any work is routed (no workers
@@ -926,14 +884,6 @@ void DevicePool::fold_faults_locked(FleetStats& s) const {
 void DevicePool::fold_caches(FleetStats& s) const {
   s.image_cache = cache_.stats();
   s.trace_cache = cache_.traces().stats();
-  s.artifact_attached = artifact_ != nullptr;
-  if (artifact_) {
-    const artifact::Store::Counters c = artifact_->counters();
-    s.artifact_images = c.images_served;
-    s.artifact_traces = c.traces_served;
-    s.artifact_misses = c.lookups_missed;
-    s.artifact_rejects = c.parse_rejects;
-  }
 }
 
 } // namespace vwr2a::runtime

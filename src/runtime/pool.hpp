@@ -58,10 +58,6 @@
 #include "runtime/device.hpp"
 #include "runtime/job.hpp"
 
-namespace vwr2a::artifact {
-class Store;
-}
-
 namespace vwr2a::runtime {
 
 /// Device-placement policy of a pool (see the header comment).
@@ -116,13 +112,6 @@ struct FleetStats {
   std::vector<soc::ArchConfig> device_arch;    ///< per-device variant
   isa::ImageCache::Stats image_cache;
   cgra::TraceCache::Stats trace_cache;
-  /// Artifact hydration picture (see src/artifact/): whether a prebuilt
-  /// artifact is attached to this fleet's caches, and what it has served.
-  bool artifact_attached = false;
-  std::uint64_t artifact_images = 0;   ///< images hydrated from the artifact
-  std::uint64_t artifact_traces = 0;   ///< traces hydrated from the artifact
-  std::uint64_t artifact_misses = 0;   ///< lookups the artifact did not hold
-  std::uint64_t artifact_rejects = 0;  ///< entries rejected by payload parse
   /// Online-estimator correction factor per job family (1.0 = the analytic
   /// prior is spot on; see DevicePool::estimate). Indexed by Job::work
   /// alternative.
@@ -187,24 +176,6 @@ class DevicePool {
     /// Per-device feature switches (SPM residency tracking, cross-job
     /// staging dedup); on by default, off reproduces the PR-2 baseline.
     Device::Options device_opts;
-    /// Prebuilt binary artifact (src/artifact/) to warm-start from: when
-    /// non-empty (or when the VWR2A_ARTIFACT environment variable names a
-    /// path, see artifact_env), the pool mmaps it and attaches it to the
-    /// fleet's image and trace caches as a hydration source. Any problem
-    /// with the file -- absent, wrong version, corrupt -- logs a warning
-    /// and the pool runs cold; an artifact can never affect correctness.
-    std::string artifact_path;
-    /// Honor the VWR2A_ARTIFACT environment variable (which, when set,
-    /// overrides artifact_path). Tests and cold-start benches set this to
-    /// false to pin a pool cold regardless of the ambient environment.
-    bool artifact_env = true;
-    /// Eagerly hydrate the fleet's whole working set from the artifact in
-    /// the constructor (one thread per distinct variant), so no job ever
-    /// pays a first-touch assembly or trace-compilation hiccup. Off by
-    /// default: lazy hydration already warms each kernel on first use;
-    /// prewarm trades a few ms at construction for zero warm-up tail --
-    /// the serving-fleet configuration (see bench/cold_start.cpp).
-    bool artifact_prewarm = false;
     /// Scripted device faults, evaluated against the fleet's completed-job
     /// count at batch boundaries. Empty (the default): no injected faults.
     FaultPlan faults;
@@ -254,8 +225,6 @@ class DevicePool {
   unsigned num_workers() const { return static_cast<unsigned>(workers_.size()); }
   isa::ImageCache& image_cache() { return cache_; }
   Schedule schedule() const { return cfg_.schedule; }
-  /// The attached artifact store, or null when the pool runs cold.
-  const artifact::Store* artifact() const { return artifact_.get(); }
 
   /// Analytic per-job cost prior (cycles on the baseline variant): the
   /// hand-calibrated per-family model. The online estimator refines it;
@@ -384,14 +353,13 @@ class DevicePool {
   /// result is independent of worker count and completion order.
   void fold_estimator_locked();
 
-  /// Fills the cache/artifact fields of a FleetStats (shared by stats()
+  /// Fills the cache fields of a FleetStats (shared by stats()
   /// and peek_stats()).
   void fold_caches(FleetStats& s) const;
   /// Fills the fault fields of a FleetStats. Caller holds mu_.
   void fold_faults_locked(FleetStats& s) const;
 
   isa::ImageCache cache_;
-  std::shared_ptr<artifact::Store> artifact_;  ///< hydration source (optional)
   Config cfg_;
   std::vector<DeviceState> devices_;
   std::vector<Cycle> sched_load_;    ///< estimated local clock per device

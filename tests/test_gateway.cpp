@@ -495,8 +495,8 @@ TEST(Gateway, MatchesDirectStreamServerBitForBit) {
 
 TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   // The v3 STATS payload grew five fault-and-recovery counters; the
-  // encoder/decoder pair must keep carrying them bit-exactly in every
-  // later protocol version.
+  // encoder/decoder pair must keep carrying them, and every other STATS
+  // field, bit-exactly in every later protocol version.
   ASSERT_GE(kProtocolVersion, 3u);
 
   Stats st;
@@ -510,14 +510,19 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   st.total_device_cycles = 654321;
   st.stagings = 7;
   st.total_pj = 3.25;
-  st.images_hydrated = 4;
-  st.traces_hydrated = 9;
-  st.artifact_attached = 1;
   st.devices_failed = 2;
   st.devices_revived = 1;
   st.devices_dead = 1;
   st.jobs_rescued = 6;
   st.checkpoints_restored = 5;
+  st.traced_launches = 11;
+  st.traced_rollbacks = 12;
+  st.batched_launches = 13;
+  st.jobs_batched = 14;
+  st.replay_decoupled_cycles = 15;
+  st.replay_lockstep_cycles = 16;
+  st.replay_interpreted_cycles = 17;
+  st.replay_sync_points = 18;
 
   const auto bytes = encode(Frame{st});
   Decoder dec;
@@ -527,13 +532,28 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   const auto* got = std::get_if<Stats>(&*f);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->devices, st.devices);
+  EXPECT_EQ(got->sessions, st.sessions);
+  EXPECT_EQ(got->connections, st.connections);
+  EXPECT_EQ(got->windows_delivered, st.windows_delivered);
   EXPECT_EQ(got->jobs_completed, st.jobs_completed);
-  EXPECT_EQ(got->artifact_attached, st.artifact_attached);
+  EXPECT_EQ(got->jobs_failed, st.jobs_failed);
+  EXPECT_EQ(got->fleet_makespan, st.fleet_makespan);
+  EXPECT_EQ(got->total_device_cycles, st.total_device_cycles);
+  EXPECT_EQ(got->stagings, st.stagings);
+  EXPECT_EQ(got->total_pj, st.total_pj);
   EXPECT_EQ(got->devices_failed, st.devices_failed);
   EXPECT_EQ(got->devices_revived, st.devices_revived);
   EXPECT_EQ(got->devices_dead, st.devices_dead);
   EXPECT_EQ(got->jobs_rescued, st.jobs_rescued);
   EXPECT_EQ(got->checkpoints_restored, st.checkpoints_restored);
+  EXPECT_EQ(got->traced_launches, st.traced_launches);
+  EXPECT_EQ(got->traced_rollbacks, st.traced_rollbacks);
+  EXPECT_EQ(got->batched_launches, st.batched_launches);
+  EXPECT_EQ(got->jobs_batched, st.jobs_batched);
+  EXPECT_EQ(got->replay_decoupled_cycles, st.replay_decoupled_cycles);
+  EXPECT_EQ(got->replay_lockstep_cycles, st.replay_lockstep_cycles);
+  EXPECT_EQ(got->replay_interpreted_cycles, st.replay_interpreted_cycles);
+  EXPECT_EQ(got->replay_sync_points, st.replay_sync_points);
   EXPECT_FALSE(dec.next().has_value());
 }
 

@@ -43,9 +43,6 @@ Stats random_stats(Rng& rng) {
   f.total_device_cycles = rng.next_u64();
   f.stagings = rng.next_u64();
   f.total_pj = rng.next_range(0.0, 1e12);
-  f.images_hydrated = rng.next_u64();
-  f.traces_hydrated = rng.next_u64();
-  f.artifact_attached = static_cast<std::uint8_t>(rng.next_below(2));
   f.devices_failed = rng.next_u64();
   f.devices_revived = rng.next_u64();
   f.devices_dead = rng.next_u64();
@@ -166,9 +163,6 @@ bool stats_equal(const Stats& x, const Stats& y) {
          x.fleet_makespan == y.fleet_makespan &&
          x.total_device_cycles == y.total_device_cycles &&
          x.stagings == y.stagings && x.total_pj == y.total_pj &&
-         x.images_hydrated == y.images_hydrated &&
-         x.traces_hydrated == y.traces_hydrated &&
-         x.artifact_attached == y.artifact_attached &&
          x.devices_failed == y.devices_failed &&
          x.devices_revived == y.devices_revived &&
          x.devices_dead == y.devices_dead && x.jobs_rescued == y.jobs_rescued &&

@@ -1,9 +1,16 @@
-// ISA encode/decode round-trips, field validation, and disassembly.
+// ISA encode/decode round-trips, field validation, disassembly, and the
+// ImageCache compile-once regression.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "isa/image_cache.hpp"
 #include "isa/instr.hpp"
 
 namespace vwr2a::isa {
@@ -134,6 +141,49 @@ TEST(Disasm, RendersOperands) {
   b.rb = 1;
   b.target = 5;
   EXPECT_EQ(to_asm(b), "blt r0, r1, @5");
+}
+
+// --- ImageCache compile-once regression ---------------------------------------
+
+/// Many threads missing the same key concurrently must run the builder
+/// exactly once (the old miss path could assemble the image once per racing
+/// thread and publish one winner -- wasted work that Stats::builds now
+/// makes observable).
+TEST(ImageCache, BuildsOncePerKeyUnderRace) {
+  ImageCache cache;
+  std::atomic<unsigned> builder_runs{0};
+  constexpr unsigned kThreads = 16;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &builder_runs] {
+      auto img = cache.get_or_build("contended", [&builder_runs] {
+        builder_runs.fetch_add(1);
+        // Widen the race window: every thread reaches the once-flag
+        // before the first build finishes.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        KernelImage image;
+        image.name = "contended";
+        return image;
+      });
+      EXPECT_NE(img, nullptr);
+      EXPECT_EQ(img->name, "contended");
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(builder_runs.load(), 1u);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.builds, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, kThreads - 1);
+  EXPECT_EQ(s.entries, 1u);
+  // All threads must share one image object, not copies.
+  EXPECT_EQ(cache.get_or_build("contended", [] {
+                 ADD_FAILURE() << "rebuilt a cached key";
+                 return KernelImage{};
+               })
+                ->name,
+            "contended");
 }
 
 } // namespace

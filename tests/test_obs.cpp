@@ -1,9 +1,10 @@
 // Flight recorder and metrics registry: counter exactness under concurrent
 // recorders, histogram quantile bounds, Prometheus exposition, the
 // disabled-mode no-op guarantees, ring-buffer drop-oldest semantics with
-// exact drop accounting, capture save/load round-trips and Chrome JSON
-// export, and -- the end-to-end gate -- cross-thread window-chain
-// reconstruction under 8 concurrent gateway-style sessions.
+// exact drop accounting, capture save/load round-trips, byte layout and
+// truncation rejection, Chrome JSON export, and -- the end-to-end gate --
+// cross-thread window-chain reconstruction under 8 concurrent gateway-style
+// sessions.
 //
 // Tests here mutate the process-wide obs flags; each one that enables
 // metrics/tracing restores the disabled default and resets the singletons
@@ -13,6 +14,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
 #include <sstream>
@@ -333,6 +337,122 @@ TEST(ObsTrace, CaptureRoundTripsThroughDisk) {
   Capture bad;
   EXPECT_FALSE(load_capture(trunc, &bad, &why));
   std::remove(trunc.c_str());
+}
+
+/// A hand-built snapshot with deterministic bytes: two names, two spans and
+/// an instant, every field distinct.
+Tracer::Snapshot tiny_snapshot() {
+  Tracer::Snapshot snap;
+  snap.dropped = 5;
+  snap.threads = 2;
+  TraceEvent span;
+  span.name = "test.span";
+  span.ts_ns = 100;
+  span.dur_ns = 20;
+  span.window = window_id(3, 4);
+  span.sim_begin = 7000;
+  span.sim_dur = 250;
+  span.a1 = 11;
+  span.a2 = 12;
+  span.a3 = 13;
+  span.tid = 1;
+  TraceEvent inst;
+  inst.name = "test.instant";
+  inst.ts_ns = 130;
+  inst.a1 = 0xFFFFFFFFFFFFFFFFull;
+  inst.tid = 2;
+  inst.kind = 1;
+  TraceEvent later = span;
+  later.ts_ns = 160;
+  snap.events = {span, inst, later};
+  return snap;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(b.data()),
+          static_cast<std::streamsize>(b.size()));
+  ASSERT_TRUE(f.good());
+}
+
+TEST(ObsTrace, CaptureBytesFollowTheDocumentedLayout) {
+  const std::string path = ::testing::TempDir() + "obs_layout.vwr2trc";
+  const Tracer::Snapshot snap = tiny_snapshot();
+  std::string why;
+  ASSERT_TRUE(save_capture(snap, path, &why)) << why;
+  const std::vector<std::uint8_t> got = read_bytes(path);
+  std::remove(path.c_str());
+
+  // Expected bytes, spelled out from the format comment in obs/capture.hpp
+  // without going through the codec the writer uses.
+  std::vector<std::uint8_t> want;
+  auto le = [&want](std::uint64_t v, unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  for (char c : std::string("VWR2ATRC")) {
+    want.push_back(static_cast<std::uint8_t>(c));
+  }
+  le(1, 4);  // format version
+  le(snap.threads, 4);
+  le(snap.dropped, 8);
+  le(2, 4);  // names, in first-use order
+  for (const char* n : {"test.span", "test.instant"}) {
+    le(std::strlen(n), 4);
+    want.insert(want.end(), n, n + std::strlen(n));
+  }
+  le(snap.events.size(), 8);
+  const std::uint32_t name_index[] = {0, 1, 0};
+  for (std::size_t i = 0; i < snap.events.size(); ++i) {
+    const TraceEvent& e = snap.events[i];
+    le(name_index[i], 4);
+    le(e.tid, 4);
+    le(e.kind, 1);
+    for (std::uint64_t v : {e.ts_ns, e.dur_ns, e.window, e.sim_begin,
+                            e.sim_dur, e.a1, e.a2, e.a3}) {
+      le(v, 8);
+    }
+  }
+  EXPECT_EQ(got, want);
+}
+
+/// Every proper prefix of a capture fails load_capture with a reason --
+/// never an accept, an exception or an over-read -- and the full file
+/// still loads.
+TEST(ObsTrace, EveryCaptureTruncationRejectsCleanly) {
+  const std::string path = ::testing::TempDir() + "obs_sweep.vwr2trc";
+  std::string why;
+  ASSERT_TRUE(save_capture(tiny_snapshot(), path, &why)) << why;
+  const std::vector<std::uint8_t> good = read_bytes(path);
+  ASSERT_GT(good.size(), 0u);
+
+  const std::string mut = ::testing::TempDir() + "obs_sweep_mut.vwr2trc";
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    write_bytes(mut, std::vector<std::uint8_t>(
+                         good.begin(), good.begin() + static_cast<long>(len)));
+    Capture out;
+    why.clear();
+    EXPECT_FALSE(load_capture(mut, &out, &why)) << "length " << len
+                                                << " accepted";
+    EXPECT_FALSE(why.empty()) << "length " << len;
+  }
+  std::remove(mut.c_str());
+
+  Capture cap;
+  ASSERT_TRUE(load_capture(path, &cap, &why)) << why;
+  std::remove(path.c_str());
+  ASSERT_EQ(cap.events.size(), 3u);
+  EXPECT_EQ(cap.name_of(cap.events[1]), "test.instant");
+  EXPECT_EQ(cap.events[1].a1, 0xFFFFFFFFFFFFFFFFull);
+  EXPECT_EQ(cap.events[2].ts_ns, 160u);
+  EXPECT_EQ(cap.dropped, 5u);
+  EXPECT_EQ(cap.threads, 2u);
 }
 
 TEST(ObsTrace, ChromeJsonCarriesSpansInstantsAndFlows) {

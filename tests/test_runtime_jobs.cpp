@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "app/mbiotracker.hpp"
-#include "artifact/builder.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dsp/reference.hpp"
@@ -518,92 +517,6 @@ TEST(RuntimeJobs, VariantsBitIdenticalWithModelledCosts) {
   // Sec 5.1.1: dual-lane 16-bit mode halves the elementwise ALU cycles.
   EXPECT_LT(simd.cost.vwr2a_cycles, base.cost.vwr2a_cycles);
   EXPECT_LT(simd.cost.vwr2a_pj, base.cost.vwr2a_pj);
-}
-
-/// Artifact hydration is invisible to execution: the full job catalog on a
-/// mixed-architecture fleet must be bit-, cycle- and energy-identical
-/// whether the kernels come out of a prebuilt artifact (src/artifact/) or
-/// are assembled and trace-compiled in-process.
-TEST(RuntimeJobs, ArtifactHydratedFleetBitCycleEnergyIdentical) {
-  // The fleet's three architecture points, all in trace-cache mode so both
-  // sections of the artifact are exercised.
-  const std::vector<soc::ArchConfig> fleet = {
-      soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache},
-      soc::ArchConfig{.vwr_count = 2, .exec_mode = cgra::ExecMode::kTraceCache},
-      soc::ArchConfig{.vwr_count = 4, .simd_width = 16,
-                      .exec_mode = cgra::ExecMode::kTraceCache}};
-  const std::string path =
-      testing::TempDir() + "vwr2a_jobs_identity.vwr2art";
-  artifact::build_artifact(path, fleet);
-
-  // One job per catalog family, deterministic inputs, round-robin across
-  // the mixed fleet (placement is a pure function of submission order, so
-  // both pools route identically).
-  Rng rng(7177);
-  const auto taps = make_buffer(dsp::fir11_lowpass_q15());
-  std::vector<Job> jobs;
-  jobs.push_back(Job{FirJob{512, taps, make_buffer(random_q15(512, rng, 0.9))},
-                     "fir"});
-  jobs.push_back(Job{CfftJob{512, make_buffer(random_q15(1024, rng, 0.4))},
-                     "cfft"});
-  jobs.push_back(Job{RfftJob{512, make_buffer(random_q15(512, rng, 0.4))},
-                     "rfft"});
-  jobs.push_back(Job{IfftJob{256, make_buffer(random_q15(512, rng, 0.4))},
-                     "ifft"});
-  for (const ReduceOp op : {ReduceOp::kMin, ReduceOp::kMax, ReduceOp::kMean,
-                            ReduceOp::kEnergy}) {
-    jobs.push_back(Job{ReduceJob{op, 256,
-                                 make_buffer(random_q15(256, rng, 1.5))},
-                       "reduce"});
-  }
-  dsp::RespirationParams resp_params;
-  resp_params.breath_hz = 0.3;
-  const auto resp = make_buffer(
-      dsp::respiration_q16_15(app::kWindow, resp_params, rng));
-  jobs.push_back(Job{DelineationJob{512, fx::to_q16_15(0.08), resp}, "delin"});
-  jobs.push_back(Job{PipelineJob{512, taps, resp, 0}, "pipeline"});
-  jobs.push_back(Job{BioTrackerJob{app::Target::kCpuVwr2a, resp, 0}, "bio"});
-
-  auto run_fleet = [&](const std::string& artifact_path) {
-    DevicePool::Config cfg;
-    cfg.devices = static_cast<unsigned>(fleet.size());
-    cfg.device_arch = fleet;
-    cfg.artifact_path = artifact_path;
-    cfg.artifact_env = false;
-    DevicePool pool(cfg);
-    std::vector<JobResult> results;
-    for (JobHandle& h : pool.submit_batch(jobs)) results.push_back(h.get());
-    return std::make_pair(std::move(results), pool.stats());
-  };
-
-  const auto [cold, cold_stats] = run_fleet("");
-  const auto [warm, warm_stats] = run_fleet(path);
-
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].output, warm[i].output) << jobs[i].tag;
-    EXPECT_EQ(cold[i].device, warm[i].device) << jobs[i].tag;
-    EXPECT_EQ(cold[i].launches, warm[i].launches) << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.cpu_cycles, warm[i].cost.cpu_cycles) << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.vwr2a_cycles, warm[i].cost.vwr2a_cycles)
-        << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.accel_cycles, warm[i].cost.accel_cycles)
-        << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.sys_pj, warm[i].cost.sys_pj) << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.vwr2a_pj, warm[i].cost.vwr2a_pj) << jobs[i].tag;
-    EXPECT_EQ(cold[i].cost.accel_pj, warm[i].cost.accel_pj) << jobs[i].tag;
-  }
-  EXPECT_EQ(cold_stats.fleet_makespan, warm_stats.fleet_makespan);
-  EXPECT_EQ(cold_stats.total_device_cycles, warm_stats.total_device_cycles);
-  EXPECT_EQ(cold_stats.total_pj, warm_stats.total_pj);
-  EXPECT_EQ(cold_stats.stagings, warm_stats.stagings);
-  // The warm fleet really was warm: kernels came from the artifact.
-  EXPECT_FALSE(cold_stats.artifact_attached);
-  EXPECT_TRUE(warm_stats.artifact_attached);
-  EXPECT_GT(warm_stats.image_cache.hydrated, 0u);
-  EXPECT_GT(warm_stats.trace_cache.hydrated, 0u);
-  EXPECT_LT(warm_stats.image_cache.builds, cold_stats.image_cache.builds);
-  EXPECT_EQ(warm_stats.artifact_rejects, 0u);
 }
 
 } // namespace

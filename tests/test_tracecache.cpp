@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "artifact/codec.hpp"
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
@@ -917,66 +916,6 @@ TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
   }
   // 15 binary ops x 4 x 4 operand kinds + 3 unary ops x 4, x 3 destinations.
   EXPECT_EQ(covered, (15u * 4 * 4 + 3u * 4) * 3);
-}
-
-/// The artifact stores no handler key: the decoder derives it with the
-/// compiler's function, so a round-tripped trace carries the same keys and
-/// replays identically, and a quad line whose shape names no handler is
-/// rejected like a bad tag.
-TEST(TraceCacheQuadKeys, ArtifactRoundTripDerivesKeysAndDispatchesIdentically) {
-  const unsigned op = static_cast<unsigned>(isa::RcOp::kFxpMul);
-  const unsigned vwr = static_cast<unsigned>(cgra::tc::Src::K::kVwr);
-  const unsigned srf = static_cast<unsigned>(cgra::tc::Src::K::kSrf);
-  const unsigned dvwr = static_cast<unsigned>(cgra::tc::Dst::kVwr);
-  const isa::ColumnProgram prog = quad_key_program(
-      quad_rc_for(op, vwr, srf, dvwr, /*alias=*/true), mxcu_add_idx(3),
-      /*fused=*/true);
-  const auto compiled = cgra::compile_trace(prog);
-  ASSERT_TRUE(compiled->ok);
-
-  std::vector<std::uint8_t> bytes;
-  artifact::encode_trace(*compiled, bytes);
-  auto decoded = std::make_shared<cgra::CompiledTrace>();
-  artifact::Reader r(bytes.data(), bytes.size());
-  ASSERT_TRUE(artifact::parse_trace(r, *decoded));
-  ASSERT_EQ(decoded->lines.size(), compiled->lines.size());
-  for (std::size_t i = 0; i < compiled->lines.size(); ++i) {
-    EXPECT_EQ(decoded->lines[i].key, compiled->lines[i].key) << "line " << i;
-  }
-  EXPECT_EQ(decoded->lines[1].key, cgra::tc::quad_key(op, vwr, srf, dvwr));
-
-  // Replay the decoded trace (served as if hydrated from an artifact).
-  struct OneTrace : cgra::TraceSource {
-    std::shared_ptr<const cgra::CompiledTrace> t;
-    std::shared_ptr<const cgra::CompiledTrace> load_trace(
-        const std::string&, const isa::ColumnProgram&) override {
-      return t;
-    }
-  } source;
-  source.t = decoded;
-  cgra::TraceCache hydrated;
-  hydrated.set_source(&source);
-  Rig ri(ExecMode::kInterpret);
-  Rig rt(ExecMode::kTraceCache);
-  rt.acc.set_trace_cache(&hydrated);
-  ri.seed(Rng(5));
-  rt.seed(Rng(5));
-  const isa::KernelImage img = make_kernel("quadart", 0, prog);
-  ri.acc.run_kernel(ri.acc.register_kernel(img));
-  rt.acc.run_kernel(rt.acc.register_kernel(img));
-  EXPECT_EQ(hydrated.stats().hydrated, 1u);
-  EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
-  expect_identical(ri, rt, "artifact-decoded quad trace");
-
-  // An SRF destination is outside the handler space: the decoder refuses
-  // the line instead of dispatching it.
-  cgra::CompiledTrace bad = *compiled;
-  bad.lines[1].rc[0].d = cgra::tc::Dst::kSrf;
-  std::vector<std::uint8_t> bad_bytes;
-  artifact::encode_trace(bad, bad_bytes);
-  cgra::CompiledTrace out;
-  artifact::Reader br(bad_bytes.data(), bad_bytes.size());
-  EXPECT_FALSE(artifact::parse_trace(br, out));
 }
 
 TEST(TraceCache, StaticHazardBailsToInterpreterWithSameFault) {
