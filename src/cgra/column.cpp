@@ -172,22 +172,18 @@ void Column::step(const RcOutputs* cross) {
       case LcuOp::kSetI:
         lcu_reg_write = {I.rd, static_cast<Word>(static_cast<SWord>(I.imm))};
         break;
+      // The LCU adder wraps (two's complement): add in Word, not SWord.
       case LcuOp::kAddI:
-        lcu_reg_write = {I.rd, static_cast<Word>(static_cast<SWord>(lcu_rf_[I.rd]) +
-                                                 I.imm)};
+        lcu_reg_write = {I.rd, lcu_rf_[I.rd] + static_cast<Word>(I.imm)};
         break;
       case LcuOp::kMvR:
         lcu_reg_write = {I.rd, lcu_rf_[I.ra]};
         break;
       case LcuOp::kAddR:
-        lcu_reg_write = {I.rd, static_cast<Word>(
-                                   static_cast<SWord>(lcu_rf_[I.rd]) +
-                                   static_cast<SWord>(lcu_rf_[I.ra]))};
+        lcu_reg_write = {I.rd, lcu_rf_[I.rd] + lcu_rf_[I.ra]};
         break;
       case LcuOp::kSubR:
-        lcu_reg_write = {I.rd, static_cast<Word>(
-                                   static_cast<SWord>(lcu_rf_[I.rd]) -
-                                   static_cast<SWord>(lcu_rf_[I.ra]))};
+        lcu_reg_write = {I.rd, lcu_rf_[I.rd] - lcu_rf_[I.ra]};
         break;
       case LcuOp::kMvSrf:
         lcu_reg_write = {I.rd, srf_.read(I.srf)};
@@ -317,8 +313,9 @@ void Column::step(const RcOutputs* cross) {
       case MxcuOp::kSetAux:
         new_aux = I.imm;
         break;
-      case MxcuOp::kAddAux:
-        new_aux = aux_ + I.imm;
+      case MxcuOp::kAddAux:  // wraps, like the LCU adder
+        new_aux = static_cast<SWord>(static_cast<Word>(aux_) +
+                                     static_cast<Word>(I.imm));
         break;
       case MxcuOp::kIdxFromAux:
         new_idx = static_cast<unsigned>(aux_);
@@ -539,77 +536,14 @@ inline Word Column::trace_src(const tc::Src& s) const {
   }
 }
 
-inline unsigned Column::trace_lsu_addr(const tc::LsuUop& u) {
-  using isa::LsuAddrMode;
-  switch (u.amode) {
-    case LsuAddrMode::kImm:
-      return static_cast<unsigned>(u.imm);
-    case LsuAddrMode::kSrfImm:
-      return static_cast<unsigned>(srf_.trace_read(u.srf_base)) +
-             static_cast<unsigned>(u.imm);
-    case LsuAddrMode::kPtr0Post: {
-      const unsigned a = lsu_ptr_[0];
-      lsu_ptr_[0] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[0]) + u.imm);
-      return a;
-    }
-    default: {  // kPtr1Post (compiler rejects anything else)
-      const unsigned a = lsu_ptr_[1];
-      lsu_ptr_[1] = static_cast<std::uint32_t>(
-          static_cast<std::int64_t>(lsu_ptr_[1]) + u.imm);
-      return a;
-    }
-  }
-}
-
-inline void Column::mxcu_eval(const tc::MxcuUop& u, unsigned& new_idx,
-                              SWord& new_aux) const {
-  using isa::MxcuOp;
-  switch (u.op) {
-    case MxcuOp::kSetIdx:
-      new_idx = static_cast<unsigned>(u.imm);
-      break;
-    case MxcuOp::kAddIdx:
-      new_idx = static_cast<unsigned>(static_cast<SWord>(idx_) + u.imm);
-      break;
-    case MxcuOp::kSetIdxSrf:
-      new_idx = srf_.trace_read(u.srf);
-      break;
-    case MxcuOp::kAddIdxSrf:
-      new_idx = idx_ + srf_.trace_read(u.srf);
-      break;
-    case MxcuOp::kAndIdxSrf:
-      new_idx = idx_ & srf_.trace_read(u.srf);
-      break;
-    case MxcuOp::kSetAux:
-      new_aux = u.imm;
-      break;
-    case MxcuOp::kAddAux:
-      new_aux = aux_ + u.imm;
-      break;
-    case MxcuOp::kIdxFromAux:
-      new_idx = static_cast<unsigned>(aux_);
-      break;
-    default:
-      break;  // kNop, kStIdxSrf
-  }
-  new_idx %= arch::kSliceWords;
-}
-
-inline void Column::commit_mxcu(const tc::MxcuUop& u) {
-  unsigned new_idx = idx_;
-  SWord new_aux = aux_;
-  mxcu_eval(u, new_idx, new_aux);
-  idx_ = new_idx;
-  aux_ = new_aux;
-}
-
-/// Quad handlers: one instantiation per handler key (tracecache.hpp), with
-/// the operand loads, the ALU op and the store fixed at compile time, so a
-/// replayed quad line runs no opcode or operand switch. Semantics mirror
-/// step() for a line whose four RCs share one lane-relative shape: every
-/// lane reads pre-cycle state, then every lane commits.
-struct Column::QuadOps {
+/// Slot-op handlers: one specialization per slot-op id (tracecache.hpp
+/// "Line handlers"), with the opcode, address mode and operand kinds fixed
+/// at compile time, so a replayed line runs no opcode or operand switch.
+/// Each handler runs its slot to completion (reads, then writes); the
+/// compiler ordered a line's ops so that this matches step()'s pre-cycle
+/// reads and end-of-cycle commits.
+struct Column::LineOps {
+  using Handler = Op::Handler;
   static constexpr unsigned kN = arch::kRcsPerColumn;
   static constexpr unsigned kS = arch::kSliceWords;
   static constexpr unsigned kImm = static_cast<unsigned>(tc::Src::K::kImm);
@@ -619,8 +553,9 @@ struct Column::QuadOps {
   static constexpr unsigned kDstRf = static_cast<unsigned>(tc::Dst::kRf);
   static constexpr unsigned kDstVwr = static_cast<unsigned>(tc::Dst::kVwr);
 
-  /// An operand of kind `Kind` (a Src::K value or tc::kQuadUnary), routed
-  /// once: lane r at slice index idx is then a plain load.
+  /// A quad operand of kind `Kind` (a Src::K value or tc::kQuadUnary):
+  /// lane r at slice index idx is then a plain load. `row` and `v` come
+  /// from the bound op; an SRF operand is read here, once per call.
   template <unsigned Kind>
   struct In {
     const Word* row = nullptr;       // kVwr: VWR row base
@@ -628,16 +563,16 @@ struct Column::QuadOps {
     unsigned entry = 0;              // kRf: register file entry
     Word v = 0;                      // kImm, kSrf: broadcast value
 
-    In(const Column& c, const tc::Src& s) {
+    In(const Column& c, const mem::Vwr::Row* r, Word bound) {
       if constexpr (Kind == kImm) {
-        v = s.imm;
+        v = bound;
       } else if constexpr (Kind == kSrf) {
-        v = c.srf_.trace_read(s.idx);
+        v = c.srf_.trace_read(bound);
       } else if constexpr (Kind == kVwr) {
-        row = c.vwrs_[s.vwr].trace_row().data();
+        row = r->data();
       } else if constexpr (Kind == kRf) {
         rcs = c.rcs_.data();
-        entry = s.idx;
+        entry = bound;
       }
     }
     Word operator()(unsigned r, unsigned idx) const {
@@ -651,19 +586,19 @@ struct Column::QuadOps {
     }
   };
 
-  /// A destination of kind `D` (a Dst value below tc::kQuadDstKinds).
+  /// A quad destination of kind `D` (a Dst value below tc::kQuadDstKinds).
   template <unsigned D>
   struct Out {
     Word* row = nullptr;        // kVwr
     RcState* rcs = nullptr;     // kRf
     unsigned entry = 0;
 
-    Out(Column& c, const tc::RcUop& q) {
+    Out(Column& c, const Op& o) {
       if constexpr (D == kDstVwr) {
-        row = c.vwrs_[q.vwr].trace_row().data();
+        row = o.d->data();
       } else if constexpr (D == kDstRf) {
         rcs = c.rcs_.data();
-        entry = q.idx;
+        entry = o.s.dv;
       }
     }
     void operator()(unsigned r, unsigned idx, Word v) const {
@@ -675,241 +610,254 @@ struct Column::QuadOps {
     }
   };
 
-  /// Runs the quad line's RCs `iters` times, advancing the slice index by
-  /// `step` after each iteration: one plain line is iters = 1, a fused DBNZ
-  /// self-loop its whole trip count. Routing is resolved once (no quad line
-  /// writes the SRF or moves a row, so broadcasts and row bases are
-  /// invariant), and each iteration loads every lane before storing any,
-  /// so a destination aliasing a source stays exact.
+  /// A quad RC op, `iters` times, advancing the slice index by the bound
+  /// step after each iteration. Within one call nothing else runs, so the
+  /// routing (and an SRF broadcast) holds for every iteration; each
+  /// iteration loads every lane before storing any, so a destination
+  /// aliasing a source stays exact.
   template <isa::RcOp Op, unsigned A, unsigned B, unsigned D>
-  static void run(Column& c, const tc::RcUop& q, std::uint64_t iters,
-                  std::int32_t step) {
-    const In<A> a(c, q.a);
-    const In<B> b(c, q.b);
-    const Out<D> d(c, q);
+  static void quad(Column& c, const Column::Op& o, std::uint64_t iters) {
+    const In<A> a(c, o.a, o.s.av);
+    const In<B> b(c, o.b, o.s.bv);
+    const Out<D> d(c, o);
     unsigned idx = c.idx_;
-    Word o[kN] = {};
+    Word out[kN] = {};
     for (std::uint64_t it = 0; it < iters; ++it) {
-      for (unsigned r = 0; r < kN; ++r) o[r] = alu_op<Op>(a(r, idx), b(r, idx));
-      for (unsigned r = 0; r < kN; ++r) d(r, idx, o[r]);
-      idx = static_cast<unsigned>(static_cast<SWord>(idx) + step) % kS;
+      for (unsigned r = 0; r < kN; ++r) out[r] = alu_op<Op>(a(r, idx), b(r, idx));
+      for (unsigned r = 0; r < kN; ++r) d(r, idx, out[r]);
+      idx = static_cast<unsigned>(static_cast<SWord>(idx) + o.s.imm) % kS;
     }
-    // rc_prev_ is unobservable inside a fused quad body (no kPrev operand
-    // compiles into a quad line), so only the last iteration's outputs matter.
-    for (unsigned r = 0; r < kN; ++r) c.rc_prev_[r] = o[r];
+    // rc_prev_ is unobservable between the iterations of one call (the op
+    // is alone in its loop body), so only the last iteration's outputs matter.
+    for (unsigned r = 0; r < kN; ++r) c.rc_prev_[r] = out[r];
     c.idx_ = idx;
   }
 
-  using Handler = void (*)(Column&, const tc::RcUop&, std::uint64_t,
-                           std::int32_t);
-
-  /// Null exactly at invalid keys, which no compiled or decoded line carries.
-  template <std::size_t K>
-  static constexpr Handler handler_of() {
-    // Key coordinates: the inverse of tc::quad_key.
-    constexpr unsigned d = K % tc::kQuadDstKinds;
-    constexpr unsigned b = K / tc::kQuadDstKinds % (tc::kQuadSrcKinds + 1);
-    constexpr unsigned a =
-        K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1)) % tc::kQuadSrcKinds;
-    constexpr unsigned op =
-        K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1) * tc::kQuadSrcKinds);
-    static_assert(tc::quad_key(op, a, b, d) == K);
-    if constexpr (tc::quad_key_valid(op, a, b, d)) {
-      return &run<static_cast<isa::RcOp>(op), a, b, d>;
-    } else {
-      return nullptr;
-    }
-  }
-  template <std::size_t... K>
-  static constexpr std::array<Handler, tc::kQuadKeys> table(
-      std::index_sequence<K...>) {
-    return {handler_of<K>()...};
+  /// Repeats a one-shot slot function `iters` times.
+  template <void (*F)(Column&, const Column::Op&)>
+  static void each(Column& c, const Column::Op& o, std::uint64_t iters) {
+    for (std::uint64_t it = 0; it < iters; ++it) F(c, o);
   }
 
-  /// Indexed by tc::Line::key.
-  static const std::array<Handler, tc::kQuadKeys> kTable;
-};
-
-const std::array<Column::QuadOps::Handler, tc::kQuadKeys>
-    Column::QuadOps::kTable =
-        Column::QuadOps::table(std::make_index_sequence<tc::kQuadKeys>{});
-
-inline void Column::exec_quad(const tc::Line& L, std::uint64_t iters) {
-  const QuadOps::Handler run = QuadOps::kTable[L.key];
-  if (!L.has_mxcu || L.mxcu.op == isa::MxcuOp::kAddIdx) {
-    run(*this, L.rc[0], iters, L.has_mxcu ? L.mxcu.imm : 0);
-    return;
-  }
-  // The set/aux index forms commit their MXCU op every iteration.
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    run(*this, L.rc[0], 1, 0);
-    commit_mxcu(L.mxcu);
-  }
-}
-
-/// The inner-loop fast path: a quad RC op plus at most a register-only MXCU
-/// op; everything else takes the generic evaluate/commit line.
-inline void Column::exec_dispatch(const tc::Line& L) {
-  if (L.kind == tc::Line::Kind::kQuadFast) {
-    exec_quad(L, 1);
-  } else {
-    exec_traced_line(L);
-  }
-}
-
-void Column::exec_traced_line(const tc::Line& L) {
-  using isa::LsuOp;
-  using isa::MxcuOp;
-  using isa::LcuOp;
-
-  // ---- LSU: SPM side effects happen in the evaluate phase (they read the
-  // pre-commit VWR/SRF state); VWR row writes commit after the RCs.
-  int pend_row_vwr = -1;
-  const Word* pend_row_src = nullptr;
-  int pend_srf_idx = -1;
-  Word pend_srf_val = 0;
-  if (L.has_lsu) {
-    const tc::LsuUop& u = L.lsu;
-    switch (u.op) {
-      case LsuOp::kLdVwr:
-        pend_row_src = spm_trace_read_row(trace_lsu_addr(u));
-        pend_row_vwr = u.vwr;
-        break;
-      case LsuOp::kStVwr: {
-        const unsigned row = trace_lsu_addr(u);
-        spm_trace_write_row(row, vwrs_[u.vwr].trace_row());
-        break;
-      }
-      case LsuOp::kLdSrf:
-        pend_srf_val = spm_trace_read_word(trace_lsu_addr(u));
-        pend_srf_idx = u.srf_data;
-        break;
-      case LsuOp::kStSrf: {
-        const unsigned word = trace_lsu_addr(u);
-        spm_trace_write_word(word, srf_.trace_read(u.srf_data));
-        break;
-      }
-      case LsuOp::kShuf: {
-        const auto& map = shuffle_tables().map[static_cast<unsigned>(u.mode)];
-        const Word* a = vwrs_[0].trace_row().data();
-        const Word* b = vwrs_[1].trace_row().data();
-        for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-          const unsigned s = map[i];
-          shuf_scratch_[i] =
-              s < arch::kVwrWords ? a[s] : b[s - arch::kVwrWords];
-        }
-        pend_row_src = shuf_scratch_.data();
-        pend_row_vwr = static_cast<int>(VwrSel::C);
-        break;
-      }
-      case LsuOp::kSetPtr: {
-        const unsigned p = static_cast<unsigned>(u.vwr) & 1u;
-        lsu_ptr_[p] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(srf_.trace_read(u.srf_base)) + u.imm);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // ---- MXCU: evaluate against pre-cycle state, commit at the end.
-  unsigned new_idx = idx_;
-  SWord new_aux = aux_;
-  int pend_mx_srf = -1;
-  if (L.has_mxcu) {
-    mxcu_eval(L.mxcu, new_idx, new_aux);
-    if (L.mxcu.op == MxcuOp::kStIdxSrf) pend_mx_srf = L.mxcu.srf;
-  }
-
-  // ---- LCU register op (control ops live in the block terminator).
-  int pend_lcu_rd = -1;
-  Word pend_lcu_val = 0;
-  int pend_lcu_srf = -1;
-  Word pend_lcu_srf_val = 0;
-  if (L.has_lcu) {
-    const tc::LcuUop& u = L.lcu;
-    switch (u.op) {
-      case LcuOp::kSetI:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(u.imm));
-        break;
-      case LcuOp::kAddI:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val =
-            static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) + u.imm);
-        break;
-      case LcuOp::kMvR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = lcu_rf_[u.ra];
-        break;
-      case LcuOp::kAddR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) +
-                                         static_cast<SWord>(lcu_rf_[u.ra]));
-        break;
-      case LcuOp::kSubR:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = static_cast<Word>(static_cast<SWord>(lcu_rf_[u.rd]) -
-                                         static_cast<SWord>(lcu_rf_[u.ra]));
-        break;
-      case LcuOp::kMvSrf:
-        pend_lcu_rd = u.rd;
-        pend_lcu_val = srf_.trace_read(u.srf);
-        break;
-      case LcuOp::kStSrf:
-        pend_lcu_srf = u.srf;
-        pend_lcu_srf_val = lcu_rf_[u.ra];
-        break;
-      default:
-        break;
-    }
-  }
-
-  // ---- RCs: evaluate (pre-cycle reads), then commit.
-  if (L.quad) {
-    QuadOps::kTable[L.key](*this, L.rc[0], 1, 0);
-  } else if (L.rc_mask != 0) {
-    Word outs[arch::kRcsPerColumn];
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+  /// RC lines that are not quad: per-RC operands, every lane evaluated
+  /// against pre-cycle state (kPrev reads rc_prev_) before any commits.
+  static void lanes(Column& c, const Column::Op& o) {
+    const tc::Line& L = c.trace_->lines[o.s.pc];
+    Word outs[kN];
+    for (unsigned r = 0; r < kN; ++r) {
       if (((L.rc_mask >> r) & 1u) == 0) continue;
       const tc::RcUop& u = L.rc[r];
-      const Word a = trace_src(u.a);
-      const Word b = u.unary ? 0 : trace_src(u.b);
+      const Word a = c.trace_src(u.a);
+      const Word b = u.unary ? 0 : c.trace_src(u.b);
       outs[r] = alu_eval(u.op, a, b);
     }
-    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+    for (unsigned r = 0; r < kN; ++r) {
       if (((L.rc_mask >> r) & 1u) == 0) continue;
       const tc::RcUop& u = L.rc[r];
       switch (u.d) {
         case tc::Dst::kRf:
-          rcs_[r].rf[u.idx] = outs[r];
+          c.rcs_[r].rf[u.idx] = outs[r];
           break;
         case tc::Dst::kVwr:
-          vwrs_[u.vwr].trace_row()[u.base + idx_] = outs[r];
+          c.vwrs_[u.vwr].trace_row()[u.base + c.idx_] = outs[r];
           break;
         case tc::Dst::kSrf:
-          srf_.trace_write(u.idx, outs[r]);
+          c.srf_.trace_write(u.idx, outs[r]);
           break;
         default:
           break;
       }
-      rc_prev_[r] = outs[r];
+      c.rc_prev_[r] = outs[r];
     }
   }
 
-  // ---- end-of-cycle commits (interpreter order; at most one SRF write
-  // exists per line, so the relative SRF order is immaterial).
-  if (pend_row_vwr >= 0) {
-    Word* dst = vwrs_[pend_row_vwr].trace_row().data();
-    std::copy_n(pend_row_src, arch::kVwrWords, dst);
+  // --- LSU (av = SRF base, bv = SRF data, imm = address/stride) -------------
+  template <isa::LsuAddrMode M>
+  static unsigned address(Column& c, const Column::Op& o) {
+    if constexpr (M == isa::LsuAddrMode::kImm) {
+      return static_cast<unsigned>(o.s.imm);
+    } else if constexpr (M == isa::LsuAddrMode::kSrfImm) {
+      return static_cast<unsigned>(c.srf_.trace_read(o.s.av)) +
+             static_cast<unsigned>(o.s.imm);
+    } else {
+      std::uint32_t& p = c.lsu_ptr_[M == isa::LsuAddrMode::kPtr0Post ? 0 : 1];
+      const unsigned a = p;
+      p = static_cast<std::uint32_t>(static_cast<std::int64_t>(p) + o.s.imm);
+      return a;
+    }
   }
-  if (pend_srf_idx >= 0) srf_.trace_write(pend_srf_idx, pend_srf_val);
-  if (pend_mx_srf >= 0) srf_.trace_write(pend_mx_srf, idx_);
-  if (pend_lcu_srf >= 0) srf_.trace_write(pend_lcu_srf, pend_lcu_srf_val);
-  if (pend_lcu_rd >= 0) lcu_rf_[pend_lcu_rd] = pend_lcu_val;
-  idx_ = new_idx;
-  aux_ = new_aux;
+  template <isa::LsuAddrMode M>
+  static void ld_vwr(Column& c, const Column::Op& o) {
+    std::copy_n(c.spm_trace_read_row(address<M>(c, o)), arch::kVwrWords,
+                o.a->begin());
+  }
+  template <isa::LsuAddrMode M>
+  static void st_vwr(Column& c, const Column::Op& o) {
+    c.spm_trace_write_row(address<M>(c, o), *o.a);
+  }
+  template <isa::LsuAddrMode M>
+  static void ld_srf(Column& c, const Column::Op& o) {
+    c.srf_.trace_write(o.s.bv, c.spm_trace_read_word(address<M>(c, o)));
+  }
+  template <isa::LsuAddrMode M>
+  static void st_srf(Column& c, const Column::Op& o) {
+    const unsigned word = address<M>(c, o);
+    c.spm_trace_write_word(word, c.srf_.trace_read(o.s.bv));
+  }
+  /// Shuffles A:B (av = mode) into `dst`, which is never A or B.
+  static void shuffle_into(const Column::Op& o, Word* dst) {
+    const auto& map = shuffle_tables().map[o.s.av];
+    const Word* a = o.a->data();
+    const Word* b = o.b->data();
+    for (unsigned i = 0; i < arch::kVwrWords; ++i) {
+      const unsigned s = map[i];
+      dst[i] = s < arch::kVwrWords ? a[s] : b[s - arch::kVwrWords];
+    }
+  }
+  static void shuf(Column&, const Column::Op& o) { shuffle_into(o, o.d->data()); }
+  static void shuf_stage(Column& c, const Column::Op& o) {
+    shuffle_into(o, c.shuf_scratch_.data());
+  }
+  static void shuf_commit(Column& c, const Column::Op& o) {
+    *o.d = c.shuf_scratch_;
+  }
+  static void set_ptr(Column& c, const Column::Op& o) {  // dv = pointer
+    c.lsu_ptr_[o.s.dv] = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(c.srf_.trace_read(o.s.av)) + o.s.imm);
+  }
+
+  // --- MXCU (av = SRF entry) ------------------------------------------------
+  template <isa::MxcuOp M>
+  static void mxcu(Column& c, const Column::Op& o) {
+    using isa::MxcuOp;
+    if constexpr (M == MxcuOp::kStIdxSrf) {
+      c.srf_.trace_write(o.s.av, c.idx_);
+    } else if constexpr (M == MxcuOp::kSetAux) {
+      c.aux_ = o.s.imm;
+    } else if constexpr (M == MxcuOp::kAddAux) {
+      c.aux_ = static_cast<SWord>(static_cast<Word>(c.aux_) +
+                                  static_cast<Word>(o.s.imm));
+    } else {
+      unsigned idx = 0;
+      if constexpr (M == MxcuOp::kSetIdx) {
+        idx = static_cast<unsigned>(o.s.imm);
+      } else if constexpr (M == MxcuOp::kAddIdx) {
+        idx = static_cast<unsigned>(static_cast<SWord>(c.idx_) + o.s.imm);
+      } else if constexpr (M == MxcuOp::kSetIdxSrf) {
+        idx = c.srf_.trace_read(o.s.av);
+      } else if constexpr (M == MxcuOp::kAddIdxSrf) {
+        idx = c.idx_ + c.srf_.trace_read(o.s.av);
+      } else if constexpr (M == MxcuOp::kAndIdxSrf) {
+        idx = c.idx_ & c.srf_.trace_read(o.s.av);
+      } else {
+        static_assert(M == MxcuOp::kIdxFromAux);
+        idx = static_cast<unsigned>(c.aux_);
+      }
+      c.idx_ = idx % kS;
+    }
+  }
+
+  // --- LCU register ops (dv = rd, av = ra, bv = SRF entry; adds wrap) ------
+  template <isa::LcuOp L>
+  static void lcu(Column& c, const Column::Op& o) {
+    using isa::LcuOp;
+    auto& rf = c.lcu_rf_;
+    if constexpr (L == LcuOp::kSetI) {
+      rf[o.s.dv] = static_cast<Word>(static_cast<SWord>(o.s.imm));
+    } else if constexpr (L == LcuOp::kAddI) {
+      rf[o.s.dv] += static_cast<Word>(o.s.imm);
+    } else if constexpr (L == LcuOp::kMvR) {
+      rf[o.s.dv] = rf[o.s.av];
+    } else if constexpr (L == LcuOp::kAddR) {
+      rf[o.s.dv] += rf[o.s.av];
+    } else if constexpr (L == LcuOp::kSubR) {
+      rf[o.s.dv] -= rf[o.s.av];
+    } else if constexpr (L == LcuOp::kMvSrf) {
+      rf[o.s.dv] = c.srf_.trace_read(o.s.bv);
+    } else {
+      static_assert(L == LcuOp::kStSrf);
+      c.srf_.trace_write(o.s.bv, rf[o.s.av]);
+    }
+  }
+
+  /// The handler of slot-op id K; null exactly at invalid quad keys, which
+  /// no compiled line names.
+  template <std::size_t K>
+  static constexpr Handler handler_of() {
+    if constexpr (K < tc::kQuadKeys) {
+      // Key coordinates: the inverse of tc::quad_key.
+      constexpr unsigned d = K % tc::kQuadDstKinds;
+      constexpr unsigned b = K / tc::kQuadDstKinds % (tc::kQuadSrcKinds + 1);
+      constexpr unsigned a =
+          K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1)) % tc::kQuadSrcKinds;
+      constexpr unsigned op =
+          K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1) * tc::kQuadSrcKinds);
+      static_assert(tc::quad_key(op, a, b, d) == K);
+      if constexpr (tc::quad_key_valid(op, a, b, d)) {
+        return &quad<static_cast<isa::RcOp>(op), a, b, d>;
+      } else {
+        return nullptr;
+      }
+    } else if constexpr (K == tc::kOpLanes) {
+      return &each<&lanes>;
+    } else if constexpr (K < tc::kOpShuf) {
+      constexpr unsigned kModes = static_cast<unsigned>(isa::LsuAddrMode::kCount);
+      constexpr auto m = static_cast<isa::LsuAddrMode>((K - tc::kOpLsu) % kModes);
+      constexpr auto op = static_cast<isa::LsuOp>(
+          static_cast<unsigned>(isa::LsuOp::kLdVwr) + (K - tc::kOpLsu) / kModes);
+      static_assert(tc::kOpLsu + tc::lsu_op_id(op, m) == K);
+      if constexpr (op == isa::LsuOp::kLdVwr) {
+        return &each<&ld_vwr<m>>;
+      } else if constexpr (op == isa::LsuOp::kStVwr) {
+        return &each<&st_vwr<m>>;
+      } else if constexpr (op == isa::LsuOp::kLdSrf) {
+        return &each<&ld_srf<m>>;
+      } else {
+        static_assert(op == isa::LsuOp::kStSrf);
+        return &each<&st_srf<m>>;
+      }
+    } else if constexpr (K == tc::kOpShuf) {
+      return &each<&shuf>;
+    } else if constexpr (K == tc::kOpShufStage) {
+      return &each<&shuf_stage>;
+    } else if constexpr (K == tc::kOpShufCommit) {
+      return &each<&shuf_commit>;
+    } else if constexpr (K == tc::kOpSetPtr) {
+      return &each<&set_ptr>;
+    } else if constexpr (K < tc::kOpLcu) {
+      return &each<&mxcu<static_cast<isa::MxcuOp>(K - tc::kOpMxcu + 1)>>;
+    } else {
+      return &each<&lcu<static_cast<isa::LcuOp>(
+          K - tc::kOpLcu + static_cast<unsigned>(isa::LcuOp::kSetI))>>;
+    }
+  }
+  template <std::size_t... K>
+  static constexpr std::array<Handler, tc::kOps> table(
+      std::index_sequence<K...>) {
+    return {handler_of<K>()...};
+  }
+
+  /// Indexed by slot-op id.
+  static const std::array<Handler, tc::kOps> kTable;
+};
+
+const std::array<Column::Op::Handler, tc::kOps> Column::LineOps::kTable =
+    Column::LineOps::table(std::make_index_sequence<tc::kOps>{});
+
+inline void Column::bind_op(const tc::SlotOp& s, Op& o) {
+  o.run = LineOps::kTable[s.id];
+  o.a = &vwrs_[s.a].trace_row();
+  o.b = &vwrs_[s.b].trace_row();
+  o.d = &vwrs_[s.d].trace_row();
+  o.s = s;
+}
+
+void Column::run_ops(const tc::SlotOp* ops, unsigned n) {
+  for (unsigned k = 0; k < n; ++k) {
+    Op o;
+    bind_op(ops[k], o);
+    o.run(*this, o, 1);
+  }
 }
 
 inline unsigned Column::eval_term(const tc::Block& b, bool& exit) {
@@ -958,7 +906,8 @@ void Column::step_traced() {
     tb_ = &T.blocks[T.block_of[pc_]];
     tb_line_ = 0;
   }
-  exec_dispatch(T.lines[tb_->first + tb_line_]);
+  const tc::Line& L = T.lines[tb_->first + tb_line_];
+  run_ops(T.ops.data() + L.op, L.nops);
   ++executed_;
   if (++tb_line_ < tb_->len) {
     ++pc_;
@@ -981,25 +930,26 @@ void Column::step_traced() {
 
 Cycle Column::step_block_traced(Cycle budget_left) {
   const CompiledTrace& T = *trace_;
-  const tc::Line* lines = T.lines.data();
   const tc::Block& b = T.blocks[T.block_of[pc_]];
+  const tc::SlotOp* ops = T.ops.data() + b.op;
   unsigned next = b.first + b.len;  // fallthrough
   Cycle n = 0;
   if (b.fuse_self_loop) {
-    // Hardware loop: replay the whole (runtime-read) trip count fused.
+    // Hardware loop: bind the body once, then replay the whole (runtime-
+    // read) trip count over the bound ops -- no per-trip decode, handler
+    // lookup or routing work. A one-op body runs its trip count inside its
+    // handler.
     const Word cnt = lcu_rf_[b.rd];
     const std::uint64_t iters = cnt == 0 ? (1ull << 32) : cnt;
     if (iters * b.len > budget_left) throw tc::ReplayBudgetExceeded{};
-    // A single quad line runs its key's specialized loop (routing hoisted
-    // out of the trip count); everything else replays per line.
-    const tc::Line& first = lines[b.first];
-    if (b.len == 1 && first.kind == tc::Line::Kind::kQuadFast) {
-      exec_quad(first, iters);
-    } else {
+    if (body_.size() < b.nops) body_.resize(b.nops);
+    Op* body = body_.data();
+    for (unsigned k = 0; k < b.nops; ++k) bind_op(ops[k], body[k]);
+    if (b.nops == 1) {
+      body->run(*this, *body, iters);
+    } else if (b.nops > 1) {
       for (std::uint64_t it = 0; it < iters; ++it) {
-        for (unsigned i = 0; i < b.len; ++i) {
-          exec_dispatch(lines[b.first + i]);
-        }
+        for (unsigned k = 0; k < b.nops; ++k) body[k].run(*this, body[k], 1);
       }
     }
     lcu_rf_[b.rd] = 0;  // dbnz leaves the counter at zero
@@ -1007,7 +957,7 @@ Cycle Column::step_block_traced(Cycle budget_left) {
     executed_ += iters * b.len;
     n = iters * b.len;
   } else {
-    for (unsigned i = 0; i < b.len; ++i) exec_dispatch(lines[b.first + i]);
+    run_ops(ops, b.nops);
     meter_->add_block(b.energy, 1);
     executed_ += b.len;
     n = b.len;

@@ -92,8 +92,8 @@ class Column {
   // --- trace-cache replay (see cgra/tracecache.hpp) --------------------------
 
   /// Attaches (or detaches, with nullptr) the compiled trace of the loaded
-  /// program. The trace is consulted only by run_traced(); step() stays the
-  /// interpreter.
+  /// program. The trace is consulted only by the traced entry points;
+  /// step() stays the interpreter.
   void set_trace(std::shared_ptr<const CompiledTrace> trace) {
     trace_ = std::move(trace);
   }
@@ -206,22 +206,27 @@ class Column {
   unsigned lsu_address(const isa::LsuInstr& instr);
 
   // --- trace replay internals (column.cpp) -----------------------------------
-  /// Template-specialized quad handlers and their key-indexed table.
-  struct QuadOps;
-  void exec_traced_line(const tc::Line& L);
-  void exec_dispatch(const tc::Line& L);
-  /// Replays a kQuadFast line `iters` times (1, or a fused self-loop's trip
-  /// count) through its key's handler, MXCU op included.
-  void exec_quad(const tc::Line& L, std::uint64_t iters);
-  /// MXCU evaluate against pre-cycle state: the next slice index and aux
-  /// register (kStIdxSrf leaves both unchanged; its SRF write is the
-  /// caller's to commit).
-  void mxcu_eval(const tc::MxcuUop& u, unsigned& new_idx, SWord& new_aux) const;
-  void commit_mxcu(const tc::MxcuUop& u);
+  /// A compiled slot op bound to this column: its handler, and its VWR
+  /// selects resolved to row bases. SRF values are never bound: handlers
+  /// read them on every call, since other ops may write the SRF.
+  struct Op {
+    /// Runs the op `iters` times back to back (a fused one-op loop body
+    /// passes its whole trip count).
+    using Handler = void (*)(Column&, const Op&, std::uint64_t iters);
+    Handler run = nullptr;
+    mem::Vwr::Row* a = nullptr;  ///< VWR row of SlotOp::a
+    mem::Vwr::Row* b = nullptr;  ///< VWR row of SlotOp::b
+    mem::Vwr::Row* d = nullptr;  ///< VWR row of SlotOp::d
+    tc::SlotOp s;                ///< the compiled op (operand words)
+  };
+  /// The handler templates and the one table every slot-op id indexes.
+  struct LineOps;
+  void bind_op(const tc::SlotOp& s, Op& o);
+  /// Binds and runs `n` compiled ops once each, in order.
+  void run_ops(const tc::SlotOp* ops, unsigned n);
   /// Evaluates a block terminator; returns the next pc and sets `exit`.
   unsigned eval_term(const tc::Block& b, bool& exit);
   Word trace_src(const tc::Src& s) const;
-  unsigned trace_lsu_addr(const tc::LsuUop& u);
   const Word* spm_trace_read_row(unsigned row);
   void spm_trace_write_row(unsigned row, const mem::Vwr::Row& v);
   Word spm_trace_read_word(unsigned word);
@@ -248,6 +253,7 @@ class Column {
 
   // --- trace replay state ----------------------------------------------------
   std::shared_ptr<const CompiledTrace> trace_;
+  std::vector<Op> body_;             ///< fused loop body, bound per replay
   tc::SpmUndo* undo_ = nullptr;      ///< active only during traced replay
   /// SPM row-access masks of the current replay, split by tier ([0] = free-
   /// running, [1] = sync-scheduled) so the post-hoc conflict check can
@@ -257,7 +263,7 @@ class Column {
   std::uint64_t spm_wmask_[2] = {0, 0};
   unsigned mask_tier_ = 0;
   const RcOutputs* cross_ = nullptr; ///< partner snapshot for kCross operands
-  mem::Vwr::Row shuf_scratch_{};     ///< pending shuffle result staging
+  mem::Vwr::Row shuf_scratch_{};     ///< staged shuffle result (hazard lines)
   const tc::Block* tb_ = nullptr;    ///< lockstep replay: current block
   unsigned tb_line_ = 0;             ///< lockstep replay: line within block
 };

@@ -339,22 +339,19 @@ bool resolve_rc(const isa::RcInstr& I, unsigned r, tc::RcUop& u) {
   return true;
 }
 
-/// Lane-uniform shape test: all four RCs run the same op with the same
-/// source/destination kinds and shared indices, differing only in their
-/// slice. The rc_all() idiom every kernel's inner loop uses.
-/// Accumulates the statically-addressed SPM rows one execution of `line`
-/// touches (LSU kImm address mode only). Dynamic modes (SRF/pointer)
-/// contribute nothing: those accesses stay on the free tier and the runtime
-/// masks validate them post hoc. Statically out-of-range rows contribute
-/// nothing either -- replay faults there before the access lands, and the
-/// launch reruns on the interpreter.
-void add_static_spm(const tc::Line& line, std::uint64_t& sread,
+/// Accumulates the statically-addressed SPM rows one execution of a line
+/// with LSU op `I` touches (kImm address mode only). Dynamic modes
+/// (SRF/pointer) contribute nothing: those accesses stay on the free tier
+/// and the runtime masks validate them post hoc. Statically out-of-range
+/// rows contribute nothing either -- replay faults there before the access
+/// lands, and the launch reruns on the interpreter.
+void add_static_spm(const isa::LsuInstr& I, std::uint64_t& sread,
                     std::uint64_t& swrite) {
-  if (!line.has_lsu || line.lsu.amode != LsuAddrMode::kImm) return;
-  const unsigned addr = static_cast<unsigned>(line.lsu.imm);
+  if (I.amode != LsuAddrMode::kImm) return;
+  const auto addr = static_cast<unsigned>(I.imm);
   unsigned row = 0;
   bool is_write = false;
-  switch (line.lsu.op) {
+  switch (I.op) {
     case LsuOp::kLdVwr:
       row = addr;
       break;
@@ -387,6 +384,9 @@ bool line_has_cross(const tc::Line& line) {
   return false;
 }
 
+/// Lane-uniform shape test: all four RCs run the same op with the same
+/// source/destination kinds and shared indices, differing only in their
+/// slice. The rc_all() idiom every kernel's inner loop uses.
 bool quad_shape(const tc::Line& line) {
   if (line.rc_mask != 0xF) return false;
   const tc::RcUop& a = line.rc[0];
@@ -431,6 +431,138 @@ bool quad_shape(const tc::Line& line) {
   return true;
 }
 
+/// The quad handler key of a line, or -1 when the line is not quad or its
+/// rc[0] shape lies outside the handler space (lane-crossing operands, SRF
+/// destination, arity flag disagreeing with the opcode).
+int quad_key_of(const tc::Line& line) {
+  if (!quad_shape(line)) return -1;
+  const tc::RcUop& q = line.rc[0];
+  if (q.unary != alu_is_unary(q.op)) return -1;
+  const auto op = static_cast<unsigned>(q.op);
+  const auto a = static_cast<unsigned>(q.a.k);
+  const unsigned b = q.unary ? tc::kQuadUnary : static_cast<unsigned>(q.b.k);
+  const auto d = static_cast<unsigned>(q.d);
+  if (!tc::quad_key_valid(op, a, b, d)) return -1;
+  return static_cast<int>(tc::quad_key(op, a, b, d));
+}
+
+/// Compiles line `pc` into its slot ops, appended to `out`. Each op runs
+/// to completion, so the order must put every read of a location before
+/// any write to it within the line. Only the RC and LSU slots can interact
+/// (the SRF never does: the port check already refused any line that both
+/// reads and writes it):
+///   * the MXCU index moves after every RC access at the old index, so MXCU
+///     goes after the RCs; the LCU registers are private, so LCU goes last;
+///   * a row load writes a VWR the RCs may read (never write: VWR port
+///     hazard), so it goes after them; a row store reads a VWR they may
+///     write, so it goes before; scalar transfers and pointer setup touch
+///     nothing the RCs do and go first;
+///   * a shuffle reads A and B and writes C. It goes after RCs that read C,
+///     before RCs that write A or B -- and when the RCs do both, that is the
+///     one real intra-line hazard: the shuffle is staged into a scratch row
+///     before the RCs run and committed to C after them.
+void compile_ops(const DecodedLine& L, tc::Line& line, unsigned pc,
+                 std::vector<tc::SlotOp>& out) {
+  line.op = static_cast<std::uint16_t>(out.size());
+  auto emit = [&](unsigned id) -> tc::SlotOp& {
+    tc::SlotOp& o = out.emplace_back();
+    o.id = static_cast<std::uint16_t>(id);
+    o.pc = static_cast<std::uint16_t>(pc);
+    ++line.nops;
+    return o;
+  };
+  const int key = quad_key_of(line);
+  unsigned rc_reads = 0, rc_writes = 0;  // VWR select bit masks
+  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
+    if (((line.rc_mask >> r) & 1u) == 0) continue;
+    const tc::RcUop& u = line.rc[r];
+    if (u.a.k == tc::Src::K::kVwr) rc_reads |= 1u << u.a.vwr;
+    if (!u.unary && u.b.k == tc::Src::K::kVwr) rc_reads |= 1u << u.b.vwr;
+    if (u.d == tc::Dst::kVwr) rc_writes |= 1u << u.vwr;
+  }
+  const isa::LsuInstr& u = L.lsu;
+  const bool has_lsu = u.op != LsuOp::kNop;
+  unsigned lsu = 0;
+  bool lsu_first = false, staged = false;
+  if (has_lsu) {
+    switch (u.op) {
+      case LsuOp::kLdVwr:
+      case LsuOp::kStVwr:
+      case LsuOp::kLdSrf:
+      case LsuOp::kStSrf:
+        lsu = tc::kOpLsu + tc::lsu_op_id(u.op, u.amode);
+        lsu_first = u.op != LsuOp::kLdVwr;
+        break;
+      case LsuOp::kShuf: {
+        const bool writes_ab = (rc_writes & 3u) != 0;
+        staged = writes_ab && (rc_reads & 4u) != 0;
+        lsu = tc::kOpShuf;
+        lsu_first = writes_ab;
+        break;
+      }
+      default:  // kSetPtr
+        lsu = tc::kOpSetPtr;
+        lsu_first = true;
+        break;
+    }
+  }
+  auto emit_lsu = [&](unsigned id) {
+    tc::SlotOp& o = emit(id);
+    o.a = static_cast<std::uint8_t>(u.vwr);
+    o.av = u.srf_base;
+    o.bv = u.srf_data;
+    o.dv = static_cast<unsigned>(u.vwr) & 1u;
+    o.imm = u.imm;
+    if (u.op == LsuOp::kShuf) {
+      o.a = 0;
+      o.b = 1;
+      o.d = static_cast<std::uint8_t>(VwrSel::C);
+      o.av = static_cast<Word>(u.mode);
+    }
+  };
+
+  if (staged) {
+    emit_lsu(tc::kOpShufStage);
+  } else if (has_lsu && lsu_first) {
+    emit_lsu(lsu);
+  }
+  if (key >= 0) {
+    const tc::RcUop& q = line.rc[0];
+    tc::SlotOp& o = emit(static_cast<unsigned>(key));
+    auto src = [](const tc::Src& s, std::uint8_t& vwr, Word& v) {
+      vwr = s.vwr;
+      v = s.k == tc::Src::K::kImm ? s.imm : s.idx;
+    };
+    src(q.a, o.a, o.av);
+    if (!q.unary) src(q.b, o.b, o.bv);
+    o.d = q.vwr;
+    o.dv = q.idx;
+    // A quad op carries the add_idx step itself.
+    if (L.mxcu.op == MxcuOp::kAddIdx) o.imm = L.mxcu.imm;
+  } else if (line.rc_mask != 0) {
+    emit(tc::kOpLanes);
+  }
+  if (staged) {
+    emit_lsu(tc::kOpShufCommit);
+  } else if (has_lsu && !lsu_first) {
+    emit_lsu(lsu);
+  }
+  if (L.mxcu.op != MxcuOp::kNop &&
+      !(key >= 0 && L.mxcu.op == MxcuOp::kAddIdx)) {
+    tc::SlotOp& o = emit(tc::kOpMxcu + static_cast<unsigned>(L.mxcu.op) - 1);
+    o.av = L.mxcu.srf;
+    o.imm = L.mxcu.imm;
+  }
+  if (L.lcu.op != LcuOp::kNop && !is_lcu_control(L.lcu.op)) {
+    tc::SlotOp& o = emit(tc::kOpLcu + static_cast<unsigned>(L.lcu.op) -
+                         static_cast<unsigned>(LcuOp::kSetI));
+    o.av = L.lcu.ra;
+    o.bv = L.lcu.srf;
+    o.dv = L.lcu.rd;
+    o.imm = L.lcu.imm;
+  }
+}
+
 } // namespace
 
 std::shared_ptr<const CompiledTrace> compile_trace(
@@ -440,6 +572,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     trace->ok = false;
     trace->bail_reason = std::move(why);
     trace->lines.clear();
+    trace->ops.clear();
     trace->blocks.clear();
     trace->block_of.clear();
     return std::shared_ptr<const CompiledTrace>(trace);
@@ -486,34 +619,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
       if (!resolve_rc(L.rc[r], r, line.rc[r])) return bail("unresolvable RC");
       line.rc_mask |= 1u << r;
     }
-    line.quad = quad_shape(line);
-    line.key = tc::derive_quad_key(line);
-    const isa::LsuInstr& lsu = L.lsu;
-    if (lsu.op != LsuOp::kNop) {
-      line.has_lsu = true;
-      line.lsu = {lsu.op,      lsu.amode, static_cast<std::uint8_t>(lsu.vwr),
-                  lsu.srf_base, lsu.srf_data, lsu.mode,
-                  static_cast<std::int32_t>(lsu.imm)};
-    }
-    if (L.mxcu.op != MxcuOp::kNop) {
-      line.has_mxcu = true;
-      line.mxcu = {L.mxcu.op, L.mxcu.srf, static_cast<std::int32_t>(L.mxcu.imm)};
-    }
-    if (L.lcu.op != LcuOp::kNop && !is_lcu_control(L.lcu.op)) {
-      line.has_lcu = true;
-      line.lcu = {L.lcu.op, L.lcu.rd, L.lcu.ra, L.lcu.srf,
-                  static_cast<std::int32_t>(L.lcu.imm)};
-    }
-    // Replay dispatch class: the inner-loop shape (quad RC op, optionally a
-    // register-only MXCU index update) gets the specialized fast path.
-    const bool mxcu_simple =
-        !line.has_mxcu ||
-        (line.mxcu.op == MxcuOp::kSetIdx || line.mxcu.op == MxcuOp::kAddIdx ||
-         line.mxcu.op == MxcuOp::kSetAux || line.mxcu.op == MxcuOp::kAddAux ||
-         line.mxcu.op == MxcuOp::kIdxFromAux);
-    line.kind = (line.quad && !line.has_lsu && !line.has_lcu && mxcu_simple)
-                    ? tc::Line::Kind::kQuadFast
-                    : tc::Line::Kind::kGeneric;
+    compile_ops(L, line, pc, trace->ops);
   }
 
   // Superblock construction. Leaders: entry, every branch target, and every
@@ -537,6 +643,9 @@ std::shared_ptr<const CompiledTrace> compile_trace(
       ++end;
     }
     b.len = static_cast<std::uint16_t>(end - pc + 1);
+    b.op = trace->lines[pc].op;
+    b.nops = static_cast<std::uint16_t>(trace->lines[end].op +
+                                        trace->lines[end].nops - b.op);
     const isa::LcuInstr& T = dec[end].lcu;
     b.target = T.target;
     switch (T.op) {
@@ -591,7 +700,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     std::array<std::uint64_t, static_cast<unsigned>(Event::kCount)> counts{};
     for (unsigned i = pc; i <= end; ++i) {
       add_line_energy(dec[i], counts);
-      add_static_spm(trace->lines[i], b.sread, b.swrite);
+      add_static_spm(dec[i].lsu, b.sread, b.swrite);
       if (line_has_cross(trace->lines[i])) trace->has_cross = true;
     }
     for (unsigned e = 0; e < counts.size(); ++e) {
@@ -641,18 +750,6 @@ std::shared_ptr<const CompiledTrace> compile_trace(
 }
 
 namespace tc {
-
-std::uint16_t derive_quad_key(const Line& line) {
-  if (!line.quad || line.rc_mask != 0xF) return kNoQuadKey;
-  const RcUop& q = line.rc[0];
-  if (q.unary != alu_is_unary(q.op)) return kNoQuadKey;
-  const auto op = static_cast<unsigned>(q.op);
-  const auto a = static_cast<unsigned>(q.a.k);
-  const unsigned b = q.unary ? kQuadUnary : static_cast<unsigned>(q.b.k);
-  const auto d = static_cast<unsigned>(q.d);
-  if (!quad_key_valid(op, a, b, d)) return kNoQuadKey;
-  return static_cast<std::uint16_t>(quad_key(op, a, b, d));
-}
 
 SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1) {
   SyncPlan p;

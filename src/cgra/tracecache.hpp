@@ -10,7 +10,8 @@
 //
 //   * each VLIW line is flattened into a micro-op line with operand sources
 //     pre-resolved (register/VWR-slice indices computed, immediates
-//     sign-extended, SRF addresses bound);
+//     sign-extended, SRF addresses bound) and compiled into slot ops that
+//     name their specialized handlers, so replay runs no opcode switch;
 //   * the structural-hazard schedule (single-ported SRF, VWR write ports)
 //     is validated once at compile time -- programs that would trip a
 //     hazard at runtime simply fail to compile and fall back to the
@@ -19,7 +20,8 @@
 //     superblocks whose energy events are pre-aggregated into one
 //     EnergyMeter::add_block() delta per block replay;
 //   * self-loop DBNZ blocks (the hardware-loop idiom every kernel uses)
-//     additionally replay their whole trip count in one fused native loop.
+//     additionally replay their whole trip count in one fused native loop
+//     over the body's ops, bound once to the column's state.
 //
 // Identity contract: a traced run must be bit-identical to the interpreted
 // run -- same outputs, same cycle counts, same energy event counts (hence
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "cgra/alu.hpp"
+#include "common/codec.hpp"
 #include "common/types.hpp"
 #include "energy/meter.hpp"
 #include "isa/instr.hpp"
@@ -97,38 +100,21 @@ struct RcUop {
   std::uint16_t base = 0;  ///< slice word base for Dst::kVwr
 };
 
-/// One LSU micro-op (address mode folded; imm pre-widened).
-struct LsuUop {
-  isa::LsuOp op = isa::LsuOp::kNop;
-  isa::LsuAddrMode amode = isa::LsuAddrMode::kImm;
-  std::uint8_t vwr = 0;       ///< VWR select / pointer select
-  std::uint8_t srf_base = 0;
-  std::uint8_t srf_data = 0;
-  isa::ShufMode mode = isa::ShufMode::kInterleaveLo;
-  std::int32_t imm = 0;
-};
-
-/// One MXCU micro-op.
-struct MxcuUop {
-  isa::MxcuOp op = isa::MxcuOp::kNop;
-  std::uint8_t srf = 0;
-  std::int32_t imm = 0;
-};
-
-/// One LCU register micro-op (control ops live in the block terminator).
-struct LcuUop {
-  isa::LcuOp op = isa::LcuOp::kNop;  ///< kSetI..kStSrf only
-  std::uint8_t rd = 0, ra = 0, srf = 0;
-  std::int32_t imm = 0;
-};
-
-// --- quad handler keys ---------------------------------------------------------
+// --- line handlers -----------------------------------------------------------
 //
-// A quad line (all four RCs run one lane-uniform op) replays through a static
-// table of template-specialized handlers, indexed by a dense key over
-// (RcOp x a-source kind x b-source kind-or-unary x destination kind). The
-// key is a pure function of the line's fields (derive_quad_key, called by
-// compile_trace), so it can never disagree with the line it dispatches.
+// Every traced line compiles into a short, fixed sequence of *slot ops*, each
+// naming one entry of Column's handler table by a dense id. Running the ops
+// one after another, each to completion, reproduces the interpreter's
+// read-everything-then-commit cycle: the compiler orders them so that no op
+// writes state a later op of the same line reads (see compile_trace). A
+// fetch-only line (no slot op besides a terminator) compiles to no op at all.
+//
+// Quad RC ops (all four RCs run one lane-uniform op) are indexed by a dense
+// key over (RcOp x a-source kind x b-source kind-or-unary x destination
+// kind); a quad op also carries its line's add_idx step, so such a line has
+// no separate MXCU op. The remaining ids name one handler per LSU op and
+// address mode, per MXCU op and per LCU register op, plus the per-RC lane
+// loop for RC lines that are not quad.
 
 inline constexpr unsigned kQuadSrcKinds = 4;  ///< Src::K kImm..kSrf
 inline constexpr unsigned kQuadUnary = 4;     ///< b coordinate of unary ops
@@ -136,7 +122,6 @@ inline constexpr unsigned kQuadDstKinds = 3;  ///< Dst kNone..kVwr
 inline constexpr unsigned kQuadKeys = static_cast<unsigned>(isa::RcOp::kCount) *
                                       kQuadSrcKinds * (kQuadSrcKinds + 1) *
                                       kQuadDstKinds;
-inline constexpr std::uint16_t kNoQuadKey = 0xFFFF;
 
 /// Key of (op, a, b, d); b is a Src::K below kQuadSrcKinds or kQuadUnary.
 constexpr unsigned quad_key(unsigned op, unsigned a, unsigned b, unsigned d) {
@@ -152,32 +137,54 @@ constexpr bool quad_key_valid(unsigned op, unsigned a, unsigned b, unsigned d) {
          (b == kQuadUnary) == alu_is_unary(static_cast<isa::RcOp>(op));
 }
 
-/// One flattened VLIW line.
-struct Line {
-  /// Replay dispatch class, precomputed so the hot loop takes one branch.
-  enum class Kind : std::uint8_t {
-    kQuadFast = 0,  ///< quad RC op, at most a register-only MXCU op
-    kGeneric,       ///< anything else (full evaluate/commit machinery)
-  };
-  Kind kind = Kind::kGeneric;
-  std::uint8_t rc_mask = 0;  ///< bit r set when RC r is active
-  bool quad = false;  ///< all 4 RCs identical shape: rc[0] is lane-relative
-  bool has_lsu = false, has_mxcu = false, has_lcu = false;
-  /// Quad handler key (derive_quad_key); kNoQuadKey unless `quad`.
-  std::uint16_t key = kNoQuadKey;
-  std::array<RcUop, arch::kRcsPerColumn> rc{};
-  LsuUop lsu;
-  MxcuUop mxcu;
-  LcuUop lcu;
+/// Offset of an addressed LSU op (kLdVwr..kStSrf) from kOpLsu.
+constexpr unsigned lsu_op_id(isa::LsuOp op, isa::LsuAddrMode m) {
+  return (static_cast<unsigned>(op) - static_cast<unsigned>(isa::LsuOp::kLdVwr)) *
+             static_cast<unsigned>(isa::LsuAddrMode::kCount) +
+         static_cast<unsigned>(m);
+}
+
+/// Slot-op ids past the quad keys.
+inline constexpr unsigned kOpLanes = kQuadKeys;  ///< per-RC lanes (non-quad)
+/// kLdVwr..kStSrf x address mode: kOpLsu + lsu_op_id(op, amode).
+inline constexpr unsigned kOpLsu = kOpLanes + 1;
+/// Shuffle into VWR C (the first id past the addressed LSU ops).
+inline constexpr unsigned kOpShuf =
+    kOpLsu + lsu_op_id(isa::LsuOp::kShuf, isa::LsuAddrMode::kImm);
+inline constexpr unsigned kOpShufStage = kOpShuf + 1;  ///< shuffle into staging
+inline constexpr unsigned kOpShufCommit = kOpShufStage + 1;  ///< staging -> C
+inline constexpr unsigned kOpSetPtr = kOpShufCommit + 1;
+/// kSetIdx..kStIdxSrf: kOpMxcu + op - 1.
+inline constexpr unsigned kOpMxcu = kOpSetPtr + 1;
+/// kSetI..kStSrf: kOpLcu + op - kSetI.
+inline constexpr unsigned kOpLcu =
+    kOpMxcu + static_cast<unsigned>(isa::MxcuOp::kCount) - 1;
+inline constexpr unsigned kOps =
+    kOpLcu + static_cast<unsigned>(isa::LcuOp::kStSrf) -
+    static_cast<unsigned>(isa::LcuOp::kSetI) + 1;
+
+/// One compiled slot op: its handler id and every operand resolved at
+/// compile time except the column-state addresses, which are VWR selects
+/// here and pointers once a column binds the op.
+struct SlotOp {
+  std::uint16_t id = 0;  ///< handler (a quad key, or a kOp* id)
+  std::uint16_t pc = 0;  ///< program address of the line
+  /// VWR selects: quad sources / destination, the LSU row, shuffle A/B/C.
+  std::uint8_t a = 0, b = 0, d = 0;
+  /// Operand words: quad immediates, SRF or RF indices; LSU SRF base, data
+  /// and pointer select (shuffle mode in av); MXCU SRF; LCU ra, SRF, rd.
+  Word av = 0, bv = 0, dv = 0;
+  std::int32_t imm = 0;  ///< quad index step; LSU/MXCU/LCU immediate
 };
 
-/// The one derivation of a line's quad handler key from its fields, called
-/// by compile_trace. Returns kNoQuadKey when the line is not quad or its
-/// rc[0] shape lies outside the handler space (lane-crossing operands, SRF
-/// destination, arity flag disagreeing with the opcode). compile_trace only
-/// marks a line quad when its shape is inside that space, so every quad
-/// line it emits carries a key that Column indexes the handler table with.
-std::uint16_t derive_quad_key(const Line& line);
+/// One flattened VLIW line: its slot ops, plus the per-RC micro-ops the
+/// lane handler of a non-quad RC line reads.
+struct Line {
+  std::uint8_t rc_mask = 0;  ///< bit r set when RC r is active
+  std::uint8_t nops = 0;     ///< slot ops the line replays as
+  std::uint16_t op = 0;      ///< its first op in CompiledTrace::ops
+  std::array<RcUop, arch::kRcsPerColumn> rc{};
+};
 
 /// Block terminator kinds (the LCU control-flow decision re-evaluated each
 /// replay; everything else in the block is straight-line).
@@ -207,6 +214,8 @@ struct Block {
   std::int32_t imm = 0;
   std::uint16_t target = 0;     ///< branch-taken program address
   bool fuse_self_loop = false;  ///< DBNZ back to `first`, trip-count fusable
+  std::uint16_t op = 0;         ///< first slot op of the block
+  std::uint16_t nops = 0;       ///< slot ops of one block replay
   std::vector<energy::EventDelta> energy;  ///< one full block replay
   /// Statically-addressed SPM rows one replay of this block reads / writes
   /// (LSU kImm address mode; kSpmRows = 64, one word each). Dynamically
@@ -228,6 +237,7 @@ class CompiledTrace {
   std::vector<tc::Line> lines;
   std::vector<tc::Block> blocks;
   std::vector<std::uint16_t> block_of;  ///< pc -> index into blocks
+  std::vector<tc::SlotOp> ops;  ///< every line's slot ops, in line order
   /// Whole-trace unions of the per-block static SPM row masks, and whether
   /// any kRcCross operand survives into the micro-ops (such a trace replays
   /// only on the per-cycle lockstep tier, which has partner snapshots).
@@ -287,10 +297,8 @@ class TraceCache {
 
   static std::uint64_t hash_program(const std::string& variant,
                                     const isa::ColumnProgram& prog) {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-    auto mix = [&h](std::uint64_t v) {
-      h = (h ^ v) * 1099511628211ull;
-    };
+    std::uint64_t h = codec::kFnvBasis;
+    auto mix = [&h](std::uint64_t v) { h = codec::fnv1a_word(h, v); };
     for (char c : variant) mix(static_cast<unsigned char>(c));
     mix(prog.length());
     for (unsigned s = 0; s < arch::kSlotsPerColumn; ++s) {
@@ -327,6 +335,8 @@ inline constexpr Cycle kReplayBudget = 1ull << 22;
 /// two-column replay saves each row (data + stamp) before its first write,
 /// so a detected cross-column conflict can roll the SPM back and rerun the
 /// kernel on the interpreter. kSpmRows = 64, so access masks are one word.
+/// A row is only read back once saved, so the log is allocated without
+/// zeroing `rows` and its pages commit only as rows are saved.
 struct SpmUndo {
   std::uint64_t saved_mask = 0;
   std::uint64_t write_gen = 0;

@@ -84,14 +84,16 @@ void Vwr2a::start_kernel(unsigned kernel_id) {
       }
     }
     if (exec_mode_ == ExecMode::kTraceCache) {
-      // Re-evaluate the replay schedule on every (re)load: the sync plan is
-      // a cheap mask intersection over the memoized traces, and clearing
-      // the runtime lockstep hint here lets a kernel whose trip counts or
-      // pointer parameters stopped conflicting leave the slow path again.
-      rt.plan = tc::make_sync_plan(
-          isa::contains(img.columns, 0) ? rt.trace[0].get() : nullptr,
-          isa::contains(img.columns, 1) ? rt.trace[1].get() : nullptr);
-      rt.plan_ready = true;
+      // The sync plan is a pure function of the memoized traces, so it is
+      // built once, when they are first bound. A reload only clears the
+      // runtime lockstep hint, so a kernel whose trip counts or pointer
+      // parameters stopped conflicting leaves the slow path again.
+      if (!rt.plan_ready) {
+        rt.plan = tc::make_sync_plan(
+            isa::contains(img.columns, 0) ? rt.trace[0].get() : nullptr,
+            isa::contains(img.columns, 1) ? rt.trace[1].get() : nullptr);
+        rt.plan_ready = true;
+      }
       rt.lockstep_hint = false;
     }
   }
@@ -225,7 +227,7 @@ void Vwr2a::run_kernel_traced() {
   // Checkpoint everything the replay can touch, so a cross-column SPM
   // conflict (or a replay fault) can roll back and rerun. The SPM side is a
   // lazy copy-on-write undo log; the rest is small.
-  if (undo_ == nullptr) undo_ = std::make_unique<tc::SpmUndo>();
+  if (undo_ == nullptr) undo_ = std::make_unique_for_overwrite<tc::SpmUndo>();
   undo_->reset(spm_.write_gen());
   Column::Checkpoint ck0, ck1;
   if (r0) col0_.save_state(ck0);
@@ -394,7 +396,7 @@ void BatchReplayer::run(Vwr2a* const* devs, const unsigned* kids,
     lane.dev = devs[i];
     Vwr2a& d = *lane.dev;
     d.start_kernel(kids[i]);
-    if (d.undo_ == nullptr) d.undo_ = std::make_unique<SpmUndo>();
+    if (d.undo_ == nullptr) d.undo_ = std::make_unique_for_overwrite<SpmUndo>();
     d.undo_->reset(d.spm_.write_gen());
     for (unsigned c = 0; c < arch::kNumColumns; ++c) {
       lane.occ[c] = d.column(c).running();

@@ -193,8 +193,8 @@ class Vwr2a {
     std::array<std::shared_ptr<const Column::DecodedProgram>,
                arch::kNumColumns> dec{};
     std::array<std::shared_ptr<const CompiledTrace>, arch::kNumColumns> trace{};
-    /// Compiled sync schedule for this kernel's trace pair (recomputed from
-    /// the memoized traces on every reload -- cheap mask intersections).
+    /// Compiled sync schedule for this kernel's trace pair, built once from
+    /// the memoized traces (it is a pure function of them).
     tc::SyncPlan plan;
     bool plan_ready = false;
     /// Runtime hint: a *dynamically* addressed cross-column conflict (or a

@@ -2,10 +2,11 @@
 // The one binary codec behind the repo's on-disk formats: device
 // checkpoints (runtime/checkpoint.cpp), traffic journals (.vwr2jrn,
 // obs/journal.cpp) and trace captures (.vwr2trc, obs/capture.cpp). It holds
-// a little-endian Writer, a bounds-checked sticky-failure Reader and the
-// FNV-1a checksum the checksummed formats are defined with. Keeping one
-// implementation means byte order, string framing and the reject-on-
-// truncation discipline cannot drift between formats.
+// a little-endian Writer, a bounds-checked sticky-failure Reader, the
+// FNV-1a checksum the checksummed formats are defined with and the plain
+// word-wise FNV-1a the digests use. Keeping one implementation means byte
+// order, string framing and the reject-on-truncation discipline cannot
+// drift between formats.
 
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +16,18 @@
 
 namespace vwr2a::codec {
 
+/// FNV-1a 64 parameters.
+inline constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// Plain word-wise FNV-1a: folds one whole value (not its bytes) into `h`.
+/// A digest starts at kFnvBasis and folds its values in order. Journal
+/// per-stream output digests are defined this way (one step per output
+/// word, as uint32), so changing it changes .vwr2jrn files.
+constexpr std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * kFnvPrime;
+}
+
 /// Checksum: 8 interleaved FNV-1a 64 lanes (byte i feeds lane i mod 8,
 /// lane l seeded with offset-basis + l), folded FNV-style into one value.
 /// Interleaving breaks the serial multiply dependency of plain FNV-1a, so
@@ -22,21 +35,17 @@ namespace vwr2a::codec {
 /// chain, so random-corruption detection matches plain FNV-1a. The value is
 /// part of the checkpoint and journal formats: changing it changes files.
 inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  constexpr std::uint64_t kBasis = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t lane[8];
-  for (unsigned l = 0; l < 8; ++l) lane[l] = kBasis + l;
+  for (unsigned l = 0; l < 8; ++l) lane[l] = kFnvBasis + l;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (unsigned l = 0; l < 8; ++l) {
-      lane[l] = (lane[l] ^ data[i + l]) * kPrime;
-    }
+    for (unsigned l = 0; l < 8; ++l) lane[l] = fnv1a_word(lane[l], data[i + l]);
   }
-  for (; i < n; ++i) lane[i % 8] = (lane[i % 8] ^ data[i]) * kPrime;
-  std::uint64_t h = kBasis;
+  for (; i < n; ++i) lane[i % 8] = fnv1a_word(lane[i % 8], data[i]);
+  std::uint64_t h = kFnvBasis;
   for (unsigned l = 0; l < 8; ++l) {
     for (unsigned b = 0; b < 8; ++b) {
-      h = (h ^ static_cast<std::uint8_t>(lane[l] >> (8 * b))) * kPrime;
+      h = fnv1a_word(h, static_cast<std::uint8_t>(lane[l] >> (8 * b)));
     }
   }
   return h;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -16,13 +18,15 @@ namespace vwr2a::mem {
 /// The six-bank system SRAM on the AHB bus.
 class SystemSram {
  public:
-  explicit SystemSram(energy::EnergyMeter& meter) : meter_(&meter) {
-    data_.resize(arch::kSramBytes / 4, 0);
+  explicit SystemSram(energy::EnergyMeter& meter)
+      : meter_(&meter),
+        data_(static_cast<Word*>(std::calloc(kWords, sizeof(Word)))) {
+    if (data_ == nullptr) throw std::bad_alloc();
     gated_.fill(false);
   }
 
   /// Words in the SRAM.
-  unsigned size_words() const { return static_cast<unsigned>(data_.size()); }
+  unsigned size_words() const { return kWords; }
 
   /// Reads one word (bus transaction side).
   Word read(unsigned word) {
@@ -58,7 +62,7 @@ class SystemSram {
 
   /// True when every word of [first, first + n) is in range and ungated.
   bool block_ok(unsigned first, std::uint64_t n) const {
-    if (n == 0 || first + n > data_.size()) return false;
+    if (n == 0 || first + n > kWords) return false;
     for (unsigned b = bank_of(first); b <= bank_of(static_cast<unsigned>(first + n - 1)); ++b) {
       if (gated_[b]) return false;
     }
@@ -68,13 +72,13 @@ class SystemSram {
   /// Reads n consecutive words with per-word energy accounting (bulk add).
   void read_block(unsigned first, Word* dst, unsigned n) {
     meter_->add(energy::Event::kSramRead, n);
-    std::copy_n(data_.begin() + first, n, dst);
+    std::copy_n(data_.get() + first, n, dst);
   }
 
   /// Writes n consecutive words with per-word energy accounting (bulk add).
   void write_block(unsigned first, const Word* src, unsigned n) {
     meter_->add(energy::Event::kSramWrite, n);
-    std::copy_n(src, n, data_.begin() + first);
+    std::copy_n(src, n, data_.get() + first);
   }
 
   /// True when all n strided words are in range and ungated.
@@ -85,7 +89,7 @@ class SystemSram {
         static_cast<std::int64_t>(stride) * (static_cast<std::int64_t>(n) - 1);
     const std::int64_t lo = std::min<std::int64_t>(first, last);
     const std::int64_t hi = std::max<std::int64_t>(first, last);
-    if (lo < 0 || hi >= static_cast<std::int64_t>(data_.size())) return false;
+    if (lo < 0 || hi >= static_cast<std::int64_t>(kWords)) return false;
     for (unsigned b = bank_of(static_cast<unsigned>(lo));
          b <= bank_of(static_cast<unsigned>(hi)); ++b) {
       if (gated_[b]) return false;  // conservative: any gated bank in span
@@ -127,11 +131,18 @@ class SystemSram {
     }
   }
   void check_range(unsigned word) const {
-    if (word >= data_.size()) throw RangeError("SRAM: word out of range");
+    if (word >= kWords) throw RangeError("SRAM: word out of range");
   }
 
+  static constexpr unsigned kWords = arch::kSramBytes / 4;
+  struct Free {
+    void operator()(Word* p) const { std::free(p); }
+  };
+
   energy::EnergyMeter* meter_;
-  std::vector<Word> data_;
+  /// Zeroed by calloc, so pages no access touches stay uncommitted: a
+  /// device's 192 KiB costs host memory only where jobs stage data.
+  std::unique_ptr<Word[], Free> data_;
   std::array<bool, arch::kSramBanks> gated_{};
 };
 

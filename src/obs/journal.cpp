@@ -10,11 +10,6 @@ namespace vwr2a::obs {
 
 namespace {
 
-// Digest FNV constants (per output word, offset-basis seed) -- the same
-// per-stream hash the soak benches print.
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 // Header field offsets (see journal.hpp for the layout).
 constexpr std::uint64_t kHeaderBytes = 48;
 constexpr std::uint64_t kOffMagic = 0;
@@ -94,12 +89,12 @@ void Journal::result(std::uint32_t conn, std::uint32_t stream,
     }
   }
   if (d == nullptr) {
-    digests_.push_back(JournalDigest{conn, stream, 0, kFnvBasis});
+    digests_.push_back(JournalDigest{conn, stream, 0, codec::kFnvBasis});
     d = &digests_.back();
   }
   ++d->windows;
   for (std::int32_t word : output) {
-    d->fnv = (d->fnv ^ static_cast<std::uint32_t>(word)) * kFnvPrime;
+    d->fnv = codec::fnv1a_word(d->fnv, static_cast<std::uint32_t>(word));
   }
 }
 

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/codec.hpp"
 #include "gateway/protocol.hpp"
 #include "gateway/server.hpp"
 #include "gateway/transport.hpp"
@@ -16,13 +17,10 @@ namespace vwr2a::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /// Digest accumulator for one replayed stream.
 struct StreamAcc {
   std::uint64_t windows = 0;
-  std::uint64_t fnv = kFnvBasis;
+  std::uint64_t fnv = codec::kFnvBasis;
 };
 
 } // namespace
@@ -64,7 +62,7 @@ ReplayReport JournalReplayer::replay(const JournalFile& journal,
             StreamAcc& acc = got[{conn_id, wr->stream}];
             ++acc.windows;
             for (std::int32_t w : wr->output) {
-              acc.fnv = (acc.fnv ^ static_cast<std::uint32_t>(w)) * kFnvPrime;
+              acc.fnv = codec::fnv1a_word(acc.fnv, static_cast<std::uint32_t>(w));
             }
             cv.notify_all();
           } else if (std::get_if<gateway::Error>(&*f) != nullptr) {
@@ -157,7 +155,7 @@ ReplayReport JournalReplayer::replay(const JournalFile& journal,
         s.got_windows = it->second.windows;
         s.got_fnv = it->second.fnv;
       } else {
-        s.got_fnv = kFnvBasis;
+        s.got_fnv = codec::kFnvBasis;
       }
       report.streams.push_back(s);
     }
@@ -175,7 +173,7 @@ ReplayReport JournalReplayer::replay(const JournalFile& journal,
         ReplayStream s;
         s.conn = key.first;
         s.stream = key.second;
-        s.expected_fnv = kFnvBasis;
+        s.expected_fnv = codec::kFnvBasis;
         s.got_windows = acc.windows;
         s.got_fnv = acc.fnv;
         report.streams.push_back(s);

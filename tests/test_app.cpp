@@ -99,5 +99,29 @@ TEST(App, CyclesInPaperBallpark) {
   EXPECT_LT(r_vwr.total.cycles, 15113u * 3);
 }
 
+TEST(App, TraceReplayMatchesInterpreter) {
+  // The whole VWR2A pipeline -- FIR, delineation's bisect-count loops, FFT
+  // stages, reductions -- replayed from compiled traces must match the
+  // interpreter in every result, cycle and joule, window after window.
+  Rng rng(23);
+  soc::Platform pi;
+  soc::Platform pt(soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache});
+  MBioTracker ai(pi), at(pt);
+  ai.init();
+  at.init();
+  for (int w = 0; w < 3; ++w) {
+    const auto x = make_window(w % 2 == 0 ? 0.2 : 0.5, rng);
+    const AppResult ri = ai.run(Target::kCpuVwr2a, x);
+    const AppResult rt = at.run(Target::kCpuVwr2a, x);
+    EXPECT_EQ(ri.svm_class, rt.svm_class) << "window " << w;
+    EXPECT_EQ(ri.extrema, rt.extrema) << "window " << w;
+    EXPECT_EQ(ri.feat.as_vector(), rt.feat.as_vector()) << "window " << w;
+    EXPECT_EQ(ri.total.cycles, rt.total.cycles) << "window " << w;
+    EXPECT_EQ(ri.total.uj, rt.total.uj) << "window " << w;
+  }
+  EXPECT_GT(pt.vwr2a().traced_launches(), 0u);
+  EXPECT_EQ(pt.vwr2a().interpreted_cycles(), 0u);
+}
+
 } // namespace
 } // namespace vwr2a::app

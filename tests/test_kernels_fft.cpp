@@ -28,7 +28,8 @@ struct Rig {
   static constexpr unsigned kTw = 0;
   unsigned in = 0, out = 0, scratch = 0;
 
-  explicit Rig(unsigned n) {
+  explicit Rig(unsigned n, cgra::ExecMode mode = cgra::ExecMode::kInterpret) {
+    acc.set_exec_mode(mode);
     fft.prepare(kTw);
     in = FftKernels::table_words();
     out = in + 2 * n + 2;
@@ -131,6 +132,42 @@ TEST(Cfft2048, BitExactAgainstGolden) {
               hi_re) << k;
     EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * (k + 1024) + 1)),
               hi_im) << k;
+  }
+}
+
+TEST(FftTraceReplay, MatchesInterpreter) {
+  // The FFT-stage hardware loops replayed from compiled traces (cfft-2048
+  // takes the scheduled two-column tier) must match the interpreter word
+  // for word, cycle for cycle and event count for event count.
+  for (unsigned n : {512u, 2048u}) {
+    Rig ri(n);
+    Rig rt(n, cgra::ExecMode::kTraceCache);
+    Rng rng(n + 7);
+    for (unsigned i = 0; i < 2 * n; ++i) {
+      const Word v = static_cast<Word>(fx::to_q16_15(rng.next_range(-0.4, 0.4)));
+      ri.sram.poke(ri.in + i, v);
+      rt.sram.poke(rt.in + i, v);
+    }
+    for (int pass = 0; pass < 2; ++pass) {  // cold compile, then warm replay
+      const FftRunStats si = ri.fft.cfft(n, ri.in, ri.out, ri.scratch);
+      const FftRunStats st = rt.fft.cfft(n, rt.in, rt.out, rt.scratch);
+      EXPECT_EQ(si.cycles, st.cycles) << "n " << n;
+      const FftRunStats ti = ri.fft.rfft(n, ri.in, ri.out, ri.scratch);
+      const FftRunStats tt = rt.fft.rfft(n, rt.in, rt.out, rt.scratch);
+      EXPECT_EQ(ti.cycles, tt.cycles) << "n " << n;
+      for (unsigned k = 0; k < 2 * n; ++k) {
+        ASSERT_EQ(ri.sram.peek(ri.out + k), rt.sram.peek(rt.out + k))
+            << "n " << n << " word " << k;
+      }
+    }
+    for (unsigned e = 0; e < static_cast<unsigned>(energy::Event::kCount); ++e) {
+      EXPECT_EQ(ri.acc.meter().count(static_cast<energy::Event>(e)),
+                rt.acc.meter().count(static_cast<energy::Event>(e)))
+          << "n " << n << " event " << e;
+    }
+    EXPECT_EQ(ri.acc.cycles(), rt.acc.cycles()) << "n " << n;
+    EXPECT_GT(rt.acc.traced_launches(), 0u);
+    EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
   }
 }
 

@@ -8,19 +8,25 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "app/mbiotracker.hpp"
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
 #include "cgra/tracecache.hpp"
 #include "cgra/vwr2a.hpp"
+#include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "dsp/signal.hpp"
 #include "energy/meter.hpp"
 #include "mem/sram.hpp"
+#include "runtime/device.hpp"
 #include "soc/platform.hpp"
 
 namespace vwr2a {
@@ -288,6 +294,220 @@ TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
   // faults dominate -- exactly the population that pins the fallback).
   EXPECT_GT(completed, 15u);
   EXPECT_GT(faulted, 100u);
+}
+
+// --- multi-line hardware-loop bodies ------------------------------------------
+
+/// The slots of one VLIW line, kept as instructions so a candidate can be
+/// screened before it is emitted.
+struct SlotLine {
+  std::array<isa::RcInstr, arch::kRcsPerColumn> rc{};
+  isa::LsuInstr lsu;
+  isa::MxcuInstr mxcu;
+  isa::LcuInstr lcu;
+
+  void emit(ProgramBuilder& pb, std::optional<Label> dbnz = {}) const {
+    auto line = pb.line();
+    for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) line.rc(r, rc[r]);
+    line.lsu(lsu).mxcu(mxcu);
+    if (dbnz) {
+      line.lcu(lcu_dbnz(3), *dbnz);  // r3: the trip counter
+    } else {
+      line.lcu(lcu);
+    }
+    line.emit();
+  }
+};
+
+/// An RC op over sources that cannot fault: no kRcCross, SRF reads and
+/// writes only at `srf`.
+isa::RcInstr light_rc(Rng& rng, std::uint8_t srf) {
+  static constexpr isa::RcSrc kSrcs[] = {
+      isa::RcSrc::kZero,  isa::RcSrc::kOne,  isa::RcSrc::kR0,
+      isa::RcSrc::kR1,    isa::RcSrc::kVwrA, isa::RcSrc::kVwrB,
+      isa::RcSrc::kVwrC,  isa::RcSrc::kSrf,  isa::RcSrc::kRcUp,
+      isa::RcSrc::kRcDown, isa::RcSrc::kImm};
+  isa::RcInstr i = random_rc(rng);
+  i.op = static_cast<isa::RcOp>(
+      1 + rng.next_below(static_cast<unsigned>(isa::RcOp::kCount) - 1));
+  i.src_a = kSrcs[rng.next_below(std::size(kSrcs))];
+  i.src_b = kSrcs[rng.next_below(std::size(kSrcs))];
+  i.srf = srf;
+  return i;
+}
+
+/// A random line whose slots pass the static hazard checks and cannot fault
+/// at runtime: LSU accesses use immediate addresses, LCU ops never touch
+/// the trip counter r3 (so the loop still fuses), and SRF entry `keep` is
+/// never written. Half the lines are quad, as in real loop bodies; lanes,
+/// shuffles and every side slot appear too.
+SlotLine light_line(Rng& rng, unsigned keep) {
+  for (;;) {
+    SlotLine l;
+    auto srf = [&rng] { return static_cast<std::uint8_t>(rng.next_below(8)); };
+    switch (rng.next_below(4)) {
+      case 0:
+        break;  // no RC
+      case 1:
+        for (auto& rc : l.rc) {
+          if (rng.next_below(2)) rc = light_rc(rng, srf());
+        }
+        break;
+      default:
+        l.rc.fill(light_rc(rng, srf()));
+        break;
+    }
+    switch (rng.next_below(7)) {
+      case 0: break;
+      case 1: l.lsu = lsu_ld_vwr(static_cast<VwrSel>(rng.next_below(3)),
+                                 rng.next_below(arch::kSpmRows)); break;
+      case 2: l.lsu = lsu_st_vwr(static_cast<VwrSel>(rng.next_below(3)),
+                                 rng.next_below(arch::kSpmRows)); break;
+      case 3: l.lsu = lsu_ld_srf(srf(), rng.next_below(arch::kSpmWords)); break;
+      case 4: l.lsu = lsu_st_srf(srf(), rng.next_below(arch::kSpmWords)); break;
+      default: l.lsu = lsu_shuf(static_cast<isa::ShufMode>(rng.next_below(8)));
+    }
+    if (rng.next_below(2)) l.mxcu = random_mxcu(rng);
+    switch (rng.next_below(6)) {
+      case 0:
+        l.lcu = lcu_set(static_cast<std::uint8_t>(rng.next_below(3)),
+                        static_cast<int>(rng.next_below(64)) - 32);
+        break;
+      case 1:
+        l.lcu = lcu_addr(static_cast<std::uint8_t>(rng.next_below(3)),
+                         static_cast<std::uint8_t>(rng.next_below(3)));
+        break;
+      case 2:
+        l.lcu = lcu_mv_srf(static_cast<std::uint8_t>(rng.next_below(3)), srf());
+        break;
+      case 3:
+        l.lcu = lcu_st_srf(srf(), static_cast<std::uint8_t>(rng.next_below(3)));
+        break;
+      default:
+        break;
+    }
+    bool writes_keep = l.lsu.op == isa::LsuOp::kLdSrf && l.lsu.srf_data == keep;
+    writes_keep |= l.mxcu.op == isa::MxcuOp::kStIdxSrf && l.mxcu.srf == keep;
+    writes_keep |= l.lcu.op == isa::LcuOp::kStSrf && l.lcu.srf == keep;
+    for (const auto& rc : l.rc) {
+      writes_keep |= rc.op != isa::RcOp::kNop && rc.dst == isa::RcDst::kSrf &&
+                     rc.srf == keep;
+    }
+    if (writes_keep) continue;
+    ProgramBuilder probe;
+    l.emit(probe);
+    probe.line().lcu(lcu_exit()).emit();
+    if (cgra::compile_trace(probe.build())->ok) return l;
+  }
+}
+
+/// A kernel around one DBNZ hardware loop whose body spans `body` lines
+/// (2..7: the back-edge spans 1..6 lines), with a few light lines before
+/// and after. Inside the body SRF[s] is written (MXCU st_idx_srf, so the
+/// value is a slice index), then read by a quad kSrf operand and, in a
+/// longer body, by an SRF-addressed row load -- both on every trip, after
+/// the write. An add_idx on the quad reader moves the index, so the value
+/// changes from trip to trip.
+isa::ColumnProgram loop_body_program(Rng& rng, unsigned body) {
+  const auto s = static_cast<std::uint8_t>(rng.next_below(8));
+  ProgramBuilder pb;
+  pb.line().lcu(lcu_set(3, 1 + static_cast<int>(rng.next_below(9)))).emit();
+  for (unsigned i = rng.next_below(3); i > 0; --i) light_line(rng, s).emit(pb);
+  std::vector<SlotLine> lines;
+  for (unsigned i = 0; i < body; ++i) lines.push_back(light_line(rng, s));
+  // Writer w, then quad reader q, then (bodies of 3+ lines) a row loader.
+  const unsigned tail = body >= 3 ? 1 : 0;
+  const unsigned w = rng.next_below(body - 1 - tail);
+  const unsigned q = w + 1 + rng.next_below(body - 1 - tail - w);
+  SlotLine& writer = lines[w];
+  writer = SlotLine{};
+  writer.mxcu.op = isa::MxcuOp::kStIdxSrf;
+  writer.mxcu.srf = s;
+  writer.rc.fill(rc_add(isa::RcDst::kR0, isa::RcSrc::kR0, isa::RcSrc::kVwrA));
+  SlotLine& reader = lines[q];
+  reader = SlotLine{};
+  reader.rc.fill(rc_add(isa::RcDst::kVwrB, isa::RcSrc::kSrf, isa::RcSrc::kVwrA, s));
+  reader.mxcu = mxcu_add_idx(1 + static_cast<int>(rng.next_below(7)));
+  if (tail != 0) {
+    // Row SRF[s] + imm stays inside the SPM: the index is below 32. The
+    // line's other SRF users move to entry s (reads) or go (writes, and the
+    // MXCU/LCU forms), since the port serves one entry per cycle.
+    SlotLine& loader = lines[q + 1 + rng.next_below(body - 1 - q)];
+    loader.lsu = lsu_ld_vwr_srf(VwrSel::C, s, static_cast<int>(rng.next_below(32)));
+    for (auto& rc : loader.rc) {
+      if (rc.dst == isa::RcDst::kVwrC || rc.dst == isa::RcDst::kSrf) {
+        rc = rc_nop();  // VWR C write port, SRF port
+      }
+      rc.srf = s;
+    }
+    loader.mxcu = mxcu_nop();
+    if (loader.lcu.op == isa::LcuOp::kMvSrf || loader.lcu.op == isa::LcuOp::kStSrf) {
+      loader.lcu = lcu_nop();
+    }
+  }
+  Label loop = pb.make_label();
+  pb.bind(loop);
+  for (unsigned i = 0; i < body; ++i) {
+    lines[i].emit(pb, i + 1 == body ? std::optional<Label>(loop) : std::nullopt);
+  }
+  for (unsigned i = rng.next_below(3); i > 0; --i) light_line(rng, s).emit(pb);
+  pb.line().lcu(lcu_exit()).emit();
+  return pb.build();
+}
+
+/// Multi-line fused bodies against the interpreter: the bound-body replay
+/// must re-read SRF operands every trip and keep each line's slot order,
+/// on one column and on two (decoupled or scheduled, and lockstep after a
+/// conflict rollback).
+TEST(TraceCacheFuzz, MultiLineLoopBodiesMatchInterpreter) {
+  Rng rng(0x100B);
+  unsigned clean = 0, long_fused = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t data_seed = rng.next_u64();
+    const unsigned body = 2 + rng.next_below(6);
+    const isa::ColumnProgram prog = loop_body_program(rng, body);
+    const auto trace = cgra::compile_trace(prog);
+    ASSERT_TRUE(trace->ok) << "trial " << trial << ": " << trace->bail_reason;
+    bool fused_long = false;
+    for (const auto& b : trace->blocks) {
+      if (b.fuse_self_loop && b.len >= 3) fused_long = true;
+    }
+    const bool two_cols = rng.next_below(2) == 1;
+    const isa::KernelImage img =
+        two_cols ? make_kernel2("body2", prog, prog) : make_kernel("body", 0, prog);
+
+    Rig ri(ExecMode::kInterpret);
+    Rig rt(ExecMode::kTraceCache);
+    ri.seed(Rng(data_seed));
+    rt.seed(Rng(data_seed));
+    const unsigned ki = ri.acc.register_kernel(img);
+    const unsigned kt = rt.acc.register_kernel(img);
+    std::string err_i, err_t;
+    for (int launch = 0; launch < 2; ++launch) {
+      try {
+        ri.acc.run_kernel(ki);
+      } catch (const SimError& e) {
+        err_i = e.what();
+      }
+      try {
+        rt.acc.run_kernel(kt);
+      } catch (const SimError& e) {
+        err_t = e.what();
+      }
+      ASSERT_EQ(err_i, err_t) << "trial " << trial;
+      expect_identical(ri, rt, "loop trial " + std::to_string(trial));
+      if (::testing::Test::HasFatalFailure()) return;
+      if (!err_i.empty()) break;
+    }
+    if (err_i.empty()) {
+      ++clean;
+      if (fused_long) ++long_fused;
+    }
+  }
+  // Hazard-light lines keep nearly every trial clean; five in six bodies
+  // span three or more lines.
+  EXPECT_GT(clean, 180u);
+  EXPECT_GT(long_fused, 140u);
 }
 
 // --- directed coverage -------------------------------------------------------
@@ -891,9 +1111,13 @@ TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
                                      (alias ? " aliased" : "");
             const auto trace = cgra::compile_trace(prog);
             ASSERT_TRUE(trace->ok) << what << ": " << trace->bail_reason;
+            // The quad op comes first; it carries an add_idx step itself,
+            // any other MXCU op follows as its own op.
             const cgra::tc::Line& line = trace->lines[1];
-            ASSERT_EQ(line.key, key) << what;
-            ASSERT_EQ(line.kind, cgra::tc::Line::Kind::kQuadFast) << what;
+            const isa::MxcuOp mx = quad_mxcu_for(key).op;
+            const bool folds = mx == isa::MxcuOp::kNop || mx == isa::MxcuOp::kAddIdx;
+            ASSERT_EQ(line.nops, folds ? 1u : 2u) << what;
+            ASSERT_EQ(trace->ops[line.op].id, key) << what;
             if (fused) {
               ASSERT_TRUE(trace->blocks[trace->block_of[1]].fuse_self_loop)
                   << what;
@@ -916,6 +1140,56 @@ TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
   }
   // 15 binary ops x 4 x 4 operand kinds + 3 unary ops x 4, x 3 destinations.
   EXPECT_EQ(covered, (15u * 4 * 4 + 3u * 4) * 3);
+}
+
+/// Catalog coverage: every column program a device loads to serve one
+/// MBioTracker window and one FIR -> energy -> rFFT pipeline window compiles,
+/// and every line replays through slot handlers -- none needs the staged
+/// evaluate/commit sequence kept for a real intra-line hazard.
+TEST(TraceCache, CatalogLinesTakeSlotHandlers) {
+  isa::ImageCache cache;
+  runtime::Device dev(0, cache, soc::ArchConfig{.exec_mode = ExecMode::kTraceCache});
+  Rng rng(31);
+  std::vector<std::int32_t> x(app::kWindow);
+  for (auto& v : x) v = fx::to_q16_15(rng.next_range(-0.4, 0.4));
+  const runtime::SharedBuffer window = runtime::make_buffer(x);
+  dev.run(runtime::Job{runtime::BioTrackerJob{app::Target::kCpuVwr2a, window}, ""}, 0);
+  dev.run(runtime::Job{runtime::PipelineJob{app::kWindow,
+                                            runtime::make_buffer(dsp::fir11_lowpass_q15()),
+                                            window},
+                       ""},
+          1);
+
+  const mem::ConfigMem& cm = dev.platform().vwr2a().config_mem();
+  unsigned programs = 0, lines = 0, staged = 0, quad = 0, multi_line_loops = 0;
+  for (unsigned k = 0; k < cm.size(); ++k) {
+    const isa::KernelImage& img = cm.kernel(k);
+    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
+      if (!isa::contains(img.columns, c)) continue;
+      const auto trace = cgra::compile_trace(img.program[c]);
+      ASSERT_TRUE(trace->ok) << img.name << ": " << trace->bail_reason;
+      ++programs;
+      for (const cgra::tc::Line& line : trace->lines) {
+        ++lines;
+        for (unsigned i = line.op; i < line.op + line.nops; ++i) {
+          const unsigned id = trace->ops[i].id;
+          ASSERT_LT(id, cgra::tc::kOps) << img.name;
+          if (id == cgra::tc::kOpShufStage) ++staged;
+          if (id < cgra::tc::kQuadKeys) ++quad;
+        }
+      }
+      for (const cgra::tc::Block& b : trace->blocks) {
+        if (b.fuse_self_loop && b.len > 1) ++multi_line_loops;
+      }
+    }
+  }
+  // 34 programs, 903 lines, 295 quad ops and 31 multi-line hardware loops
+  // today; the floors only guard against the walk going vacuous.
+  EXPECT_GE(programs, 30u);
+  EXPECT_GE(lines, 800u);
+  EXPECT_GE(quad, 250u);
+  EXPECT_GE(multi_line_loops, 25u);
+  EXPECT_EQ(staged, 0u);  // lines left on an evaluate/commit path
 }
 
 TEST(TraceCache, StaticHazardBailsToInterpreterWithSameFault) {
