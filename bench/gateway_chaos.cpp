@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/codec.hpp"
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
 #include "obs/metrics.hpp"
@@ -41,8 +42,6 @@ int main() {
   constexpr unsigned kClients = 32;
   constexpr unsigned kWindowsPerClient = 6;
   constexpr unsigned kChunk = 256;  // push granularity (samples)
-  constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   const unsigned kVictimA = 3;  // killed, later revived
   const unsigned kVictimB = 7;  // killed, stays dead
 
@@ -117,7 +116,7 @@ int main() {
               ++windows[i];
               for (std::int32_t w : r.output) {
                 hash[i] =
-                    (hash[i] ^ static_cast<std::uint32_t>(w)) * kFnvPrime;
+                    codec::fnv1a_word(hash[i], static_cast<std::uint32_t>(w));
               }
               if (latency_us != nullptr && r.index < pushed.size()) {
                 latency_us->record(static_cast<std::uint64_t>(
@@ -162,7 +161,7 @@ int main() {
   obs::set_metrics(true);
   obs::Histogram& lat_us =
       obs::Registry::get().histogram("bench.chaos_e2e_us");
-  std::vector<std::uint64_t> chaos_hash(kClients, kFnvOffset);
+  std::vector<std::uint64_t> chaos_hash(kClients, codec::kFnvBasis);
   std::vector<std::uint64_t> chaos_windows(kClients, 0);
   std::atomic<bool> chaos_ordered{true};
   std::atomic<std::uint64_t> chaos_failed{0}, chaos_dropped{0};
@@ -172,7 +171,7 @@ int main() {
                   chaos_failed, chaos_dropped, chaos_fleet, &lat_us);
 
   // --- fault-free reference (identical fleet, identical workload) -------------
-  std::vector<std::uint64_t> ref_hash(kClients, kFnvOffset);
+  std::vector<std::uint64_t> ref_hash(kClients, codec::kFnvBasis);
   std::vector<std::uint64_t> ref_windows(kClients, 0);
   std::atomic<bool> ref_ordered{true};
   std::atomic<std::uint64_t> ref_failed{0}, ref_dropped{0};

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/codec.hpp"
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
 #include "obs/capture.hpp"
@@ -50,8 +51,6 @@ int main() {
   constexpr unsigned kClients = 64;
   constexpr unsigned kWindowsPerClient = 6;
   constexpr unsigned kChunk = 256;  // push granularity (samples)
-  constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
   // Fixed per-tenant streams (even: whole-app bio; odd: feature pipeline).
   std::vector<std::vector<std::int32_t>> streams;
@@ -89,7 +88,7 @@ int main() {
   if (journal_path != nullptr) obs::set_spans(true);
 
   // --- gateway run ------------------------------------------------------------
-  std::vector<std::uint64_t> gw_hash(kClients, kFnvOffset);
+  std::vector<std::uint64_t> gw_hash(kClients, codec::kFnvBasis);
   std::vector<std::uint64_t> gw_windows(kClients, 0);
   std::atomic<bool> ordered{true};
   std::vector<double> latencies_ms;  // merged after the threads join
@@ -122,8 +121,8 @@ int main() {
               if (r.index != gw_windows[i]) ordered = false;
               ++gw_windows[i];
               for (std::int32_t w : r.output) {
-                gw_hash[i] =
-                    (gw_hash[i] ^ static_cast<std::uint32_t>(w)) * kFnvPrime;
+                gw_hash[i] = codec::fnv1a_word(
+                    gw_hash[i], static_cast<std::uint32_t>(w));
               }
               if (r.index < pushed.size()) {
                 per_client_lat[i].push_back(
@@ -201,7 +200,7 @@ int main() {
   };
 
   // --- direct run (same fleet, no wire) ---------------------------------------
-  std::vector<std::uint64_t> direct_hash(kClients, kFnvOffset);
+  std::vector<std::uint64_t> direct_hash(kClients, codec::kFnvBasis);
   std::vector<std::uint64_t> direct_windows(kClients, 0);
   double direct_wall_s = 0.0;
   {
@@ -216,8 +215,8 @@ int main() {
                     const stream::WindowResult& r) {
             ++direct_windows[i];
             for (std::int32_t w : r.job.output) {
-              direct_hash[i] =
-                  (direct_hash[i] ^ static_cast<std::uint32_t>(w)) * kFnvPrime;
+              direct_hash[i] = codec::fnv1a_word(
+                  direct_hash[i], static_cast<std::uint32_t>(w));
             }
           }));
     }

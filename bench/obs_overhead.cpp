@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/codec.hpp"
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
 #include "stream/server.hpp"
@@ -75,7 +76,7 @@ int main() {
     gateway::Server server(cfg);
     gateway::Client client(server.connect_loopback());
 
-    std::vector<std::uint64_t> hashes(streams.size(), 1469598103934665603ull);
+    std::vector<std::uint64_t> hashes(streams.size(), codec::kFnvBasis);
     std::vector<std::uint32_t> sids;
     for (unsigned i = 0; i < streams.size(); ++i) {
       gateway::Client::StreamOpts opts;
@@ -85,7 +86,7 @@ int main() {
           opts, [&hashes, i](const gateway::WindowResult& wr) {
             std::uint64_t& h = hashes[i];
             for (std::int32_t w : wr.output) {
-              h = (h ^ static_cast<std::uint32_t>(w)) * 1099511628211ull;
+              h = codec::fnv1a_word(h, static_cast<std::uint32_t>(w));
             }
           }));
     }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/codec.hpp"
 #include "runtime/device.hpp"
 #include "runtime/pool.hpp"
 
@@ -63,7 +64,7 @@ int main() {
   struct Run {
     runtime::FleetStats stats;
     runtime::ReplayStats replay;
-    std::uint64_t output_hash = 1469598103934665603ull;  // FNV-1a
+    std::uint64_t output_hash = codec::kFnvBasis;  // FNV-1a
     double sys_pj_total = 0.0;
     Cycle job_cycles = 0;
     double wall_s = 0.0;
@@ -82,7 +83,7 @@ int main() {
       const runtime::JobResult jr = h.get();
       for (std::int32_t w : jr.output) {
         r.output_hash =
-            (r.output_hash ^ static_cast<std::uint32_t>(w)) * 1099511628211ull;
+            codec::fnv1a_word(r.output_hash, static_cast<std::uint32_t>(w));
       }
       r.job_cycles += jr.cost.vwr2a_cycles;
       r.sys_pj_total += jr.cost.total_pj();
@@ -183,7 +184,7 @@ int main() {
           runtime::Job{runtime::CfftJob{kFftN, fft_inputs[j % 6]}, ""}, j);
       for (std::int32_t w : jr.output) {
         r.output_hash =
-            (r.output_hash ^ static_cast<std::uint32_t>(w)) * 1099511628211ull;
+            codec::fnv1a_word(r.output_hash, static_cast<std::uint32_t>(w));
       }
       r.job_cycles += jr.cost.vwr2a_cycles;
       r.sys_pj_total += jr.cost.total_pj();

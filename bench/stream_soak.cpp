@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/codec.hpp"
 #include "stream/server.hpp"
 
 int main() {
@@ -74,7 +75,7 @@ int main() {
     // One shared taps buffer across every pipeline tenant: cross-job dedup
     // stages it once per device per residency interval.
     const auto taps = runtime::make_buffer(dsp::fir11_lowpass_q15());
-    std::vector<std::uint64_t> hashes(streams.size(), 1469598103934665603ull);
+    std::vector<std::uint64_t> hashes(streams.size(), codec::kFnvBasis);
     std::vector<stream::Session*> sessions;
     for (unsigned i = 0; i < streams.size(); ++i) {
       stream::SessionConfig scfg;
@@ -86,7 +87,7 @@ int main() {
           &server.open_session(scfg, [&hashes](const stream::WindowResult& r) {
             std::uint64_t& h = hashes[r.session];
             for (std::int32_t w : r.job.output) {
-              h = (h ^ static_cast<std::uint32_t>(w)) * 1099511628211ull;
+              h = codec::fnv1a_word(h, static_cast<std::uint32_t>(w));
             }
           }));
     }

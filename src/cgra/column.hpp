@@ -114,8 +114,8 @@ class Column {
   /// replays its whole trip count). Returns the cycles executed; clears
   /// running() at EXIT. Throws tc::ReplayBudgetExceeded when a fused loop
   /// alone would exceed `budget_left`. The caller brackets a sequence of
-  /// these with begin_traced()/end_traced(); the sync scheduler and the
-  /// fleet batch replayer drive free stretches through this entry point.
+  /// these with begin_traced()/end_traced(); the sync scheduler drives free
+  /// stretches through this entry point.
   Cycle step_block_traced(Cycle budget_left);
 
   /// SPM rows this column read / wrote during the last replay, across both

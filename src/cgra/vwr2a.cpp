@@ -1,6 +1,6 @@
 #include "cgra/vwr2a.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/status.hpp"
 
@@ -320,224 +320,5 @@ void Vwr2a::run_kernel_traced() {
     run_interpreted();
   }
 }
-
-namespace tc {
-
-bool BatchReplayer::identity(const Vwr2a& dev, unsigned kernel_id,
-                             std::array<const void*, arch::kNumColumns>& key) {
-  key.fill(nullptr);
-  if (dev.exec_mode_ != ExecMode::kTraceCache || dev.tracer_ != nullptr ||
-      dev.replay_lockstep_only_) {
-    return false;
-  }
-  if (kernel_id >= dev.kernel_rt_.size()) return false;  // cold: never launched
-  const Vwr2a::KernelRuntime& rt = dev.kernel_rt_[kernel_id];
-  if (!rt.plan_ready || rt.lockstep_hint ||
-      rt.plan.mode != SyncPlan::Mode::kDecoupled) {
-    return false;
-  }
-  bool any = false;
-  for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-    if (rt.trace[c] == nullptr) continue;  // column idle for this kernel
-    if (!rt.trace[c]->ok) return false;    // interpreter-only program
-    key[c] = rt.trace[c].get();
-    any = true;
-  }
-  return any;
-}
-
-namespace {
-
-/// Per-lane batch state: the device plus the rollback checkpoint taken
-/// right after start_kernel (same snapshot the scalar path takes).
-struct BatchLane {
-  Vwr2a* dev = nullptr;
-  std::array<Column::Checkpoint, arch::kNumColumns> ck{};
-  energy::EnergyMeter meter_ck;
-  std::array<bool, arch::kNumColumns> occ{};
-  std::array<Cycle, arch::kNumColumns> cycles{};
-  bool scalar = false;  ///< detached: finishes through the scalar ladder
-};
-
-} // namespace
-
-void BatchReplayer::run(Vwr2a* const* devs, const unsigned* kids,
-                        std::size_t n) {
-  if (n == 0) return;
-  std::vector<BatchLane> lanes(n);
-  auto lane_rollback = [](BatchLane& lane) {
-    Vwr2a& d = *lane.dev;
-    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-      if (lane.occ[c]) d.column(c).restore_state(lane.ck[c]);
-    }
-    d.meter_ = lane.meter_ck;
-    for (unsigned row = 0; row < arch::kSpmRows; ++row) {
-      if ((d.undo_->saved_mask >> row) & 1u) {
-        d.spm_.trace_restore_row(row, d.undo_->rows[row],
-                                 d.undo_->versions[row]);
-      }
-    }
-    d.spm_.trace_restore_write_gen(d.undo_->write_gen);
-    d.undo_->reset(d.spm_.write_gen());
-  };
-  // Completes one started lane through the standard scalar ladder -- the
-  // exact tail of Vwr2a::run_kernel after start_kernel(), so a detached
-  // lane's outcome is indistinguishable from never having been batched.
-  auto lane_finish_scalar = [](Vwr2a& d) {
-    d.run_kernel_traced();
-    d.meter_.add(Event::kIrq);
-    d.advance(kIrqCycles);
-    ++d.launches_;
-  };
-  // Start every lane: per-device configuration-load / launch-cycle
-  // accounting is exactly the scalar sequence, then checkpoint for rollback.
-  for (std::size_t i = 0; i < n; ++i) {
-    BatchLane& lane = lanes[i];
-    lane.dev = devs[i];
-    Vwr2a& d = *lane.dev;
-    d.start_kernel(kids[i]);
-    if (d.undo_ == nullptr) d.undo_ = std::make_unique_for_overwrite<SpmUndo>();
-    d.undo_->reset(d.spm_.write_gen());
-    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-      lane.occ[c] = d.column(c).running();
-      if (lane.occ[c]) d.column(c).save_state(lane.ck[c]);
-    }
-    lane.meter_ck = d.meter_;
-  }
-  // Homogeneity: every lane must replay the identical trace pair. The
-  // caller checked identity() before dispatching; re-verify against lane 0
-  // (reloads in start_kernel recompute plans) and detach mismatches.
-  std::array<const void*, arch::kNumColumns> key0{};
-  const bool elig0 = identity(*devs[0], kids[0], key0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::array<const void*, arch::kNumColumns> k{};
-    if (!elig0 || !identity(*devs[i], kids[i], k) || k != key0) {
-      lanes[i].scalar = true;
-    }
-  }
-
-  // Batched decoupled replay, column-major like the scalar path (column 0
-  // free-runs to EXIT, then column 1). Within a column the lanes advance
-  // block-lockstep: one superblock dispatch drives every aligned device
-  // back to back, per-device trip counts included. A lane that takes a
-  // different branch than the others drops to a scalar block-replay tail
-  // (same engine, just not shared dispatch); a lane that faults or blows
-  // its budget rolls back and detaches to the scalar ladder.
-  for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-    std::vector<std::size_t> live;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!lanes[i].scalar && lanes[i].occ[c]) {
-        devs[i]->column(c).begin_traced(devs[i]->undo_.get());
-        live.push_back(i);
-      }
-    }
-    auto budget_of = [&](const BatchLane& lane) {
-      return (lane.occ[0] && lane.occ[1]) ? kReplayBudget : ~Cycle{0};
-    };
-    auto fault = [&](std::size_t i) {
-      lane_rollback(lanes[i]);
-      lanes[i].scalar = true;
-    };
-    // Block-lockstep phase: all running lanes share one pc.
-    bool aligned = true;
-    while (aligned) {
-      // Prune lanes whose column exited.
-      std::vector<std::size_t> run;
-      for (std::size_t i : live) {
-        if (devs[i]->column(c).running()) run.push_back(i);
-      }
-      live = run;
-      if (live.empty()) break;
-      const unsigned pc0 = devs[live[0]]->column(c).pc();
-      for (std::size_t i : live) {
-        if (devs[i]->column(c).pc() != pc0) aligned = false;
-      }
-      if (!aligned) break;
-      std::vector<std::size_t> keep;
-      for (std::size_t i : live) {
-        BatchLane& lane = lanes[i];
-        const Cycle budget = budget_of(lane);
-        try {
-          if (lane.cycles[c] > budget) throw ReplayBudgetExceeded{};
-          lane.cycles[c] +=
-              devs[i]->column(c).step_block_traced(budget - lane.cycles[c]);
-          keep.push_back(i);
-        } catch (...) {
-          fault(i);
-        }
-      }
-      live = keep;
-    }
-    // Scalar tails for lanes that diverged: finish this column block by
-    // block on the same engine.
-    for (std::size_t i : live) {
-      BatchLane& lane = lanes[i];
-      Column& col = devs[i]->column(c);
-      const Cycle budget = budget_of(lane);
-      try {
-        while (col.running()) {
-          if (lane.cycles[c] > budget) throw ReplayBudgetExceeded{};
-          lane.cycles[c] += col.step_block_traced(budget - lane.cycles[c]);
-        }
-      } catch (...) {
-        fault(i);
-      }
-    }
-  }
-
-  // Per-lane epilogue: close the replay, run the post-hoc conflict check,
-  // commit cycles and counters -- the same sequence the scalar decoupled
-  // path performs, one lane at a time.
-  for (std::size_t i = 0; i < n; ++i) {
-    BatchLane& lane = lanes[i];
-    if (lane.scalar) continue;
-    Vwr2a& d = *lane.dev;
-    for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-      if (lane.occ[c]) d.column(c).end_traced();
-    }
-    bool conflict = false;
-    if (lane.occ[0] && lane.occ[1]) {
-      const std::uint64_t t0r = d.col0_.spm_read_mask();
-      const std::uint64_t t0w = d.col0_.spm_write_mask();
-      const std::uint64_t t1r = d.col1_.spm_read_mask();
-      const std::uint64_t t1w = d.col1_.spm_write_mask();
-      conflict = ((d.col0_.spm_free_write_mask() & (t1r | t1w)) |
-                  (d.col1_.spm_free_write_mask() & (t0r | t0w)) |
-                  (d.col0_.spm_free_read_mask() & t1w) |
-                  (d.col1_.spm_free_read_mask() & t0w)) != 0;
-    }
-    if (conflict) {
-      // Roll back and rerun through the scalar ladder, which re-detects the
-      // conflict, counts the rollback, and takes per-cycle lockstep --
-      // identical outcome to a scalar launch.
-      lane_rollback(lane);
-      lane.scalar = true;
-      continue;
-    }
-    d.replayed_decoupled_ += lane.cycles[0] + lane.cycles[1];
-    d.advance(std::max(lane.cycles[0], lane.cycles[1]));
-    ++d.traced_launches_;
-    ++d.batched_launches_;
-    d.meter_.add(Event::kIrq);
-    d.advance(kIrqCycles);
-    ++d.launches_;
-  }
-  // Detached lanes finish through the scalar ladder. A faulting lane's
-  // exception (the interpreter surfacing a documented fault with exact
-  // partial state) is deferred until every other lane has completed, so one
-  // bad lane never leaves its batch peers half-run.
-  std::exception_ptr first_fault;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!lanes[i].scalar) continue;
-    try {
-      lane_finish_scalar(*lanes[i].dev);
-    } catch (...) {
-      if (first_fault == nullptr) first_fault = std::current_exception();
-    }
-  }
-  if (first_fault != nullptr) std::rethrow_exception(first_fault);
-}
-
-} // namespace tc
 
 } // namespace vwr2a::cgra

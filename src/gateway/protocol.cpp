@@ -139,8 +139,6 @@ Stats read_stats(Reader& r) {
   f.checkpoints_restored = r.u64();
   f.traced_launches = r.u64();
   f.traced_rollbacks = r.u64();
-  f.batched_launches = r.u64();
-  f.jobs_batched = r.u64();
   f.replay_decoupled_cycles = r.u64();
   f.replay_lockstep_cycles = r.u64();
   f.replay_interpreted_cycles = r.u64();
@@ -166,8 +164,6 @@ void put_stats(std::vector<std::uint8_t>& out, const Stats& v) {
   put_u64(out, v.checkpoints_restored);
   put_u64(out, v.traced_launches);
   put_u64(out, v.traced_rollbacks);
-  put_u64(out, v.batched_launches);
-  put_u64(out, v.jobs_batched);
   put_u64(out, v.replay_decoupled_cycles);
   put_u64(out, v.replay_lockstep_cycles);
   put_u64(out, v.replay_interpreted_cycles);

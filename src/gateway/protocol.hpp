@@ -36,7 +36,7 @@ namespace vwr2a::gateway {
 /// + per-device and per-session load arrays), the router-tier feed that
 /// replaces polling.
 /// v5: STATS gained the replay-engine fields (traced_launches,
-/// traced_rollbacks, batched_launches, jobs_batched, and the per-tier
+/// traced_rollbacks, two fleet-batch counters, and the per-tier
 /// replayed-cycle / sync-point counters) -- which execution tier the
 /// fleet's accelerator work actually ran on.
 /// v6: WINDOW_RESULT gained the server-side span breakdown (queue_ns,
@@ -46,7 +46,9 @@ namespace vwr2a::gateway {
 /// obs spans enabled.
 /// v7: STATS dropped the three v2 warm-start fields, along with the
 /// prebuilt kernel cache they reported on.
-inline constexpr std::uint8_t kProtocolVersion = 7;
+/// v8: STATS dropped the two v5 fleet-batch counters, along with the
+/// fleet-batched dispatch they reported on.
+inline constexpr std::uint8_t kProtocolVersion = 8;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -177,15 +179,12 @@ struct Stats {
   std::uint64_t jobs_rescued = 0;
   std::uint64_t checkpoints_restored = 0;
   /// Replay-engine telemetry (v5): launches replayed from compiled traces,
-  /// replays rolled back by cross-column SPM conflicts, launches executed
-  /// through the fleet batch replayer (and jobs dispatched in SIMD-over-
-  /// devices groups), plus per-tier column-cycle counters -- decoupled
-  /// free-run vs lockstep vs interpreter -- and the sync-block count of
-  /// scheduled replays. Work pinned to the slow tiers is visible here.
+  /// replays rolled back by cross-column SPM conflicts, plus per-tier
+  /// column-cycle counters -- decoupled free-run vs lockstep vs
+  /// interpreter -- and the sync-block count of scheduled replays. Work
+  /// pinned to the slow tiers is visible here.
   std::uint64_t traced_launches = 0;
   std::uint64_t traced_rollbacks = 0;
-  std::uint64_t batched_launches = 0;
-  std::uint64_t jobs_batched = 0;
   std::uint64_t replay_decoupled_cycles = 0;
   std::uint64_t replay_lockstep_cycles = 0;
   std::uint64_t replay_interpreted_cycles = 0;

@@ -112,12 +112,15 @@ unsigned FirKernels::kernel_for_rows(unsigned nrows) {
   return static_cast<unsigned>(kernels_[nrows]);
 }
 
-unsigned FirKernels::fir11_begin(unsigned n,
-                                 const std::vector<std::int32_t>& taps,
-                                 unsigned sys_in, bool taps_resident) {
+FirRunStats FirKernels::fir11(unsigned n, const std::vector<std::int32_t>& taps,
+                              unsigned sys_in, unsigned sys_out,
+                              bool taps_resident) {
   if (!prepared_) throw HostError("FirKernels: prepare() not called");
   if (taps.size() != kFirTaps) throw HostError("FirKernels: need 11 taps");
   if (n == 0 || n > 12 * kFirOutsPerRow) throw HostError("FirKernels: bad n");
+
+  FirRunStats stats;
+  const Cycle t0 = host_.acc().cycles();
 
   // Tap constants live next to the zero block; place and stage them, unless
   // the caller proved the staged copy is still resident.
@@ -148,14 +151,13 @@ unsigned FirKernels::fir11_begin(unsigned n,
     }
   }
 
-  // Launch parameters for both columns (column c starts at staged row c).
+  // Launch both columns (column c starts at staged row c).
   host_.srf(0, 0, 0);
   host_.srf(1, 0, 1);
-  return kernel_for_rows(rows);
-}
+  host_.run(kernel_for_rows(rows));
+  ++stats.launches;
 
-void FirKernels::fir11_finish(unsigned n, unsigned sys_out) {
-  const unsigned rows = (n + kFirOutsPerRow - 1) / kFirOutsPerRow;
+  // Copy the valid outputs back.
   for (unsigned r = 0; r < rows; ++r) {
     for (unsigned j = 0; j < 4; ++j) {
       const unsigned o = kFirOutsPerSlice * (4 * r + j);
@@ -165,16 +167,6 @@ void FirKernels::fir11_finish(unsigned n, unsigned sys_out) {
                  cnt, 1, 1});
     }
   }
-}
-
-FirRunStats FirKernels::fir11(unsigned n, const std::vector<std::int32_t>& taps,
-                              unsigned sys_in, unsigned sys_out,
-                              bool taps_resident) {
-  FirRunStats stats;
-  const Cycle t0 = host_.acc().cycles();
-  host_.run(fir11_begin(n, taps, sys_in, taps_resident));
-  ++stats.launches;
-  fir11_finish(n, sys_out);
   stats.cycles = host_.acc().cycles() - t0;
   return stats;
 }

@@ -68,20 +68,6 @@ class FirKernels {
                     unsigned sys_in, unsigned sys_out,
                     bool taps_resident = false);
 
-  /// The launch-free prefix of fir11: validates, stages the taps and the
-  /// overlapped input windows, writes the SRF parameters, and returns the
-  /// kernel id ready to run -- everything up to (but not including) the
-  /// kernel launch. The fleet batch path uses this to bring N devices to
-  /// the launch point, replay them together, then finish each with
-  /// fir11_finish; fir11() itself is begin + run + finish.
-  unsigned fir11_begin(unsigned n, const std::vector<std::int32_t>& taps,
-                       unsigned sys_in, bool taps_resident = false);
-
-  /// The post-launch suffix of fir11: DMAs the n valid outputs back to
-  /// sys_out. Only valid after the kernel returned by fir11_begin(n, ...)
-  /// ran to completion.
-  void fir11_finish(unsigned n, unsigned sys_out);
-
  private:
   unsigned kernel_for_rows(unsigned nrows);
 

@@ -1,7 +1,6 @@
 #include "runtime/device.hpp"
 
 #include <algorithm>
-#include <array>
 #include <span>
 
 #include "common/fixed_point.hpp"
@@ -112,138 +111,11 @@ void Device::stage_rows(const SharedBuffer& buf) {
   staged_version_ = spm.region_version(0, nrows);
 }
 
-unsigned Device::fir_begin(const FirJob& job, unsigned& out_word) {
-  if (job.taps == nullptr || job.input == nullptr) {
-    throw HostError("Device: FIR job with null buffers");
-  }
-  if (job.input->size() != job.n) {
-    throw HostError("Device: FIR job input size != n");
-  }
-  const unsigned in = data_base_;
-  out_word = data_base_ + job.n;
-  check_sys_fit(out_word + job.n);
-  host_.to_sram(in, *job.input);
-  ++stagings_;
-  mem::Spm& spm = platform_.vwr2a().spm();
-  const bool resident = opts_.dedup && staged_taps_ == job.taps &&
-                        spm.row_version(kernels::kFirTapRow) == taps_version_;
-  const unsigned kid = fir_.fir11_begin(job.n, *job.taps, in, resident);
-  if (!resident) {
-    obs::instant("device.stage", 0, id_, job.taps->size());
-    ++stagings_;
-    staged_taps_ = job.taps;
-    taps_version_ = spm.row_version(kernels::kFirTapRow);
-  }
-  return kid;
-}
-
-void Device::run_fir_group(Device* const* devs, const Job* const* jobs,
-                           const std::uint64_t* seqs, std::size_t n,
-                           std::vector<JobResult>& results,
-                           std::vector<std::exception_ptr>& errors) {
-  results.assign(n, JobResult{});
-  errors.assign(n, nullptr);
-  obs::Span span("device.run_group", 0, static_cast<std::uint64_t>(n));
-
-  std::vector<soc::Platform::Snapshot> before(n);
-  std::vector<unsigned> kid(n, 0);
-  std::vector<unsigned> out(n, 0);
-  std::vector<std::uint64_t> stg0(n, 0);
-  std::vector<char> live(n, 0);
-
-  // Phase 1: bring every lane to the launch point (validation + staging are
-  // device-local and precede any launch, exactly as in the scalar path). A
-  // malformed job fails only its own lane -- validation throws before the
-  // device is touched.
-  for (std::size_t i = 0; i < n; ++i) {
-    Device& d = *devs[i];
-    before[i] = d.snapshot();
-    stg0[i] = d.stagings_;
-    try {
-      const FirJob* fj = std::get_if<FirJob>(&jobs[i]->work);
-      if (fj == nullptr) throw HostError("Device: non-FIR job in a FIR group");
-      kid[i] = d.fir_begin(*fj, out[i]);
-      live[i] = 1;
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  }
-
-  // Phase 2: launch. Lanes whose device is warm on this kernel's compiled
-  // decoupled trace replay together; the rest (cold caches, interpret-mode
-  // devices, attached tracers, lockstep plans) launch scalar. The batch
-  // replayer re-verifies homogeneity against its lane 0 and peels any
-  // divergent lane off to an exact scalar replay, so eligibility here is a
-  // throughput decision, never a correctness one.
-  std::vector<cgra::Vwr2a*> batch;
-  std::vector<unsigned> batch_kid;
-  std::vector<std::size_t> batch_lane;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!live[i]) continue;
-    Device& d = *devs[i];
-    cgra::Vwr2a& acc = d.platform_.vwr2a();
-    std::array<const void*, arch::kNumColumns> key;
-    if (cgra::tc::BatchReplayer::identity(acc, kid[i], key)) {
-      d.host_.charge_control();  // the host cost host_.run would charge
-      batch.push_back(&acc);
-      batch_kid.push_back(kid[i]);
-      batch_lane.push_back(i);
-    } else {
-      try {
-        d.host_.run(kid[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        live[i] = 0;
-      }
-    }
-  }
-  if (!batch.empty()) {
-    try {
-      cgra::tc::BatchReplayer::run(batch.data(), batch_kid.data(),
-                                   batch.size());
-    } catch (...) {
-      // A replay fault escaping the batch (impossible for the shipped FIR
-      // programs, which the identity fuzz covers; defensive): the replayer
-      // finished or rolled back every lane before rethrowing, but lane
-      // attribution is lost -- fail the batched lanes rather than guess.
-      for (std::size_t i : batch_lane) {
-        errors[i] = std::current_exception();
-        live[i] = 0;
-      }
-    }
-  }
-
-  // Phase 3: per-lane epilogue (output DMAs, result assembly, bookkeeping),
-  // device-local again.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!live[i]) continue;
-    Device& d = *devs[i];
-    try {
-      const FirJob& fj = std::get<FirJob>(jobs[i]->work);
-      d.fir_.fir11_finish(fj.n, out[i]);
-      JobResult r;
-      r.launches = 1;
-      r.output = d.host_.from_sram(out[i], fj.n);
-      r.cost = soc::Platform::delta(before[i], d.snapshot());
-      r.device = d.id_;
-      r.seq = seqs[i];
-      r.tag = jobs[i]->tag;
-      ++d.jobs_;
-      obs::instant("device.run", jobs[i]->trace_id, d.id_,
-                   r.cost.total_cycles(), d.stagings_ - stg0[i]);
-      results[i] = std::move(r);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  }
-}
-
 ReplayStats Device::replay_stats() const {
   const cgra::Vwr2a& acc = platform_.vwr2a();
   ReplayStats r;
   r.traced_launches = acc.traced_launches();
   r.traced_rollbacks = acc.traced_rollbacks();
-  r.batched_launches = acc.batched_launches();
   r.decoupled_cycles = acc.replayed_decoupled_cycles();
   r.lockstep_cycles = acc.replayed_lockstep_cycles();
   r.interpreted_cycles = acc.interpreted_cycles();

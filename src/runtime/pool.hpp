@@ -131,16 +131,10 @@ struct FleetStats {
   // (lockstep, interpreter) shows up here long before a profiler would.
   std::uint64_t traced_launches = 0;   ///< launches replayed from traces
   std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
-  std::uint64_t batched_launches = 0;  ///< launches via the fleet batch replayer
   std::uint64_t replay_decoupled_cycles = 0;    ///< free-running replay work
   std::uint64_t replay_lockstep_cycles = 0;     ///< lockstep replay work
   std::uint64_t replay_interpreted_cycles = 0;  ///< interpreter work
   std::uint64_t replay_sync_points = 0;  ///< sync blocks run by scheduled replay
-  // Fleet-batch dispatch picture (pool side): SIMD-over-devices groups the
-  // workers formed, and the jobs that rode in them (batched or not, a
-  // grouped job's cost is identical to scalar dispatch).
-  std::uint64_t batch_groups = 0;
-  std::uint64_t jobs_batched = 0;
 
   double total_uj() const { return total_pj * 1e-6; }
   double sim_seconds() const {
@@ -179,17 +173,6 @@ class DevicePool {
     /// Scripted device faults, evaluated against the fleet's completed-job
     /// count at batch boundaries. Empty (the default): no injected faults.
     FaultPlan faults;
-    /// SIMD-over-devices dispatch: a worker claiming a trace-mode device
-    /// whose next job is a FIR also claims other idle devices of the same
-    /// variant whose next job is a same-shape FIR, and runs one job from
-    /// each through a single batched trace replay (Device::run_fir_group).
-    /// Every result stays bit/cycle/energy-identical to scalar dispatch
-    /// (the batch replayer is exact and peels divergent lanes off to
-    /// scalar), and each device still consumes its own queue in order, so
-    /// placement determinism is untouched; only host throughput -- and the
-    /// batch_groups/batched_launches telemetry, which depends on which
-    /// devices happened to be idle -- varies with worker timing.
-    bool fleet_batch = true;
   };
 
   DevicePool() : DevicePool(Config()) {}
@@ -307,13 +290,6 @@ class DevicePool {
   };
 
   void worker_loop();
-  /// Runs one FIR job from each device of `group` (indices into devices_,
-  /// primary first, all claimed by this worker) as a single fleet-batched
-  /// dispatch, then releases the claims. Mirrors the scalar chunk path's
-  /// bookkeeping exactly (estimator samples, telemetry caches, fault
-  /// completion). Enters with mu_ held, returns with mu_ held.
-  void run_group(std::unique_lock<std::mutex>& lock,
-                 const std::vector<std::size_t>& group);
   /// Refreshes one device's batch-boundary telemetry cache and bumps the
   /// fleet replay obs:: counters by the delta since the previous cache.
   /// Caller holds mu_ and still owns the device's claim.
@@ -389,10 +365,6 @@ class DevicePool {
   std::uint64_t jobs_rescued_ = 0;
   std::uint64_t ckpt_taken_ = 0;
   std::uint64_t ckpt_restored_ = 0;
-
-  // Fleet-batch bookkeeping (guarded by mu_).
-  std::uint64_t batch_groups_ = 0;
-  std::uint64_t jobs_batched_ = 0;
 };
 
 } // namespace vwr2a::runtime

@@ -517,8 +517,6 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   st.checkpoints_restored = 5;
   st.traced_launches = 11;
   st.traced_rollbacks = 12;
-  st.batched_launches = 13;
-  st.jobs_batched = 14;
   st.replay_decoupled_cycles = 15;
   st.replay_lockstep_cycles = 16;
   st.replay_interpreted_cycles = 17;
@@ -548,8 +546,6 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   EXPECT_EQ(got->checkpoints_restored, st.checkpoints_restored);
   EXPECT_EQ(got->traced_launches, st.traced_launches);
   EXPECT_EQ(got->traced_rollbacks, st.traced_rollbacks);
-  EXPECT_EQ(got->batched_launches, st.batched_launches);
-  EXPECT_EQ(got->jobs_batched, st.jobs_batched);
   EXPECT_EQ(got->replay_decoupled_cycles, st.replay_decoupled_cycles);
   EXPECT_EQ(got->replay_lockstep_cycles, st.replay_lockstep_cycles);
   EXPECT_EQ(got->replay_interpreted_cycles, st.replay_interpreted_cycles);

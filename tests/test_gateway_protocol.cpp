@@ -50,8 +50,6 @@ Stats random_stats(Rng& rng) {
   f.checkpoints_restored = rng.next_u64();
   f.traced_launches = rng.next_u64();
   f.traced_rollbacks = rng.next_u64();
-  f.batched_launches = rng.next_u64();
-  f.jobs_batched = rng.next_u64();
   f.replay_decoupled_cycles = rng.next_u64();
   f.replay_lockstep_cycles = rng.next_u64();
   f.replay_interpreted_cycles = rng.next_u64();
@@ -169,8 +167,6 @@ bool stats_equal(const Stats& x, const Stats& y) {
          x.checkpoints_restored == y.checkpoints_restored &&
          x.traced_launches == y.traced_launches &&
          x.traced_rollbacks == y.traced_rollbacks &&
-         x.batched_launches == y.batched_launches &&
-         x.jobs_batched == y.jobs_batched &&
          x.replay_decoupled_cycles == y.replay_decoupled_cycles &&
          x.replay_lockstep_cycles == y.replay_lockstep_cycles &&
          x.replay_interpreted_cycles == y.replay_interpreted_cycles &&

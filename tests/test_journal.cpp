@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "dsp/signal.hpp"
@@ -24,12 +25,9 @@
 namespace vwr2a::obs {
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 std::uint64_t fold_fnv(std::uint64_t h, const std::vector<std::int32_t>& out) {
   for (std::int32_t w : out) {
-    h = (h ^ static_cast<std::uint32_t>(w)) * kFnvPrime;
+    h = codec::fnv1a_word(h, static_cast<std::uint32_t>(w));
   }
   return h;
 }
@@ -65,7 +63,7 @@ Recorded record_soak(const std::string& path, unsigned devices) {
 
   Recorded rec;
   rec.path = path;
-  rec.fnv.assign(kStreams, kFnvBasis);
+  rec.fnv.assign(kStreams, codec::kFnvBasis);
   rec.windows.assign(kStreams, 0);
   for (unsigned i = 0; i < kStreams; ++i) {
     gateway::Client::StreamOpts opts;

@@ -769,14 +769,12 @@ TEST(RuntimePool, PeekStatsBeforeFirstBatchAndConcurrentWithWorkers) {
   EXPECT_EQ(s.devices_failed, 1u);
 }
 
-/// Fleet-batched replay: a homogeneous trace-mode fleet serving same-shape
-/// FIR jobs groups them into SIMD-over-devices dispatches. A device's
-/// first-ever launch is batch-ineligible (it runs scalar inside the
-/// group); every later launch goes through the batch replayer.
-/// Outputs, per-job cycles and energy must be bit-identical to the scalar
-/// trace path (fleet_batch = false) and to an interpret-mode fleet --
-/// batching may only change host throughput and telemetry.
-TEST(RuntimeBatch, BatchedFirMatchesScalarAndInterpretBitCycleExact) {
+/// Trace-mode fleet identity: a homogeneous trace-mode fleet serving FIR
+/// jobs in two rounds (the second on warm traces) must match an
+/// interpret-mode fleet job for job -- placement, outputs, per-job cycles,
+/// energy and launch counts -- and the fixed-point golden model. The
+/// replay engine may only change host throughput and telemetry.
+TEST(RuntimeTrace, TraceFleetFirMatchesInterpretBitCycleExact) {
   const auto taps_vec = dsp::fir11_lowpass_q15();
   const auto taps = make_buffer(taps_vec);
   auto make_round = [&taps](unsigned count, unsigned seed) {
@@ -797,11 +795,10 @@ TEST(RuntimeBatch, BatchedFirMatchesScalarAndInterpretBitCycleExact) {
     std::vector<JobResult> results;
     FleetStats stats;
   };
-  auto run_fleet = [&](bool trace, bool batch) {
+  auto run_fleet = [&](bool trace) {
     DevicePool::Config cfg;
     cfg.devices = 4;
-    cfg.workers = 1;  // deterministic group formation
-    cfg.fleet_batch = batch;
+    cfg.workers = 1;
     if (trace) {
       cfg.device_arch.assign(
           4, soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache});
@@ -817,108 +814,35 @@ TEST(RuntimeBatch, BatchedFirMatchesScalarAndInterpretBitCycleExact) {
     return out;
   };
 
-  const RunOut batched = run_fleet(true, true);
-  const RunOut scalar = run_fleet(true, false);
-  const RunOut interp = run_fleet(false, true);  // wrong mode: flag is inert
+  const RunOut traced = run_fleet(true);
+  const RunOut interp = run_fleet(false);
 
-  ASSERT_EQ(batched.results.size(), 16u);
-  for (std::size_t j = 0; j < batched.results.size(); ++j) {
+  ASSERT_EQ(traced.results.size(), 16u);
+  ASSERT_EQ(interp.results.size(), 16u);
+  for (std::size_t j = 0; j < traced.results.size(); ++j) {
     SCOPED_TRACE("job " + std::to_string(j));
     const auto& round = j < 8 ? round1 : round2;
     const auto& fir = std::get<FirJob>(round[j % 8].work);
-    EXPECT_EQ(batched.results[j].output, dsp::fir_fx(*fir.input, taps_vec));
-    for (const RunOut* other : {&scalar, &interp}) {
-      EXPECT_EQ(batched.results[j].device, other->results[j].device);
-      EXPECT_EQ(batched.results[j].output, other->results[j].output);
-      EXPECT_EQ(batched.results[j].cost.vwr2a_cycles,
-                other->results[j].cost.vwr2a_cycles);
-      EXPECT_EQ(batched.results[j].cost.cpu_cycles,
-                other->results[j].cost.cpu_cycles);
-      EXPECT_EQ(batched.results[j].cost.vwr2a_pj,
-                other->results[j].cost.vwr2a_pj);
-      EXPECT_EQ(batched.results[j].cost.sys_pj, other->results[j].cost.sys_pj);
-      EXPECT_EQ(batched.results[j].launches, other->results[j].launches);
-    }
+    const JobResult& t = traced.results[j];
+    const JobResult& i = interp.results[j];
+    EXPECT_EQ(t.output, dsp::fir_fx(*fir.input, taps_vec));
+    EXPECT_EQ(t.device, i.device);
+    EXPECT_EQ(t.output, i.output);
+    EXPECT_EQ(t.cost.vwr2a_cycles, i.cost.vwr2a_cycles);
+    EXPECT_EQ(t.cost.cpu_cycles, i.cost.cpu_cycles);
+    EXPECT_EQ(t.cost.vwr2a_pj, i.cost.vwr2a_pj);
+    EXPECT_EQ(t.cost.sys_pj, i.cost.sys_pj);
+    EXPECT_EQ(t.launches, i.launches);
   }
 
-  // Telemetry: both rounds formed 4-wide groups (4 groups of 4). Traces
-  // compile statically at first kernel load, so every launch replays (16
-  // traced), but batch identity requires a prior launch on the device:
-  // the first group's lanes replay scalar, the remaining 12 launches go
-  // through the batch replayer.
-  EXPECT_EQ(batched.stats.batch_groups, 4u);
-  EXPECT_EQ(batched.stats.jobs_batched, 16u);
-  EXPECT_EQ(batched.stats.batched_launches, 12u);
-  EXPECT_EQ(batched.stats.traced_launches, 16u);
-  EXPECT_EQ(batched.stats.traced_rollbacks, 0u);
-  EXPECT_GT(batched.stats.replay_decoupled_cycles, 0u);
-  // The scalar trace fleet replays the same 16 launches without grouping...
-  EXPECT_EQ(scalar.stats.batch_groups, 0u);
-  EXPECT_EQ(scalar.stats.jobs_batched, 0u);
-  EXPECT_EQ(scalar.stats.batched_launches, 0u);
-  EXPECT_EQ(scalar.stats.traced_launches, 16u);
-  // ...and an interpret fleet never groups nor traces.
-  EXPECT_EQ(interp.stats.batch_groups, 0u);
+  // Traces compile statically at first kernel load, so every launch
+  // replays (16 traced) and none rolls back; the interpret fleet never
+  // traces.
+  EXPECT_EQ(traced.stats.traced_launches, 16u);
+  EXPECT_EQ(traced.stats.traced_rollbacks, 0u);
+  EXPECT_GT(traced.stats.replay_decoupled_cycles, 0u);
   EXPECT_EQ(interp.stats.traced_launches, 0u);
   EXPECT_EQ(interp.stats.replay_decoupled_cycles, 0u);
-}
-
-/// Partial grouping under mixed queue heads. Round-robin places, per
-/// device head: fir-96 / cfft / fir-96 / cfft -- only devices 0 and 2
-/// align, so each round forms exactly one 2-wide group; the second heads
-/// (fir-96 / cfft / fir-64 / cfft) never group because the FIR shapes
-/// differ. FFT and odd-shape FIR jobs run scalar, everything completes,
-/// and outputs stay bit-exact.
-TEST(RuntimeBatch, MixedHeadsGroupOnlyAlignedFirJobs) {
-  const auto taps_vec = dsp::fir11_lowpass_q15();
-  const auto taps = make_buffer(taps_vec);
-  Rng rng(55);
-  std::vector<Job> jobs;
-  std::vector<std::vector<std::int32_t>> fir_in;
-  for (unsigned j = 0; j < 8; ++j) {
-    if (j % 2 == 0) {
-      const unsigned n = j == 6 ? 64 : 96;  // device 2's 2nd head misaligns
-      std::vector<std::int32_t> x(n);
-      for (auto& s : x) s = fx::to_q16_15(rng.next_range(-0.9, 0.9));
-      fir_in.push_back(x);
-      jobs.push_back(Job{FirJob{n, taps, make_buffer(std::move(x))},
-                         "fir#" + std::to_string(j)});
-    } else {
-      std::vector<std::int32_t> x(2 * 256);
-      for (auto& v : x) v = fx::to_q16_15(rng.next_range(-0.4, 0.4));
-      jobs.push_back(Job{CfftJob{256, make_buffer(std::move(x))},
-                         "cfft#" + std::to_string(j)});
-    }
-  }
-
-  DevicePool::Config cfg;
-  cfg.devices = 4;
-  cfg.workers = 1;
-  cfg.device_arch.assign(
-      4, soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache});
-  DevicePool pool(cfg);
-  // Round 1's group is the paired devices' first launch (scalar lanes);
-  // round 2's group replays batched. fir-64 can never join either group.
-  for (int round = 0; round < 2; ++round) {
-    auto handles = pool.submit_batch(jobs);
-    std::size_t j = 0;
-    for (auto& h : handles) {
-      const JobResult r = h.get();
-      if (j % 2 == 0) {
-        EXPECT_EQ(r.output, dsp::fir_fx(fir_in[j / 2], taps_vec))
-            << "round " << round << " job " << j;
-      }
-      ++j;
-    }
-    pool.wait_idle();
-  }
-  const FleetStats s = pool.stats();
-  EXPECT_EQ(s.jobs_completed, 16u);
-  EXPECT_EQ(s.jobs_failed, 0u);
-  EXPECT_EQ(s.batch_groups, 2u);       // one {dev0, dev2} group per round
-  EXPECT_EQ(s.jobs_batched, 4u);
-  EXPECT_EQ(s.batched_launches, 2u);   // only round 2's group was warm
-  EXPECT_GT(s.traced_launches, s.batched_launches);  // scalar replays too
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -862,153 +861,6 @@ TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
   EXPECT_FALSE(err_i.empty());
   EXPECT_EQ(err_i, err_t);
   expect_identical(ri, rt, "lone cross fault path");
-}
-
-// --- fleet-batched replay ----------------------------------------------------
-
-/// BatchReplayer: one compiled trace driven across several devices in a
-/// single host loop. Each lane's outcome -- state, cycles, energy, per-lane
-/// fused trip counts -- must be identical to running that device alone.
-TEST(TraceCache, BatchedReplayMatchesScalarPerLane) {
-  constexpr std::size_t kLanes = 4;
-  cgra::TraceCache shared;
-  const isa::KernelImage img =
-      make_kernel("counted", 0, counted_accumulate_program());
-
-  std::vector<std::unique_ptr<Rig>> trig, irig;
-  std::array<cgra::Vwr2a*, kLanes> devs{};
-  std::array<unsigned, kLanes> kids{};
-  std::array<unsigned, kLanes> ikids{};
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
-    irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
-    trig[i]->acc.set_trace_cache(&shared);
-    trig[i]->seed(Rng(100 + i));
-    irig[i]->seed(Rng(100 + i));
-    devs[i] = &trig[i]->acc;
-    kids[i] = trig[i]->acc.register_kernel(img);
-    ikids[i] = irig[i]->acc.register_kernel(img);
-    // Per-lane data-dependent trip count: the batched fused loop must read
-    // each device's own counter.
-    trig[i]->acc.host_write_srf(0, 0, 3 + 2 * static_cast<Word>(i));
-    irig[i]->acc.host_write_srf(0, 0, 3 + 2 * static_cast<Word>(i));
-  }
-
-  // Cold devices are not batchable; warm them with one scalar launch.
-  std::array<const void*, arch::kNumColumns> key0{}, key{};
-  EXPECT_FALSE(cgra::tc::BatchReplayer::identity(*devs[0], kids[0], key0));
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    trig[i]->acc.run_kernel(kids[i]);
-    irig[i]->acc.run_kernel(ikids[i]);
-  }
-  ASSERT_TRUE(cgra::tc::BatchReplayer::identity(*devs[0], kids[0], key0));
-  for (std::size_t i = 1; i < kLanes; ++i) {
-    ASSERT_TRUE(cgra::tc::BatchReplayer::identity(*devs[i], kids[i], key));
-    // The shared cache makes the same program pointer-identical fleet-wide.
-    EXPECT_EQ(key, key0);
-  }
-
-  // Batched second launch vs scalar interpreter twins.
-  cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    irig[i]->acc.run_kernel(ikids[i]);
-    expect_identical(*irig[i], *trig[i], "lane " + std::to_string(i));
-    EXPECT_EQ(trig[i]->acc.launches(), 2u);
-    EXPECT_EQ(trig[i]->acc.batched_launches(), 1u);
-    EXPECT_EQ(trig[i]->acc.traced_rollbacks(), 0u);
-  }
-}
-
-/// Random-program batched fuzz: after a clean warmup launch, a batched
-/// relaunch across three devices must equal three scalar interpreter
-/// relaunches lane for lane -- including trials where the lanes' plans are
-/// not decoupled (the batch detaches them to the scalar ladder).
-TEST(TraceCacheFuzz, BatchedReplayMatchesInterpreterLanes) {
-  constexpr std::size_t kLanes = 3;
-  Rng rng(0xBA7C);
-  unsigned batched_trials = 0;
-  // Dense random lines fault on the single-ported SRF most of the time (the
-  // population the scalar fuzz pins); batching needs *runnable* kernels, so
-  // screen candidates with a throwaway interpreter probe first.
-  auto gen_runnable = [&rng](unsigned len, bool two_cols) {
-    isa::KernelImage img;
-    for (int attempt = 0; attempt < 200; ++attempt) {
-      const isa::ColumnProgram prog = random_program(rng, len);
-      // The shared synchronized PC requires equal column program lengths.
-      img = two_cols ? make_kernel2("bfuzz2", prog, random_program(rng, len))
-                     : make_kernel("bfuzz", 0, prog);
-      Rig probe(ExecMode::kInterpret);
-      probe.seed(Rng(rng.next_u64()));
-      for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-        probe.acc.column(c).srf().poke(3, 2);
-      }
-      try {
-        probe.acc.run_kernel(probe.acc.register_kernel(img));
-        break;  // runnable with at least one data seed
-      } catch (...) {
-      }
-    }
-    return img;
-  };
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::uint64_t data_seed = rng.next_u64();
-    const unsigned len = 2 + rng.next_below(12);
-    const bool two_cols = rng.next_below(2) == 1;
-    const isa::KernelImage img = gen_runnable(len, two_cols);
-
-    cgra::TraceCache shared;
-    std::vector<std::unique_ptr<Rig>> trig, irig;
-    std::array<cgra::Vwr2a*, kLanes> devs{};
-    std::array<unsigned, kLanes> kids{};
-    std::array<unsigned, kLanes> ikids{};
-    bool warm_ok = true;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      trig.push_back(std::make_unique<Rig>(ExecMode::kTraceCache));
-      irig.push_back(std::make_unique<Rig>(ExecMode::kInterpret));
-      trig[i]->acc.set_trace_cache(&shared);
-      const std::uint64_t lane_seed = data_seed + i;
-      trig[i]->seed(Rng(lane_seed));
-      irig[i]->seed(Rng(lane_seed));
-      for (unsigned c = 0; c < arch::kNumColumns; ++c) {
-        trig[i]->acc.column(c).srf().poke(3, 2 + static_cast<Word>(i));
-        irig[i]->acc.column(c).srf().poke(3, 2 + static_cast<Word>(i));
-      }
-      devs[i] = &trig[i]->acc;
-      kids[i] = trig[i]->acc.register_kernel(img);
-      ikids[i] = irig[i]->acc.register_kernel(img);
-    }
-    // Warmup launch per lane on both engines; a faulting program is already
-    // covered by the scalar fuzz, so only clean trials go on to batch.
-    for (std::size_t i = 0; i < kLanes && warm_ok; ++i) {
-      try {
-        irig[i]->acc.run_kernel(ikids[i]);
-        trig[i]->acc.run_kernel(kids[i]);
-      } catch (...) {
-        warm_ok = false;
-      }
-    }
-    if (!warm_ok) continue;
-    // Interpreter relaunch first: a data-dependent fault on the second
-    // launch (possible after state evolved) skips the trial.
-    bool relaunch_ok = true;
-    for (std::size_t i = 0; i < kLanes && relaunch_ok; ++i) {
-      try {
-        irig[i]->acc.run_kernel(ikids[i]);
-      } catch (...) {
-        relaunch_ok = false;
-      }
-    }
-    if (!relaunch_ok) continue;
-    cgra::tc::BatchReplayer::run(devs.data(), kids.data(), kLanes);
-    ++batched_trials;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      expect_identical(*irig[i], *trig[i],
-                       "trial " + std::to_string(trial) + " lane " +
-                           std::to_string(i));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  EXPECT_GT(batched_trials, 10u);
 }
 
 // --- quad handler keys ---------------------------------------------------------
