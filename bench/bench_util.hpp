@@ -1,8 +1,8 @@
 #pragma once
 // Shared rig and formatting for the experiment-reproduction benches. Every
 // bench binary regenerates one table or figure of the paper and prints the
-// measured values next to the paper's, with the ratio, so EXPERIMENTS.md
-// can be audited from the bench output alone.
+// measured values next to the paper's, with the ratio, so every
+// measured-vs-paper claim can be audited from the bench output alone.
 
 #include <cstdio>
 #include <cstdlib>

@@ -26,7 +26,8 @@ inline constexpr unsigned kAccelBits = 18;
 /// Maximum transform size.
 inline constexpr unsigned kMaxPoints = 4096;
 
-/// Cycle-model constants (fitted to Table 2; see EXPERIMENTS.md).
+/// Cycle-model constants (fitted to Table 2; bench_table2_fft_performance
+/// prints the fit against the paper).
 struct FftAccelTiming {
   /// Host programming + start + completion interrupt handling.
   unsigned setup_cycles = 90;

@@ -12,7 +12,8 @@
 //
 // The absolute joules are NOT the claim of this reproduction; the claim is
 // the shape: per-component ratios, kernel-level gaps, and application-level
-// crossovers. See EXPERIMENTS.md for measured-vs-paper deltas.
+// crossovers. The paper-table benches (bench/table2_fft_performance.cpp
+// through bench/table5_bioapp.cpp) print the measured-vs-paper deltas.
 
 namespace vwr2a::energy::cal {
 

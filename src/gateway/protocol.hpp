@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -101,10 +102,18 @@ enum class FrameType : std::uint8_t {
 };
 
 // --- frame structs ------------------------------------------------------------
+//
+// Each frame struct lists its wire fields once, in wire order, in `tie`;
+// the codec (protocol.cpp) walks that list to encode and decode, so a
+// frame's layout is written nowhere else. The member types are the wire
+// widths: u8/u16/u32/u64 scalars, double as an f64 bit pattern, strings
+// u32-length-prefixed, vectors u32-count-prefixed. `kType` is the frame's
+// FrameType.
 
 /// Opens one logical stream on the connection. `stream` is a client-chosen
 /// id, unique among the connection's live streams.
 struct OpenSession {
+  static constexpr FrameType kType = FrameType::kOpenSession;
   std::uint32_t stream = 0;
   std::uint32_t tenant = 0;      ///< quota accounting key
   std::uint8_t kind = 0;         ///< stream::SessionKind
@@ -114,36 +123,67 @@ struct OpenSession {
   std::uint32_t hop = 512;
   std::uint32_t max_inflight = 4;
   std::uint32_t buffer_capacity = 0;  ///< staging samples; 0 = 4 * window
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.tenant, f.kind, f.target, f.lossy, f.window,
+                    f.hop, f.max_inflight, f.buffer_capacity);
+  }
+  bool operator==(const OpenSession&) const = default;
 };
 
 struct OpenOk {
+  static constexpr FrameType kType = FrameType::kOpenOk;
   std::uint32_t stream = 0;
   std::uint64_t session = 0;  ///< server-side session id
   std::uint32_t device = 0;   ///< soft-pin device the session landed on
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.session, f.device);
+  }
+  bool operator==(const OpenOk&) const = default;
 };
 
 struct PushSamples {
+  static constexpr FrameType kType = FrameType::kPushSamples;
   std::uint32_t stream = 0;
   std::vector<std::int32_t> samples;  ///< 16.15 fixed point
+
+  static constexpr auto tie(auto& f) { return std::tie(f.stream, f.samples); }
+  bool operator==(const PushSamples&) const = default;
 };
 
 struct Flush {
+  static constexpr FrameType kType = FrameType::kFlush;
   std::uint32_t stream = 0;
+
+  static constexpr auto tie(auto& f) { return std::tie(f.stream); }
+  bool operator==(const Flush&) const = default;
 };
 
 /// Sent after every window of a FLUSH (full windows + zero-padded tail)
 /// has been delivered as WINDOW_RESULT frames.
 struct FlushOk {
+  static constexpr FrameType kType = FrameType::kFlushOk;
   std::uint32_t stream = 0;
   std::uint64_t windows_delivered = 0;  ///< stream-lifetime total
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.windows_delivered);
+  }
+  bool operator==(const FlushOk&) const = default;
 };
 
 struct Close {
+  static constexpr FrameType kType = FrameType::kClose;
   std::uint32_t stream = 0;
+
+  static constexpr auto tie(auto& f) { return std::tie(f.stream); }
+  bool operator==(const Close&) const = default;
 };
 
 /// Final per-stream accounting, sent after the stream's last window.
 struct CloseOk {
+  static constexpr FrameType kType = FrameType::kCloseOk;
   std::uint32_t stream = 0;
   std::uint64_t windows_submitted = 0;
   std::uint64_t windows_delivered = 0;
@@ -153,13 +193,27 @@ struct CloseOk {
   std::uint64_t dropped_pushes = 0;
   std::uint64_t latency_cycles_total = 0;
   std::uint64_t latency_cycles_max = 0;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.windows_submitted, f.windows_delivered,
+                    f.windows_failed, f.samples_in, f.dropped_samples,
+                    f.dropped_pushes, f.latency_cycles_total,
+                    f.latency_cycles_max);
+  }
+  bool operator==(const CloseOk&) const = default;
 };
 
-struct StatsRequest {};
+struct StatsRequest {
+  static constexpr FrameType kType = FrameType::kStatsRequest;
+
+  static constexpr auto tie(auto&) { return std::tie(); }
+  bool operator==(const StatsRequest&) const = default;
+};
 
 /// Server + fleet telemetry (runtime::DevicePool::peek_stats picture: live,
 /// non-blocking, batch-boundary freshness).
 struct Stats {
+  static constexpr FrameType kType = FrameType::kStats;
   std::uint32_t devices = 0;
   std::uint64_t sessions = 0;           ///< sessions opened server-lifetime
   std::uint64_t connections = 0;        ///< connections accepted
@@ -189,9 +243,22 @@ struct Stats {
   std::uint64_t replay_lockstep_cycles = 0;
   std::uint64_t replay_interpreted_cycles = 0;
   std::uint64_t replay_sync_points = 0;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.devices, f.sessions, f.connections, f.windows_delivered,
+                    f.jobs_completed, f.jobs_failed, f.fleet_makespan,
+                    f.total_device_cycles, f.stagings, f.total_pj,
+                    f.devices_failed, f.devices_revived, f.devices_dead,
+                    f.jobs_rescued, f.checkpoints_restored, f.traced_launches,
+                    f.traced_rollbacks, f.replay_decoupled_cycles,
+                    f.replay_lockstep_cycles, f.replay_interpreted_cycles,
+                    f.replay_sync_points);
+  }
+  bool operator==(const Stats&) const = default;
 };
 
 struct WindowResult {
+  static constexpr FrameType kType = FrameType::kWindowResult;
   std::uint32_t stream = 0;
   std::uint64_t index = 0;   ///< window index within the stream, from 0
   std::uint32_t device = 0;  ///< device the window ran on
@@ -208,12 +275,25 @@ struct WindowResult {
   std::uint64_t deliver_ns = 0;    ///< run end -> WINDOW_RESULT enqueued
   std::uint64_t place_cycles = 0;  ///< estimated device backlog at placement
   std::uint64_t sim_begin = 0;     ///< device-local cycle when the run began
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.index, f.device, f.cycles, f.pj, f.output,
+                    f.queue_ns, f.run_ns, f.deliver_ns, f.place_cycles,
+                    f.sim_begin);
+  }
+  bool operator==(const WindowResult&) const = default;
 };
 
 struct Error {
+  static constexpr FrameType kType = FrameType::kError;
   std::uint32_t stream = kConnectionStream;
   std::uint16_t code = 0;  ///< ErrorCode
   std::string message;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.stream, f.code, f.message);
+  }
+  bool operator==(const Error&) const = default;
 };
 
 /// v4: starts (enable=1) or stops (enable=0) server-initiated STATS_PUSH
@@ -222,8 +302,14 @@ struct Error {
 /// push is sent immediately (it doubles as the subscribe ack).
 /// enable=1 with cadence_ms=0 is rejected with ERROR kBadParams.
 struct StatsSubscribe {
+  static constexpr FrameType kType = FrameType::kStatsSubscribe;
   std::uint32_t cadence_ms = 0;
   std::uint8_t enable = 1;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.cadence_ms, f.enable);
+  }
+  bool operator==(const StatsSubscribe&) const = default;
 };
 
 /// One device's live load in a STATS_PUSH (index in the array = device id).
@@ -231,6 +317,11 @@ struct DeviceLoad {
   std::uint64_t cycles = 0;  ///< device-local clock (simulated)
   std::uint64_t jobs = 0;    ///< jobs completed on this device
   std::uint8_t dead = 0;     ///< 1 while fail-stopped
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.cycles, f.jobs, f.dead);
+  }
+  bool operator==(const DeviceLoad&) const = default;
 };
 
 /// One session's live load in a STATS_PUSH.
@@ -241,26 +332,38 @@ struct SessionLoad {
   std::uint64_t windows_delivered = 0;
   std::uint64_t dropped_samples = 0;
   std::uint64_t latency_cycles_total = 0;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.id, f.device, f.windows_submitted, f.windows_delivered,
+                    f.dropped_samples, f.latency_cycles_total);
+  }
+  bool operator==(const SessionLoad&) const = default;
 };
 
 /// v4: server-initiated stats frame. A distinct type from STATS so pushes
 /// can never be mistaken for the reply to an in-flight STATS_REQUEST.
 /// `sessions` carries at most the newest kMaxSessionLoads sessions.
 struct StatsPush {
+  static constexpr FrameType kType = FrameType::kStatsPush;
   static constexpr std::size_t kMaxSessionLoads = 256;
   std::uint64_t seq = 0;  ///< per-connection push counter, from 0
   Stats stats;
   std::vector<DeviceLoad> devices;
   std::vector<SessionLoad> sessions;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.seq, f.stats, f.devices, f.sessions);
+  }
+  bool operator==(const StatsPush&) const = default;
 };
 
-// New frame alternatives are appended (after Error) so Frame::index()
-// stays stable for the existing types; frame_type() maps the indices.
+/// Every frame type, one alternative each; decode dispatch walks the
+/// alternatives for the one whose kType matches the type byte.
 using Frame = std::variant<OpenSession, PushSamples, Flush, Close,
                            StatsRequest, OpenOk, WindowResult, FlushOk,
                            CloseOk, Stats, Error, StatsSubscribe, StatsPush>;
 
-/// The FrameType a Frame alternative encodes as.
+/// The FrameType a Frame alternative encodes as (its kType).
 FrameType frame_type(const Frame& f);
 
 // --- codec --------------------------------------------------------------------

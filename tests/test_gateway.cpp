@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "app/mbiotracker.hpp"
@@ -499,28 +501,16 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   // field, bit-exactly in every later protocol version.
   ASSERT_GE(kProtocolVersion, 3u);
 
+  // A distinct value in every field, so a dropped or swapped field cannot
+  // round-trip by accident.
   Stats st;
-  st.devices = 16;
-  st.sessions = 3;
-  st.connections = 2;
-  st.windows_delivered = 40;
-  st.jobs_completed = 41;
-  st.jobs_failed = 1;
-  st.fleet_makespan = 123456;
-  st.total_device_cycles = 654321;
-  st.stagings = 7;
-  st.total_pj = 3.25;
-  st.devices_failed = 2;
-  st.devices_revived = 1;
-  st.devices_dead = 1;
-  st.jobs_rescued = 6;
-  st.checkpoints_restored = 5;
-  st.traced_launches = 11;
-  st.traced_rollbacks = 12;
-  st.replay_decoupled_cycles = 15;
-  st.replay_lockstep_cycles = 16;
-  st.replay_interpreted_cycles = 17;
-  st.replay_sync_points = 18;
+  unsigned k = 0;
+  std::apply(
+      [&k](auto&... f) {
+        ((f = static_cast<std::remove_reference_t<decltype(f)>>(++k)), ...);
+      },
+      Stats::tie(st));
+  ASSERT_EQ(k, 21u);
 
   const auto bytes = encode(Frame{st});
   Decoder dec;
@@ -529,27 +519,7 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   ASSERT_TRUE(f.has_value());
   const auto* got = std::get_if<Stats>(&*f);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->devices, st.devices);
-  EXPECT_EQ(got->sessions, st.sessions);
-  EXPECT_EQ(got->connections, st.connections);
-  EXPECT_EQ(got->windows_delivered, st.windows_delivered);
-  EXPECT_EQ(got->jobs_completed, st.jobs_completed);
-  EXPECT_EQ(got->jobs_failed, st.jobs_failed);
-  EXPECT_EQ(got->fleet_makespan, st.fleet_makespan);
-  EXPECT_EQ(got->total_device_cycles, st.total_device_cycles);
-  EXPECT_EQ(got->stagings, st.stagings);
-  EXPECT_EQ(got->total_pj, st.total_pj);
-  EXPECT_EQ(got->devices_failed, st.devices_failed);
-  EXPECT_EQ(got->devices_revived, st.devices_revived);
-  EXPECT_EQ(got->devices_dead, st.devices_dead);
-  EXPECT_EQ(got->jobs_rescued, st.jobs_rescued);
-  EXPECT_EQ(got->checkpoints_restored, st.checkpoints_restored);
-  EXPECT_EQ(got->traced_launches, st.traced_launches);
-  EXPECT_EQ(got->traced_rollbacks, st.traced_rollbacks);
-  EXPECT_EQ(got->replay_decoupled_cycles, st.replay_decoupled_cycles);
-  EXPECT_EQ(got->replay_lockstep_cycles, st.replay_lockstep_cycles);
-  EXPECT_EQ(got->replay_interpreted_cycles, st.replay_interpreted_cycles);
-  EXPECT_EQ(got->replay_sync_points, st.replay_sync_points);
+  EXPECT_TRUE(*got == st);
   EXPECT_FALSE(dec.next().has_value());
 }
 

@@ -7,247 +7,159 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <set>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "gateway/protocol.hpp"
+
+// Allocation cap for this test binary. The decoder promises never to
+// allocate much more than one frame, whatever a length or count prefix
+// claims; refusing any single allocation above a few frames' worth turns a
+// buffer sized from a lying prefix into a test failure (std::bad_alloc)
+// instead of a quiet multi-GiB reservation.
+void* operator new(std::size_t n) {
+  if (n <= 4 * vwr2a::gateway::kMaxFramePayload) {
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC flags free() on operator-new memory; here both sides are replaced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace vwr2a::gateway {
 namespace {
 
-std::vector<std::int32_t> random_samples(Rng& rng, unsigned max_len) {
-  std::vector<std::int32_t> v(rng.next_below(max_len + 1));
-  for (auto& x : v) {
-    x = static_cast<std::int32_t>(rng.next_u32());
+/// Fills `v` with random wire values by walking the same field lists the
+/// codec walks; sample arrays get up to 600 words, load arrays up to 8
+/// records, strings up to 120 bytes.
+template <class T>
+void randomize(Rng& rng, T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    v = rng.next_range(-1e12, 1e12);
+  } else if constexpr (std::is_integral_v<T>) {
+    v = static_cast<T>(rng.next_u64());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v.resize(rng.next_below(121));
+    for (char& c : v) c = static_cast<char>(rng.next_below(256));
+  } else if constexpr (requires { typename T::value_type; }) {
+    v.resize(rng.next_below(
+        std::is_integral_v<typename T::value_type> ? 601 : 9));
+    for (auto& x : v) randomize(rng, x);
+  } else {
+    std::apply([&rng](auto&... f) { (randomize(rng, f), ...); }, T::tie(v));
   }
-  return v;
 }
 
-std::string random_string(Rng& rng, unsigned max_len) {
-  std::string s(rng.next_below(max_len + 1), '\0');
-  for (auto& c : s) {
-    c = static_cast<char>(rng.next_below(256));
+/// A random frame of wire type `i` (mod the type count): round-robin by
+/// `i` covers every type.
+template <std::size_t I = 0>
+Frame random_frame(Rng& rng, std::size_t i) {
+  if constexpr (I + 1 < std::variant_size_v<Frame>) {
+    if (i % std::variant_size_v<Frame> != I) {
+      return random_frame<I + 1>(rng, i);
+    }
+  }
+  std::variant_alternative_t<I, Frame> f;
+  randomize(rng, f);
+  return f;
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
   }
   return s;
 }
 
-Stats random_stats(Rng& rng) {
-  Stats f;
-  f.devices = rng.next_u32();
-  f.sessions = rng.next_u64();
-  f.connections = rng.next_u64();
-  f.windows_delivered = rng.next_u64();
-  f.jobs_completed = rng.next_u64();
-  f.jobs_failed = rng.next_u64();
-  f.fleet_makespan = rng.next_u64();
-  f.total_device_cycles = rng.next_u64();
-  f.stagings = rng.next_u64();
-  f.total_pj = rng.next_range(0.0, 1e12);
-  f.devices_failed = rng.next_u64();
-  f.devices_revived = rng.next_u64();
-  f.devices_dead = rng.next_u64();
-  f.jobs_rescued = rng.next_u64();
-  f.checkpoints_restored = rng.next_u64();
-  f.traced_launches = rng.next_u64();
-  f.traced_rollbacks = rng.next_u64();
-  f.replay_decoupled_cycles = rng.next_u64();
-  f.replay_lockstep_cycles = rng.next_u64();
-  f.replay_interpreted_cycles = rng.next_u64();
-  f.replay_sync_points = rng.next_u64();
-  return f;
+/// One fixed frame of every wire type with its encoding: the wire bytes
+/// are the protocol (journals store re-encoded frames), so a reordered
+/// field or a changed width must fail here.
+struct PinnedFrame {
+  Frame frame;
+  const char* hex;
+};
+
+const std::vector<PinnedFrame>& pinned_frames() {
+  static const Stats kStats{16, 3, 2, 40, 41, 1, 123456, 654321, 7, 3.25, 2,
+                            1, 1, 6, 5, 11, 12, 15, 16, 17, 18};
+  static const std::vector<PinnedFrame> kFrames = {
+      {OpenSession{0x01020304, 7, 1, 2, 1, 512, 256, 4, 2048},
+       "1d00000008010403020107000000010201000200000001000004000000000800"
+       "00"},
+      {PushSamples{9, {1, -2, 0x7fffffff}},
+       "160000000802090000000300000001000000feffffffffffff7f"},
+      {Flush{3},
+       "06000000080303000000"},
+      {Close{4},
+       "06000000080404000000"},
+      {StatsRequest{},
+       "020000000805"},
+      {OpenOk{5, 0x1122334455667788ull, 6},
+       "12000000088105000000887766554433221106000000"},
+      {WindowResult{5, 123, 2, 456, 1.5, {10, -20, 30}, 7, 8, 9, 10, 11},
+       "5a0000000882050000007b0000000000000002000000c8010000000000000000"
+       "00000000f83f030000000a000000ecffffff1e00000007000000000000000800"
+       "00000000000009000000000000000a000000000000000b00000000000000"},
+      {FlushOk{5, 42},
+       "0e0000000883050000002a00000000000000"},
+      {CloseOk{5, 1, 2, 3, 4, 5, 6, 7, 8},
+       "4600000008840500000001000000000000000200000000000000030000000000"
+       "0000040000000000000005000000000000000600000000000000070000000000"
+       "00000800000000000000"},
+      {kStats,
+       "a600000008851000000003000000000000000200000000000000280000000000"
+       "00002900000000000000010000000000000040e2010000000000f1fb09000000"
+       "000007000000000000000000000000000a400200000000000000010000000000"
+       "00000100000000000000060000000000000005000000000000000b0000000000"
+       "00000c000000000000000f000000000000001000000000000000110000000000"
+       "00001200000000000000"},
+      {Error{kConnectionStream, 4, "bad params"},
+       "160000000886ffffffff04000a00000062616420706172616d73"},
+      {StatsSubscribe{250, 1},
+       "070000000806fa00000001"},
+      {StatsPush{7, kStats, {{100, 3, 0}, {200, 4, 1}},
+                 {{9, 1, 10, 9, 2, 500}}},
+       "0401000008870700000000000000100000000300000000000000020000000000"
+       "000028000000000000002900000000000000010000000000000040e201000000"
+       "0000f1fb09000000000007000000000000000000000000000a40020000000000"
+       "0000010000000000000001000000000000000600000000000000050000000000"
+       "00000b000000000000000c000000000000000f00000000000000100000000000"
+       "0000110000000000000012000000000000000200000064000000000000000300"
+       "00000000000000c8000000000000000400000000000000010100000009000000"
+       "00000000010000000a0000000000000009000000000000000200000000000000"
+       "f401000000000000"},
+  };
+  return kFrames;
 }
 
-/// One random frame of each wire type, round-robin by `i`.
-Frame random_frame(Rng& rng, unsigned i) {
-  switch (i % 13) {
-    case 0: {
-      OpenSession f;
-      f.stream = rng.next_u32();
-      f.tenant = rng.next_u32();
-      f.kind = static_cast<std::uint8_t>(rng.next_below(256));
-      f.target = static_cast<std::uint8_t>(rng.next_below(256));
-      f.lossy = static_cast<std::uint8_t>(rng.next_below(2));
-      f.window = rng.next_u32();
-      f.hop = rng.next_u32();
-      f.max_inflight = rng.next_u32();
-      f.buffer_capacity = rng.next_u32();
-      return f;
-    }
-    case 1:
-      return PushSamples{rng.next_u32(), random_samples(rng, 600)};
-    case 2:
-      return Flush{rng.next_u32()};
-    case 3:
-      return Close{rng.next_u32()};
-    case 4:
-      return StatsRequest{};
-    case 5:
-      return OpenOk{rng.next_u32(), rng.next_u64(), rng.next_u32()};
-    case 6: {
-      WindowResult f;
-      f.stream = rng.next_u32();
-      f.index = rng.next_u64();
-      f.device = rng.next_u32();
-      f.cycles = rng.next_u64();
-      f.pj = rng.next_range(-1e9, 1e9);
-      f.output = random_samples(rng, 600);
-      f.queue_ns = rng.next_u64();
-      f.run_ns = rng.next_u64();
-      f.deliver_ns = rng.next_u64();
-      f.place_cycles = rng.next_u64();
-      f.sim_begin = rng.next_u64();
-      return f;
-    }
-    case 7:
-      return FlushOk{rng.next_u32(), rng.next_u64()};
-    case 8: {
-      CloseOk f;
-      f.stream = rng.next_u32();
-      f.windows_submitted = rng.next_u64();
-      f.windows_delivered = rng.next_u64();
-      f.windows_failed = rng.next_u64();
-      f.samples_in = rng.next_u64();
-      f.dropped_samples = rng.next_u64();
-      f.dropped_pushes = rng.next_u64();
-      f.latency_cycles_total = rng.next_u64();
-      f.latency_cycles_max = rng.next_u64();
-      return f;
-    }
-    case 9:
-      return random_stats(rng);
-    case 10: {
-      Error f;
-      f.stream = rng.next_u32();
-      f.code = static_cast<std::uint16_t>(rng.next_below(1u << 16));
-      f.message = random_string(rng, 120);
-      return f;
-    }
-    case 11: {
-      StatsSubscribe f;
-      f.cadence_ms = rng.next_u32();
-      f.enable = static_cast<std::uint8_t>(rng.next_below(2));
-      return f;
-    }
-    default: {
-      StatsPush f;
-      f.seq = rng.next_u64();
-      f.stats = random_stats(rng);
-      f.devices.resize(rng.next_below(9));
-      for (auto& d : f.devices) {
-        d.cycles = rng.next_u64();
-        d.jobs = rng.next_u64();
-        d.dead = static_cast<std::uint8_t>(rng.next_below(2));
-      }
-      f.sessions.resize(rng.next_below(9));
-      for (auto& s : f.sessions) {
-        s.id = rng.next_u64();
-        s.device = rng.next_u32();
-        s.windows_submitted = rng.next_u64();
-        s.windows_delivered = rng.next_u64();
-        s.dropped_samples = rng.next_u64();
-        s.latency_cycles_total = rng.next_u64();
-      }
-      return f;
-    }
+TEST(GatewayProtocol, EveryFrameTypeEncodesToPinnedBytes) {
+  std::set<FrameType> types;
+  for (const PinnedFrame& p : pinned_frames()) {
+    const std::vector<std::uint8_t> wire = encode(p.frame);
+    types.insert(frame_type(p.frame));
+    EXPECT_EQ(to_hex(wire), p.hex);
+    Decoder dec;
+    dec.feed(wire);
+    const auto got = dec.next();
+    ASSERT_TRUE(got.has_value()) << p.hex;
+    EXPECT_EQ(to_hex(encode(*got)), p.hex);
   }
-}
-
-bool stats_equal(const Stats& x, const Stats& y) {
-  return x.devices == y.devices && x.sessions == y.sessions &&
-         x.connections == y.connections &&
-         x.windows_delivered == y.windows_delivered &&
-         x.jobs_completed == y.jobs_completed &&
-         x.jobs_failed == y.jobs_failed &&
-         x.fleet_makespan == y.fleet_makespan &&
-         x.total_device_cycles == y.total_device_cycles &&
-         x.stagings == y.stagings && x.total_pj == y.total_pj &&
-         x.devices_failed == y.devices_failed &&
-         x.devices_revived == y.devices_revived &&
-         x.devices_dead == y.devices_dead && x.jobs_rescued == y.jobs_rescued &&
-         x.checkpoints_restored == y.checkpoints_restored &&
-         x.traced_launches == y.traced_launches &&
-         x.traced_rollbacks == y.traced_rollbacks &&
-         x.replay_decoupled_cycles == y.replay_decoupled_cycles &&
-         x.replay_lockstep_cycles == y.replay_lockstep_cycles &&
-         x.replay_interpreted_cycles == y.replay_interpreted_cycles &&
-         x.replay_sync_points == y.replay_sync_points;
-}
-
-bool frames_equal(const Frame& a, const Frame& b) {
-  if (a.index() != b.index()) return false;
-  bool eq = false;
-  std::visit(
-      [&](const auto& x) {
-        using T = std::decay_t<decltype(x)>;
-        const auto& y = std::get<T>(b);
-        if constexpr (std::is_same_v<T, OpenSession>) {
-          eq = x.stream == y.stream && x.tenant == y.tenant &&
-               x.kind == y.kind && x.target == y.target &&
-               x.lossy == y.lossy && x.window == y.window && x.hop == y.hop &&
-               x.max_inflight == y.max_inflight &&
-               x.buffer_capacity == y.buffer_capacity;
-        } else if constexpr (std::is_same_v<T, PushSamples>) {
-          eq = x.stream == y.stream && x.samples == y.samples;
-        } else if constexpr (std::is_same_v<T, Flush>) {
-          eq = x.stream == y.stream;
-        } else if constexpr (std::is_same_v<T, Close>) {
-          eq = x.stream == y.stream;
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          eq = true;
-        } else if constexpr (std::is_same_v<T, OpenOk>) {
-          eq = x.stream == y.stream && x.session == y.session &&
-               x.device == y.device;
-        } else if constexpr (std::is_same_v<T, WindowResult>) {
-          eq = x.stream == y.stream && x.index == y.index &&
-               x.device == y.device && x.cycles == y.cycles && x.pj == y.pj &&
-               x.output == y.output && x.queue_ns == y.queue_ns &&
-               x.run_ns == y.run_ns && x.deliver_ns == y.deliver_ns &&
-               x.place_cycles == y.place_cycles && x.sim_begin == y.sim_begin;
-        } else if constexpr (std::is_same_v<T, FlushOk>) {
-          eq = x.stream == y.stream &&
-               x.windows_delivered == y.windows_delivered;
-        } else if constexpr (std::is_same_v<T, CloseOk>) {
-          eq = x.stream == y.stream &&
-               x.windows_submitted == y.windows_submitted &&
-               x.windows_delivered == y.windows_delivered &&
-               x.windows_failed == y.windows_failed &&
-               x.samples_in == y.samples_in &&
-               x.dropped_samples == y.dropped_samples &&
-               x.dropped_pushes == y.dropped_pushes &&
-               x.latency_cycles_total == y.latency_cycles_total &&
-               x.latency_cycles_max == y.latency_cycles_max;
-        } else if constexpr (std::is_same_v<T, Stats>) {
-          eq = stats_equal(x, y);
-        } else if constexpr (std::is_same_v<T, StatsSubscribe>) {
-          eq = x.cadence_ms == y.cadence_ms && x.enable == y.enable;
-        } else if constexpr (std::is_same_v<T, StatsPush>) {
-          eq = x.seq == y.seq && stats_equal(x.stats, y.stats) &&
-               x.devices.size() == y.devices.size() &&
-               x.sessions.size() == y.sessions.size();
-          for (std::size_t j = 0; eq && j < x.devices.size(); ++j) {
-            eq = x.devices[j].cycles == y.devices[j].cycles &&
-                 x.devices[j].jobs == y.devices[j].jobs &&
-                 x.devices[j].dead == y.devices[j].dead;
-          }
-          for (std::size_t j = 0; eq && j < x.sessions.size(); ++j) {
-            eq = x.sessions[j].id == y.sessions[j].id &&
-                 x.sessions[j].device == y.sessions[j].device &&
-                 x.sessions[j].windows_submitted ==
-                     y.sessions[j].windows_submitted &&
-                 x.sessions[j].windows_delivered ==
-                     y.sessions[j].windows_delivered &&
-                 x.sessions[j].dropped_samples ==
-                     y.sessions[j].dropped_samples &&
-                 x.sessions[j].latency_cycles_total ==
-                     y.sessions[j].latency_cycles_total;
-          }
-        } else {  // Error
-          eq = x.stream == y.stream && x.code == y.code &&
-               x.message == y.message;
-        }
-      },
-      a);
-  return eq;
+  EXPECT_EQ(types.size(), std::variant_size_v<Frame>);
 }
 
 TEST(GatewayProtocol, RoundTripsEveryFrameType) {
@@ -258,7 +170,7 @@ TEST(GatewayProtocol, RoundTripsEveryFrameType) {
     dec.feed(encode(want));
     const auto got = dec.next();
     ASSERT_TRUE(got.has_value()) << "frame " << i;
-    EXPECT_TRUE(frames_equal(want, *got)) << "frame " << i;
+    EXPECT_TRUE(*got == want) << "frame " << i;
     EXPECT_EQ(dec.buffered(), 0u) << "frame " << i;
     EXPECT_FALSE(dec.next().has_value());
   }
@@ -285,8 +197,7 @@ TEST(GatewayProtocol, DecodesByteAtATimeAndInBursts) {
     }
     ASSERT_EQ(got.size(), want.size()) << "chunk " << chunk;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_TRUE(frames_equal(want[i], got[i]))
-          << "chunk " << chunk << " frame " << i;
+      EXPECT_TRUE(got[i] == want[i]) << "chunk " << chunk << " frame " << i;
     }
   }
 }
@@ -349,19 +260,37 @@ TEST(GatewayProtocol, RejectsBadVersionAndUnknownType) {
 }
 
 TEST(GatewayProtocol, RejectsLyingArrayCountWithoutOverReading) {
-  // A PUSH_SAMPLES frame whose sample count claims more than the payload
-  // holds: the decoder must reject it before touching bytes past the
-  // frame (or allocating count * 4).
-  std::vector<std::uint8_t> wire = encode(PushSamples{9, {1, 2, 3}});
-  // Patch the count field (payload offset: stream u32 -> count at +4;
-  // frame header is 6 bytes).
-  wire[10] = 0xff;
-  wire[11] = 0xff;
-  wire[12] = 0xff;
-  wire[13] = 0x7f;
-  Decoder dec;
-  dec.feed(wire);
-  EXPECT_THROW(dec.next(), ProtocolError);
+  // Every count prefix patched to claim far more than its frame holds: the
+  // decoder must reject the frame (kBadFrame) before touching bytes past
+  // it or allocating count * element size -- the allocation cap at the top
+  // of this file turns a buffer sized from the lie into a failure here.
+  struct Case {
+    Frame frame;
+    std::size_t count_at;  ///< wire offset of the count prefix
+    std::uint32_t count;   ///< its honest value
+  };
+  const Case cases[] = {
+      {PushSamples{9, {1, 2, 3}}, 10, 3},
+      {WindowResult{5, 1, 2, 3, 0.5, {4, 5}}, 38, 2},
+      {Error{1, 2, "abc"}, 12, 3},
+      {StatsPush{1, {}, {{1, 2, 0}}, {}}, 178, 1},
+      {StatsPush{1, {}, {}, {{1, 2, 3, 4, 5, 6}}}, 182, 1},
+  };
+  for (const Case& c : cases) {
+    for (const std::uint32_t lie : {0x7fffffffu, 0xffffffffu}) {
+      std::vector<std::uint8_t> wire = encode(c.frame);
+      ASSERT_EQ(codec::Reader(wire.data() + c.count_at, 4).u32(), c.count);
+      codec::patch_u32(wire, c.count_at, lie);
+      Decoder dec;
+      dec.feed(wire);
+      try {
+        dec.next();
+        ADD_FAILURE() << "lying count accepted at " << c.count_at;
+      } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.code, ErrorCode::kBadFrame);
+      }
+    }
+  }
 }
 
 TEST(GatewayProtocol, RejectsTrailingBytesInsidePayload) {
@@ -374,49 +303,38 @@ TEST(GatewayProtocol, RejectsTrailingBytesInsidePayload) {
   EXPECT_THROW(dec.next(), ProtocolError);
 }
 
-TEST(GatewayProtocol, TruncatedPayloadFieldsThrowNotCrash) {
-  // Chop a valid frame's length prefix down so the payload ends mid-field:
-  // every cut must throw (truncated read), never crash.
-  const std::vector<std::uint8_t> full = encode(
-      WindowResult{5, 123, 2, 456, 1.5, {10, 20, 30}});
-  const std::size_t payload = full.size() - 6;
-  for (std::size_t keep = 0; keep < payload; ++keep) {
+/// Chops `f`'s length prefix down so the payload ends after every proper
+/// prefix of it: each cut must throw (truncated read or count-vs-remaining
+/// reject), never crash or over-read, and poison the decoder.
+void expect_every_truncation_throws(const Frame& f) {
+  const std::vector<std::uint8_t> full = encode(f);
+  for (std::size_t keep = 0; 6 + keep < full.size(); ++keep) {
     std::vector<std::uint8_t> wire(full.begin(),
                                    full.begin() + 6 + static_cast<long>(keep));
-    const auto len = static_cast<std::uint32_t>(keep + 2);
-    for (int i = 0; i < 4; ++i) {
-      wire[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(len >> (8 * i));
-    }
+    codec::patch_u32(wire, 0, static_cast<std::uint32_t>(keep + 2));
     Decoder dec;
     dec.feed(wire);
-    EXPECT_THROW(dec.next(), ProtocolError) << "keep " << keep;
+    EXPECT_THROW(dec.next(), ProtocolError)
+        << "type " << static_cast<int>(frame_type(f)) << " keep " << keep;
+    EXPECT_THROW(dec.next(), ProtocolError);
+  }
+}
+
+TEST(GatewayProtocol, TruncatedPayloadFieldsThrowNotCrash) {
+  for (const PinnedFrame& p : pinned_frames()) {
+    expect_every_truncation_throws(p.frame);
   }
 }
 
 TEST(GatewayProtocol, TruncatedStatsPushThrowsNotCrash) {
-  // Same cut-everywhere sweep over a v4 STATS_PUSH: every truncation must
-  // hit the count-vs-remaining validation (or a truncated scalar read) and
-  // throw before allocating either load array.
+  // Longer load arrays than the pinned STATS_PUSH: every truncation must
+  // throw before allocating either array.
   StatsPush push;
   push.seq = 7;
   push.stats.devices = 4;
   push.devices.resize(3);
   push.sessions.resize(2);
-  const std::vector<std::uint8_t> full = encode(push);
-  const std::size_t payload = full.size() - 6;
-  for (std::size_t keep = 0; keep < payload; ++keep) {
-    std::vector<std::uint8_t> wire(full.begin(),
-                                   full.begin() + 6 + static_cast<long>(keep));
-    const auto len = static_cast<std::uint32_t>(keep + 2);
-    for (int i = 0; i < 4; ++i) {
-      wire[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(len >> (8 * i));
-    }
-    Decoder dec;
-    dec.feed(wire);
-    EXPECT_THROW(dec.next(), ProtocolError) << "keep " << keep;
-  }
+  expect_every_truncation_throws(push);
 }
 
 TEST(GatewayProtocol, RandomByteFuzzNeverCrashes) {
@@ -449,23 +367,34 @@ TEST(GatewayProtocol, RandomByteFuzzNeverCrashes) {
 
 TEST(GatewayProtocol, CorruptedFrameFuzzRoundTrips) {
   // Flip one byte of a valid frame anywhere: decode must yield a frame,
-  // wait, or throw -- never crash; and an untouched second frame after a
-  // *non-header* corruption inside the first must not be misframed when
-  // the first still parses.
+  // wait, or throw -- never crash. The codec is canonical: a corrupted
+  // frame that still decodes re-encodes to exactly the bytes it was
+  // decoded from (the journal stores re-encoded inbound frames and relies
+  // on this to replay byte-identical traffic).
   Rng rng(11004);
-  for (unsigned round = 0; round < 800; ++round) {
+  unsigned decoded = 0;
+  for (unsigned round = 0; round < 2600; ++round) {
     const Frame f = random_frame(rng, round);
     std::vector<std::uint8_t> wire = encode(f);
     const std::size_t at = rng.next_below(static_cast<unsigned>(wire.size()));
     wire[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
     Decoder dec;
     dec.feed(wire);
+    std::size_t begin = 0;
     try {
-      while (dec.next().has_value()) {
+      while (const auto got = dec.next()) {
+        const std::size_t end = wire.size() - dec.buffered();
+        const std::vector<std::uint8_t> in(
+            wire.begin() + static_cast<long>(begin),
+            wire.begin() + static_cast<long>(end));
+        EXPECT_EQ(encode(*got), in) << "round " << round;
+        begin = end;
+        ++decoded;
       }
     } catch (const ProtocolError&) {
     }
   }
+  EXPECT_GT(decoded, 1300u);  // most single-byte flips still parse
 }
 
 } // namespace
