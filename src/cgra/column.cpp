@@ -1,5 +1,6 @@
 #include "cgra/column.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -417,16 +418,17 @@ void Column::step(const RcOutputs* cross) {
 
 namespace {
 
-/// Precomputed shuffle permutations: replay resolves the per-word source
-/// switch of shuffle_eval() once per mode instead of once per word.
+/// The bit-reversal shuffle permutations, the only modes replay gathers
+/// through a table (the others are row-wide zips, unzips and copies).
 struct ShuffleTables {
-  // [mode][i] = source index into the A:B concatenation.
-  std::array<std::array<std::uint16_t, arch::kVwrWords>, 8> map{};
+  // [hi][i] = source index into the A:B concatenation.
+  std::array<std::array<std::uint16_t, arch::kVwrWords>, 2> map{};
   ShuffleTables() {
-    for (unsigned m = 0; m < 8; ++m) {
+    for (unsigned h = 0; h < 2; ++h) {
+      const auto m = static_cast<isa::ShufMode>(
+          static_cast<unsigned>(isa::ShufMode::kBitRevLo) + h);
       for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-        map[m][i] = static_cast<std::uint16_t>(
-            shuffle_source_index(static_cast<isa::ShufMode>(m), i));
+        map[h][i] = static_cast<std::uint16_t>(shuffle_source_index(m, i));
       }
     }
   }
@@ -625,12 +627,45 @@ struct Column::LineOps {
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (unsigned r = 0; r < kN; ++r) out[r] = alu_op<Op>(a(r, idx), b(r, idx));
       for (unsigned r = 0; r < kN; ++r) d(r, idx, out[r]);
-      idx = static_cast<unsigned>(static_cast<SWord>(idx) + o.s.imm) % kS;
+      idx = next_idx(idx, o.s.imm);
     }
     // rc_prev_ is unobservable between the iterations of one call (the op
     // is alone in its loop body), so only the last iteration's outputs matter.
     for (unsigned r = 0; r < kN; ++r) c.rc_prev_[r] = out[r];
     c.idx_ = idx;
+  }
+
+  /// A MAC superinstruction (tc::kMacProducers), `iters` trips of exactly
+  /// what its two quad ops run back to back: the producer Op(a, b) -> RF e
+  /// on every lane, its index step, the accumulate kSadd(RF x, RF e) -> D
+  /// on every lane, its index step.
+  template <isa::RcOp Op, unsigned A, unsigned B, unsigned D>
+  static void mac(Column& c, const Column::Op& o, std::uint64_t iters) {
+    const In<A> a(c, o.a, o.s.av);
+    const In<B> b(c, o.b, o.s.bv);
+    const Out<D> d(c, o);
+    RcState* rcs = c.rcs_.data();
+    const unsigned e = o.s.e, x = o.s.x;
+    unsigned idx = c.idx_;
+    Word out[kN] = {};
+    for (std::uint64_t it = 0; it < iters; ++it) {
+      Word p[kN];
+      for (unsigned r = 0; r < kN; ++r) p[r] = alu_op<Op>(a(r, idx), b(r, idx));
+      for (unsigned r = 0; r < kN; ++r) rcs[r].rf[e] = p[r];
+      idx = next_idx(idx, o.s.imm);
+      for (unsigned r = 0; r < kN; ++r) {
+        out[r] = alu_op<isa::RcOp::kSadd>(rcs[r].rf[x], rcs[r].rf[e]);
+      }
+      for (unsigned r = 0; r < kN; ++r) d(r, idx, out[r]);
+      idx = next_idx(idx, o.s.acc_imm);
+    }
+    for (unsigned r = 0; r < kN; ++r) c.rc_prev_[r] = out[r];
+    c.idx_ = idx;
+  }
+
+  /// The slice index after an MXCU add_idx of `imm` (wraps like step()).
+  static unsigned next_idx(unsigned idx, std::int32_t imm) {
+    return static_cast<unsigned>(static_cast<SWord>(idx) + imm) % kS;
   }
 
   /// Repeats a one-shot slot function `iters` times.
@@ -704,19 +739,53 @@ struct Column::LineOps {
     const unsigned word = address<M>(c, o);
     c.spm_trace_write_word(word, c.srf_.trace_read(o.s.bv));
   }
-  /// Shuffles A:B (av = mode) into `dst`, which is never A or B.
+  /// Shuffles A:B into `dst`, which is never A or B: one row-wide
+  /// permutation per mode (shuffle.hpp has the definitions).
+  template <isa::ShufMode M>
   static void shuffle_into(const Column::Op& o, Word* dst) {
-    const auto& map = shuffle_tables().map[o.s.av];
+    using isa::ShufMode;
+    constexpr unsigned kW = arch::kVwrWords;
+    constexpr unsigned kH = kW / 2;
     const Word* a = o.a->data();
     const Word* b = o.b->data();
-    for (unsigned i = 0; i < arch::kVwrWords; ++i) {
-      const unsigned s = map[i];
-      dst[i] = s < arch::kVwrWords ? a[s] : b[s - arch::kVwrWords];
+    if constexpr (M == ShufMode::kInterleaveLo || M == ShufMode::kInterleaveHi) {
+      // Zip the low (high) halves of A and B.
+      constexpr unsigned h = M == ShufMode::kInterleaveLo ? 0 : kH;
+      for (unsigned j = 0; j < kH; ++j) {
+        dst[2 * j] = a[h + j];
+        dst[2 * j + 1] = b[h + j];
+      }
+    } else if constexpr (M == ShufMode::kEvenPrune || M == ShufMode::kOddPrune) {
+      // Unzip: the even (odd) words of A, then those of B.
+      constexpr unsigned odd = M == ShufMode::kOddPrune ? 1 : 0;
+      for (unsigned j = 0; j < kH; ++j) {
+        dst[j] = a[2 * j + odd];
+        dst[kH + j] = b[2 * j + odd];
+      }
+    } else if constexpr (M == ShufMode::kCircShiftLo ||
+                         M == ShufMode::kCircShiftHi) {
+      // A:B rotated down one slice: Lo = A[32..128) B[0..32), Hi the same
+      // with A and B swapped.
+      const Word* first = M == ShufMode::kCircShiftLo ? a : b;
+      const Word* second = M == ShufMode::kCircShiftLo ? b : a;
+      std::copy_n(first + kS, kW - kS, dst);
+      std::copy_n(second, kS, dst + kW - kS);
+    } else {
+      static_assert(M == ShufMode::kBitRevLo || M == ShufMode::kBitRevHi);
+      const auto& map = shuffle_tables().map[M == ShufMode::kBitRevHi ? 1 : 0];
+      for (unsigned i = 0; i < kW; ++i) {
+        const unsigned s = map[i];
+        dst[i] = s < kW ? a[s] : b[s - kW];
+      }
     }
   }
-  static void shuf(Column&, const Column::Op& o) { shuffle_into(o, o.d->data()); }
+  template <isa::ShufMode M>
+  static void shuf(Column&, const Column::Op& o) {
+    shuffle_into<M>(o, o.d->data());
+  }
+  template <isa::ShufMode M>
   static void shuf_stage(Column& c, const Column::Op& o) {
-    shuffle_into(o, c.shuf_scratch_.data());
+    shuffle_into<M>(o, c.shuf_scratch_.data());
   }
   static void shuf_commit(Column& c, const Column::Op& o) {
     *o.d = c.shuf_scratch_;
@@ -785,16 +854,10 @@ struct Column::LineOps {
   template <std::size_t K>
   static constexpr Handler handler_of() {
     if constexpr (K < tc::kQuadKeys) {
-      // Key coordinates: the inverse of tc::quad_key.
-      constexpr unsigned d = K % tc::kQuadDstKinds;
-      constexpr unsigned b = K / tc::kQuadDstKinds % (tc::kQuadSrcKinds + 1);
-      constexpr unsigned a =
-          K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1)) % tc::kQuadSrcKinds;
-      constexpr unsigned op =
-          K / (tc::kQuadDstKinds * (tc::kQuadSrcKinds + 1) * tc::kQuadSrcKinds);
-      static_assert(tc::quad_key(op, a, b, d) == K);
-      if constexpr (tc::quad_key_valid(op, a, b, d)) {
-        return &quad<static_cast<isa::RcOp>(op), a, b, d>;
+      constexpr tc::QuadCoords q = tc::quad_coords(K);
+      static_assert(tc::quad_key(q.op, q.a, q.b, q.d) == K);
+      if constexpr (tc::quad_key_valid(q.op, q.a, q.b, q.d)) {
+        return &quad<static_cast<isa::RcOp>(q.op), q.a, q.b, q.d>;
       } else {
         return nullptr;
       }
@@ -816,19 +879,23 @@ struct Column::LineOps {
         static_assert(op == isa::LsuOp::kStSrf);
         return &each<&st_srf<m>>;
       }
-    } else if constexpr (K == tc::kOpShuf) {
-      return &each<&shuf>;
-    } else if constexpr (K == tc::kOpShufStage) {
-      return &each<&shuf_stage>;
+    } else if constexpr (K < tc::kOpShufStage) {
+      return &each<&shuf<static_cast<isa::ShufMode>(K - tc::kOpShuf)>>;
+    } else if constexpr (K < tc::kOpShufCommit) {
+      return &each<&shuf_stage<static_cast<isa::ShufMode>(K - tc::kOpShufStage)>>;
     } else if constexpr (K == tc::kOpShufCommit) {
       return &each<&shuf_commit>;
     } else if constexpr (K == tc::kOpSetPtr) {
       return &each<&set_ptr>;
     } else if constexpr (K < tc::kOpLcu) {
       return &each<&mxcu<static_cast<isa::MxcuOp>(K - tc::kOpMxcu + 1)>>;
-    } else {
+    } else if constexpr (K < tc::kOpMac) {
       return &each<&lcu<static_cast<isa::LcuOp>(
           K - tc::kOpLcu + static_cast<unsigned>(isa::LcuOp::kSetI))>>;
+    } else {
+      constexpr tc::QuadCoords p = tc::kMacProducers[(K - tc::kOpMac) / 2];
+      constexpr unsigned d = (K - tc::kOpMac) % 2 != 0 ? kDstVwr : kDstRf;
+      return &mac<static_cast<isa::RcOp>(p.op), p.a, p.b, d>;
     }
   }
   template <std::size_t... K>
@@ -931,25 +998,26 @@ void Column::step_traced() {
 Cycle Column::step_block_traced(Cycle budget_left) {
   const CompiledTrace& T = *trace_;
   const tc::Block& b = T.blocks[T.block_of[pc_]];
-  const tc::SlotOp* ops = T.ops.data() + b.op;
   unsigned next = b.first + b.len;  // fallthrough
   Cycle n = 0;
   if (b.fuse_self_loop) {
-    // Hardware loop: bind the body once, then replay the whole (runtime-
-    // read) trip count over the bound ops -- no per-trip decode, handler
-    // lookup or routing work. A one-op body runs its trip count inside its
-    // handler.
+    // Hardware loop: bind the body (its MAC-fused op list) once, then
+    // replay the whole (runtime-read) trip count over the bound ops -- no
+    // per-trip decode, handler lookup or routing work. A one-op body runs
+    // its trip count inside its handler.
     const Word cnt = lcu_rf_[b.rd];
     const std::uint64_t iters = cnt == 0 ? (1ull << 32) : cnt;
     if (iters * b.len > budget_left) throw tc::ReplayBudgetExceeded{};
-    if (body_.size() < b.nops) body_.resize(b.nops);
+    const tc::SlotOp* ops = T.body_ops.data() + b.body_op;
+    const unsigned nops = b.body_nops;
+    if (body_.size() < nops) body_.resize(nops);
     Op* body = body_.data();
-    for (unsigned k = 0; k < b.nops; ++k) bind_op(ops[k], body[k]);
-    if (b.nops == 1) {
+    for (unsigned k = 0; k < nops; ++k) bind_op(ops[k], body[k]);
+    if (nops == 1) {
       body->run(*this, *body, iters);
-    } else if (b.nops > 1) {
+    } else if (nops > 1) {
       for (std::uint64_t it = 0; it < iters; ++it) {
-        for (unsigned k = 0; k < b.nops; ++k) body[k].run(*this, body[k], 1);
+        for (unsigned k = 0; k < nops; ++k) body[k].run(*this, body[k], 1);
       }
     }
     lcu_rf_[b.rd] = 0;  // dbnz leaves the counter at zero
@@ -957,7 +1025,7 @@ Cycle Column::step_block_traced(Cycle budget_left) {
     executed_ += iters * b.len;
     n = iters * b.len;
   } else {
-    run_ops(ops, b.nops);
+    run_ops(T.ops.data() + b.op, b.nops);
     meter_->add_block(b.energy, 1);
     executed_ += b.len;
     n = b.len;

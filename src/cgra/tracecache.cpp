@@ -496,7 +496,7 @@ void compile_ops(const DecodedLine& L, tc::Line& line, unsigned pc,
       case LsuOp::kShuf: {
         const bool writes_ab = (rc_writes & 3u) != 0;
         staged = writes_ab && (rc_reads & 4u) != 0;
-        lsu = tc::kOpShuf;
+        lsu = tc::kOpShuf + static_cast<unsigned>(u.mode);
         lsu_first = writes_ab;
         break;
       }
@@ -517,12 +517,11 @@ void compile_ops(const DecodedLine& L, tc::Line& line, unsigned pc,
       o.a = 0;
       o.b = 1;
       o.d = static_cast<std::uint8_t>(VwrSel::C);
-      o.av = static_cast<Word>(u.mode);
     }
   };
 
   if (staged) {
-    emit_lsu(tc::kOpShufStage);
+    emit_lsu(tc::kOpShufStage + static_cast<unsigned>(u.mode));
   } else if (has_lsu && lsu_first) {
     emit_lsu(lsu);
   }
@@ -563,6 +562,65 @@ void compile_ops(const DecodedLine& L, tc::Line& line, unsigned pc,
   }
 }
 
+/// The MAC op fusing quad producer `p` with the quad accumulate `a` that
+/// follows it, or -1: `p` has a kMacProducers shape and writes RF entry e,
+/// and `a` is kSadd(RF x, RF e) into an RF entry or a VWR word.
+int mac_id_of(const tc::SlotOp& p, const tc::SlotOp& a) {
+  if (p.id >= tc::kQuadKeys || a.id >= tc::kQuadKeys) return -1;
+  const tc::QuadCoords pk = tc::quad_coords(p.id);
+  const tc::QuadCoords ak = tc::quad_coords(a.id);
+  constexpr auto kRf = static_cast<unsigned>(tc::Src::K::kRf);
+  constexpr auto kDstVwr = static_cast<unsigned>(tc::Dst::kVwr);
+  if (ak.op != static_cast<unsigned>(RcOp::kSadd) || ak.a != kRf ||
+      ak.b != kRf || ak.d == static_cast<unsigned>(tc::Dst::kNone) ||
+      a.bv != p.dv) {
+    return -1;
+  }
+  for (unsigned i = 0; i < tc::kMacProducers.size(); ++i) {
+    const tc::QuadCoords& m = tc::kMacProducers[i];
+    if (m.op == pk.op && m.a == pk.a && m.b == pk.b && m.d == pk.d) {
+      return static_cast<int>(tc::kOpMac + 2 * i + (ak.d == kDstVwr ? 1 : 0));
+    }
+  }
+  return -1;
+}
+
+/// True for an ld_srf that cannot fault: immediate address inside the SPM.
+bool ld_srf_safe(const tc::SlotOp& s) {
+  return s.id == tc::kOpLsu + tc::lsu_op_id(LsuOp::kLdSrf, LsuAddrMode::kImm) &&
+         s.imm >= 0 && s.imm < static_cast<std::int32_t>(arch::kSpmWords);
+}
+
+/// Compiles one trip of a fused self-loop into `out`: the block's `n` ops,
+/// with every producer -> accumulate pair (mac_id_of) fused into one MAC
+/// op. The pair is adjacent, or straddles one ld_srf (FIR's tap rotation
+/// on the accumulate line: [mul][ld_srf][add]). That ld_srf moves after
+/// the MAC, which is exact: it reads an in-range SPM word and writes the
+/// SRF, the producer has already read the SRF, and the accumulate touches
+/// neither -- it reads RF entries and writes an RF entry or a VWR word.
+void compile_body(const tc::SlotOp* ops, unsigned n,
+                  std::vector<tc::SlotOp>& out) {
+  for (unsigned k = 0; k < n;) {
+    const unsigned gap = k + 2 < n && ld_srf_safe(ops[k + 1]) ? 1 : 0;
+    const int id = k + 1 + gap < n ? mac_id_of(ops[k], ops[k + 1 + gap]) : -1;
+    if (id < 0) {
+      out.push_back(ops[k++]);
+      continue;
+    }
+    const tc::SlotOp& acc = ops[k + 1 + gap];
+    tc::SlotOp m = ops[k];  // the producer's operands and index step
+    m.id = static_cast<std::uint16_t>(id);
+    m.e = static_cast<std::uint8_t>(ops[k].dv);
+    m.x = static_cast<std::uint8_t>(acc.av);
+    m.d = acc.d;
+    m.dv = acc.dv;
+    m.acc_imm = acc.imm;
+    out.push_back(m);
+    if (gap != 0) out.push_back(ops[k + 1]);
+    k += 2 + gap;
+  }
+}
+
 } // namespace
 
 std::shared_ptr<const CompiledTrace> compile_trace(
@@ -573,6 +631,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     trace->bail_reason = std::move(why);
     trace->lines.clear();
     trace->ops.clear();
+    trace->body_ops.clear();
     trace->blocks.clear();
     trace->block_of.clear();
     return std::shared_ptr<const CompiledTrace>(trace);
@@ -737,6 +796,11 @@ std::shared_ptr<const CompiledTrace> compile_trace(
         }
       }
       b.fuse_self_loop = clean;
+    }
+    if (b.fuse_self_loop) {
+      b.body_op = static_cast<std::uint16_t>(trace->body_ops.size());
+      compile_body(trace->ops.data() + b.op, b.nops, trace->body_ops);
+      b.body_nops = static_cast<std::uint16_t>(trace->body_ops.size() - b.body_op);
     }
 
     const auto bi = static_cast<std::uint16_t>(trace->blocks.size());

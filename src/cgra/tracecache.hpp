@@ -113,8 +113,12 @@ struct RcUop {
 // key over (RcOp x a-source kind x b-source kind-or-unary x destination
 // kind); a quad op also carries its line's add_idx step, so such a line has
 // no separate MXCU op. The remaining ids name one handler per LSU op and
-// address mode, per MXCU op and per LCU register op, plus the per-RC lane
-// loop for RC lines that are not quad.
+// address mode, per shuffle mode, per MXCU op and per LCU register op, plus
+// the per-RC lane loop for RC lines that are not quad.
+//
+// A fused loop body also gets its own op list (Block::body_op), in which
+// each multiply/compare quad that feeds a quad accumulate becomes one MAC
+// op (see compile_body in tracecache.cpp).
 
 inline constexpr unsigned kQuadSrcKinds = 4;  ///< Src::K kImm..kSrf
 inline constexpr unsigned kQuadUnary = 4;     ///< b coordinate of unary ops
@@ -137,6 +141,32 @@ constexpr bool quad_key_valid(unsigned op, unsigned a, unsigned b, unsigned d) {
          (b == kQuadUnary) == alu_is_unary(static_cast<isa::RcOp>(op));
 }
 
+/// The coordinates of a quad key: the inverse of quad_key.
+struct QuadCoords {
+  unsigned op, a, b, d;
+};
+constexpr QuadCoords quad_coords(unsigned key) {
+  return {key / (kQuadDstKinds * (kQuadSrcKinds + 1) * kQuadSrcKinds),
+          key / (kQuadDstKinds * (kQuadSrcKinds + 1)) % kQuadSrcKinds,
+          key / kQuadDstKinds % (kQuadSrcKinds + 1), key % kQuadDstKinds};
+}
+
+/// The producers a MAC op fuses with the accumulate that follows them: the
+/// (op, a, b) shapes of the catalog's multiply and compare loop bodies,
+/// each writing an RF entry.
+constexpr QuadCoords mac_producer(isa::RcOp op, Src::K a, Src::K b) {
+  return {static_cast<unsigned>(op), static_cast<unsigned>(a),
+          static_cast<unsigned>(b), static_cast<unsigned>(Dst::kRf)};
+}
+inline constexpr std::array<QuadCoords, 4> kMacProducers = {
+    mac_producer(isa::RcOp::kFxpMul, Src::K::kVwr, Src::K::kSrf),
+    mac_producer(isa::RcOp::kFxpMul, Src::K::kVwr, Src::K::kVwr),
+    mac_producer(isa::RcOp::kFxpMul, Src::K::kRf, Src::K::kVwr),
+    mac_producer(isa::RcOp::kCmpLe, Src::K::kVwr, Src::K::kSrf),
+};
+/// MAC ops: one per producer x accumulate destination (Dst::kRf, kVwr).
+inline constexpr unsigned kMacKeys = kMacProducers.size() * 2;
+
 /// Offset of an addressed LSU op (kLdVwr..kStSrf) from kOpLsu.
 constexpr unsigned lsu_op_id(isa::LsuOp op, isa::LsuAddrMode m) {
   return (static_cast<unsigned>(op) - static_cast<unsigned>(isa::LsuOp::kLdVwr)) *
@@ -148,20 +178,26 @@ constexpr unsigned lsu_op_id(isa::LsuOp op, isa::LsuAddrMode m) {
 inline constexpr unsigned kOpLanes = kQuadKeys;  ///< per-RC lanes (non-quad)
 /// kLdVwr..kStSrf x address mode: kOpLsu + lsu_op_id(op, amode).
 inline constexpr unsigned kOpLsu = kOpLanes + 1;
-/// Shuffle into VWR C (the first id past the addressed LSU ops).
+inline constexpr unsigned kShufModes = static_cast<unsigned>(isa::ShufMode::kCount);
+/// Shuffle into VWR C, kOpShuf + mode (the first ids past the addressed
+/// LSU ops).
 inline constexpr unsigned kOpShuf =
     kOpLsu + lsu_op_id(isa::LsuOp::kShuf, isa::LsuAddrMode::kImm);
-inline constexpr unsigned kOpShufStage = kOpShuf + 1;  ///< shuffle into staging
-inline constexpr unsigned kOpShufCommit = kOpShufStage + 1;  ///< staging -> C
+/// Shuffle into staging, kOpShufStage + mode.
+inline constexpr unsigned kOpShufStage = kOpShuf + kShufModes;
+inline constexpr unsigned kOpShufCommit = kOpShufStage + kShufModes;  ///< staging -> C
 inline constexpr unsigned kOpSetPtr = kOpShufCommit + 1;
 /// kSetIdx..kStIdxSrf: kOpMxcu + op - 1.
 inline constexpr unsigned kOpMxcu = kOpSetPtr + 1;
 /// kSetI..kStSrf: kOpLcu + op - kSetI.
 inline constexpr unsigned kOpLcu =
     kOpMxcu + static_cast<unsigned>(isa::MxcuOp::kCount) - 1;
-inline constexpr unsigned kOps =
+/// MAC superinstructions, kOpMac + 2 * producer + (accumulate into a VWR):
+/// only fused loop bodies (Block::body_op) name these.
+inline constexpr unsigned kOpMac =
     kOpLcu + static_cast<unsigned>(isa::LcuOp::kStSrf) -
     static_cast<unsigned>(isa::LcuOp::kSetI) + 1;
+inline constexpr unsigned kOps = kOpMac + kMacKeys;
 
 /// One compiled slot op: its handler id and every operand resolved at
 /// compile time except the column-state addresses, which are VWR selects
@@ -171,10 +207,16 @@ struct SlotOp {
   std::uint16_t pc = 0;  ///< program address of the line
   /// VWR selects: quad sources / destination, the LSU row, shuffle A/B/C.
   std::uint8_t a = 0, b = 0, d = 0;
+  /// MAC ops only: the producer's RF destination (the accumulate's b
+  /// operand) and the accumulate's RF a operand.
+  std::uint8_t e = 0, x = 0;
   /// Operand words: quad immediates, SRF or RF indices; LSU SRF base, data
-  /// and pointer select (shuffle mode in av); MXCU SRF; LCU ra, SRF, rd.
+  /// and pointer select; MXCU SRF; LCU ra, SRF, rd. A MAC op carries its
+  /// producer's a and b and its accumulate's destination.
   Word av = 0, bv = 0, dv = 0;
-  std::int32_t imm = 0;  ///< quad index step; LSU/MXCU/LCU immediate
+  /// Quad (a MAC's producer) index step; LSU/MXCU/LCU immediate.
+  std::int32_t imm = 0;
+  std::int32_t acc_imm = 0;  ///< a MAC's accumulate index step
 };
 
 /// One flattened VLIW line: its slot ops, plus the per-RC micro-ops the
@@ -216,6 +258,10 @@ struct Block {
   bool fuse_self_loop = false;  ///< DBNZ back to `first`, trip-count fusable
   std::uint16_t op = 0;         ///< first slot op of the block
   std::uint16_t nops = 0;       ///< slot ops of one block replay
+  /// Fused self-loops: one trip's ops in CompiledTrace::body_ops, with MAC
+  /// pairs fused; the fused-loop replay runs these instead of op/nops.
+  std::uint16_t body_op = 0;
+  std::uint16_t body_nops = 0;
   std::vector<energy::EventDelta> energy;  ///< one full block replay
   /// Statically-addressed SPM rows one replay of this block reads / writes
   /// (LSU kImm address mode; kSpmRows = 64, one word each). Dynamically
@@ -238,6 +284,7 @@ class CompiledTrace {
   std::vector<tc::Block> blocks;
   std::vector<std::uint16_t> block_of;  ///< pc -> index into blocks
   std::vector<tc::SlotOp> ops;  ///< every line's slot ops, in line order
+  std::vector<tc::SlotOp> body_ops;  ///< fused loop bodies (Block::body_op)
   /// Whole-trace unions of the per-block static SPM row masks, and whether
   /// any kRcCross operand survives into the micro-ops (such a trace replays
   /// only on the per-cycle lockstep tier, which has partner snapshots).

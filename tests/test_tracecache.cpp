@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -17,6 +19,7 @@
 #include "bus/ahb.hpp"
 #include "casm/builder.hpp"
 #include "casm/factories.hpp"
+#include "cgra/shuffle.hpp"
 #include "cgra/tracecache.hpp"
 #include "cgra/vwr2a.hpp"
 #include "common/fixed_point.hpp"
@@ -454,6 +457,38 @@ isa::ColumnProgram loop_body_program(Rng& rng, unsigned body) {
   return pb.build();
 }
 
+/// Launches `img` twice (or until it faults) on an interpreter rig and a
+/// trace rig seeded alike, checking after each launch that both raised the
+/// same SimError text, or none, and left identical state and energy.
+/// Returns the error text, empty when both launches ran clean.
+std::string launch_twice_identical(const isa::KernelImage& img,
+                                   std::uint64_t data_seed,
+                                   const std::string& what) {
+  Rig ri(ExecMode::kInterpret);
+  Rig rt(ExecMode::kTraceCache);
+  ri.seed(Rng(data_seed));
+  rt.seed(Rng(data_seed));
+  const unsigned ki = ri.acc.register_kernel(img);
+  const unsigned kt = rt.acc.register_kernel(img);
+  std::string err_i, err_t;
+  for (int launch = 0; launch < 2 && err_i.empty(); ++launch) {
+    try {
+      ri.acc.run_kernel(ki);
+    } catch (const SimError& e) {
+      err_i = e.what();
+    }
+    try {
+      rt.acc.run_kernel(kt);
+    } catch (const SimError& e) {
+      err_t = e.what();
+    }
+    EXPECT_EQ(err_i, err_t) << what;
+    expect_identical(ri, rt, what);
+    if (err_i != err_t || ::testing::Test::HasFailure()) break;
+  }
+  return err_i;
+}
+
 /// Multi-line fused bodies against the interpreter: the bound-body replay
 /// must re-read SRF operands every trip and keep each line's slot order,
 /// on one column and on two (decoupled or scheduled, and lockstep after a
@@ -474,31 +509,10 @@ TEST(TraceCacheFuzz, MultiLineLoopBodiesMatchInterpreter) {
     const bool two_cols = rng.next_below(2) == 1;
     const isa::KernelImage img =
         two_cols ? make_kernel2("body2", prog, prog) : make_kernel("body", 0, prog);
-
-    Rig ri(ExecMode::kInterpret);
-    Rig rt(ExecMode::kTraceCache);
-    ri.seed(Rng(data_seed));
-    rt.seed(Rng(data_seed));
-    const unsigned ki = ri.acc.register_kernel(img);
-    const unsigned kt = rt.acc.register_kernel(img);
-    std::string err_i, err_t;
-    for (int launch = 0; launch < 2; ++launch) {
-      try {
-        ri.acc.run_kernel(ki);
-      } catch (const SimError& e) {
-        err_i = e.what();
-      }
-      try {
-        rt.acc.run_kernel(kt);
-      } catch (const SimError& e) {
-        err_t = e.what();
-      }
-      ASSERT_EQ(err_i, err_t) << "trial " << trial;
-      expect_identical(ri, rt, "loop trial " + std::to_string(trial));
-      if (::testing::Test::HasFatalFailure()) return;
-      if (!err_i.empty()) break;
-    }
-    if (err_i.empty()) {
+    const std::string err = launch_twice_identical(
+        img, data_seed, "loop trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) return;
+    if (err.empty()) {
       ++clean;
       if (fused_long) ++long_fused;
     }
@@ -507,6 +521,158 @@ TEST(TraceCacheFuzz, MultiLineLoopBodiesMatchInterpreter) {
   // span three or more lines.
   EXPECT_GT(clean, 180u);
   EXPECT_GT(long_fused, 140u);
+}
+
+/// A producer -> accumulate pair on two lines, shaped so the loop body
+/// compiles it into one MAC op (tc::kMacProducers): the producer line is
+/// the quad alone, with an add_idx step most of the time; the accumulate
+/// line is a quad kSadd(R x, R e) with its own step and, half the time, an
+/// ld_srf at an immediate address (FIR's tap rotation). x equals e half
+/// the time, the RF producer reads e or x, and a VWR accumulate writes the
+/// producer's VWR source a third of the time.
+std::array<SlotLine, 2> mac_pair(Rng& rng) {
+  using isa::RcDst;
+  using isa::RcSrc;
+  auto rf = [](unsigned entry) { return entry == 0 ? RcSrc::kR0 : RcSrc::kR1; };
+  auto vwr_src = [](unsigned v) {
+    return static_cast<RcSrc>(static_cast<unsigned>(RcSrc::kVwrA) + v);
+  };
+  auto step = [&rng] {
+    return rng.next_below(4) == 0 ? mxcu_nop()
+                                  : mxcu_add_idx(static_cast<int>(rng.next_below(81)) - 40);
+  };
+  const unsigned e = rng.next_below(2);
+  const unsigned x = rng.next_below(2);
+  const RcDst to_e = e == 0 ? RcDst::kR0 : RcDst::kR1;
+  const unsigned va = rng.next_below(3);
+  const unsigned vb = rng.next_below(3);
+  const auto srf = static_cast<std::uint8_t>(rng.next_below(8));
+  isa::RcInstr p;
+  unsigned src_vwr = va;  // the producer's (first) VWR source
+  switch (rng.next_below(4)) {
+    case 0:
+      p = rc_fxpmul(to_e, vwr_src(va), RcSrc::kSrf, srf);
+      break;
+    case 1:
+      p = rc_fxpmul(to_e, vwr_src(va), vwr_src(vb));
+      break;
+    case 2:
+      p = rc_fxpmul(to_e, rf(rng.next_below(2) != 0 ? e : x), vwr_src(vb));
+      src_vwr = vb;
+      break;
+    default:
+      p = rc_op(isa::RcOp::kCmpLe, to_e, vwr_src(va), RcSrc::kSrf, srf);
+      break;
+  }
+  RcDst dst = RcDst::kR0;
+  switch (rng.next_below(3)) {
+    case 0:
+      dst = rng.next_below(2) != 0 ? RcDst::kR1 : RcDst::kR0;
+      break;
+    case 1:
+      dst = static_cast<RcDst>(static_cast<unsigned>(RcDst::kVwrA) + src_vwr);
+      break;
+    default:
+      dst = static_cast<RcDst>(static_cast<unsigned>(RcDst::kVwrA) +
+                               rng.next_below(3));
+      break;
+  }
+  std::array<SlotLine, 2> pair;
+  pair[0].rc.fill(p);
+  pair[0].mxcu = step();
+  pair[1].rc.fill(rc_add(dst, rf(x), rf(e)));
+  pair[1].mxcu = step();
+  if (rng.next_below(2) != 0) {
+    pair[1].lsu = lsu_ld_srf(rng.next_below(2) != 0 ? srf : static_cast<std::uint8_t>(
+                                                            rng.next_below(8)),
+                             rng.next_below(arch::kSpmWords));
+  }
+  return pair;
+}
+
+/// MAC superinstructions against the interpreter: loop bodies of one to
+/// three fusable pairs, with light lines between them, over trip counts
+/// that wrap the slice index, on one column and on two. Every generated
+/// pair must fuse, and the fused shapes must cover the alias and step
+/// cases the MAC handler has to get right.
+TEST(TraceCacheFuzz, MacBodiesMatchInterpreter) {
+  Rng rng(0x3AC0);
+  unsigned pairs_total = 0, macs_total = 0, x_is_e = 0, reads_acc = 0;
+  unsigned vwr_acc = 0, vwr_alias = 0, producer_step = 0, steps_differ = 0;
+  unsigned ld_srf_between = 0, wraps = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t data_seed = rng.next_u64();
+    const unsigned trips = 1 + rng.next_below(48);
+    ProgramBuilder pb;
+    pb.line()
+        .lcu(lcu_set(3, static_cast<int>(trips)))
+        .mxcu(mxcu_set_idx(static_cast<int>(rng.next_below(arch::kSliceWords))))
+        .emit();
+    std::vector<SlotLine> lines;
+    const unsigned pairs = 1 + rng.next_below(3);
+    for (unsigned i = 0; i < pairs; ++i) {
+      if (rng.next_below(3) == 0) lines.push_back(light_line(rng, /*keep=*/8));
+      const auto pair = mac_pair(rng);
+      lines.insert(lines.end(), pair.begin(), pair.end());
+    }
+    if (rng.next_below(2) != 0) lines.push_back(light_line(rng, /*keep=*/8));
+    Label loop = pb.make_label();
+    pb.bind(loop);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      lines[i].emit(pb, i + 1 == lines.size() ? std::optional<Label>(loop)
+                                              : std::nullopt);
+    }
+    pb.line().lcu(lcu_exit()).emit();
+    const isa::ColumnProgram prog = pb.build();
+
+    const auto trace = cgra::compile_trace(prog);
+    ASSERT_TRUE(trace->ok) << "trial " << trial << ": " << trace->bail_reason;
+    const cgra::tc::Block& b = trace->blocks[trace->block_of[1]];
+    ASSERT_TRUE(b.fuse_self_loop) << "trial " << trial;
+    unsigned macs = 0;
+    for (unsigned i = b.body_op; i < b.body_op + b.body_nops; ++i) {
+      const cgra::tc::SlotOp& m = trace->body_ops[i];
+      if (m.id < cgra::tc::kOpMac) continue;
+      ++macs;
+      const unsigned producer = (m.id - cgra::tc::kOpMac) / 2;
+      const bool to_vwr = (m.id - cgra::tc::kOpMac) % 2 != 0;
+      const bool rf_producer = cgra::tc::kMacProducers[producer].a ==
+                               static_cast<unsigned>(cgra::tc::Src::K::kRf);
+      x_is_e += m.e == m.x ? 1 : 0;
+      reads_acc += rf_producer && (m.av == m.e || m.av == m.x) ? 1 : 0;
+      vwr_acc += to_vwr ? 1 : 0;
+      vwr_alias += to_vwr && (rf_producer ? m.d == m.b : m.d == m.a) ? 1 : 0;
+      producer_step += m.imm != 0 ? 1 : 0;
+      steps_differ += m.imm != m.acc_imm ? 1 : 0;
+      wraps += trips * static_cast<unsigned>(std::abs(m.imm) + std::abs(m.acc_imm)) >=
+                       arch::kSliceWords
+                   ? 1
+                   : 0;
+      const bool next_ld_srf =
+          i + 1 < b.body_op + b.body_nops &&
+          trace->body_ops[i + 1].id ==
+              cgra::tc::kOpLsu +
+                  cgra::tc::lsu_op_id(isa::LsuOp::kLdSrf, isa::LsuAddrMode::kImm);
+      ld_srf_between += next_ld_srf ? 1 : 0;
+    }
+    ASSERT_GE(macs, pairs) << "trial " << trial << ": a generated pair did not fuse";
+    pairs_total += pairs;
+    macs_total += macs;
+
+    const bool two_cols = rng.next_below(2) == 1;
+    const isa::KernelImage img =
+        two_cols ? make_kernel2("mac2", prog, prog) : make_kernel("mac", 0, prog);
+    const std::string err =
+        launch_twice_identical(img, data_seed, "mac trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) return;
+    EXPECT_TRUE(err.empty()) << "trial " << trial << ": " << err;
+  }
+  EXPECT_GE(pairs_total, 350u);
+  EXPECT_GE(macs_total, pairs_total);
+  for (unsigned covered : {x_is_e, reads_acc, vwr_acc, vwr_alias, producer_step,
+                           steps_differ, ld_srf_between, wraps}) {
+    EXPECT_GE(covered, 20u);
+  }
 }
 
 // --- directed coverage -------------------------------------------------------
@@ -863,6 +1029,132 @@ TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
   expect_identical(ri, rt, "lone cross fault path");
 }
 
+/// The trace-mode twin of Column.MissingExitThrows: a program that falls
+/// through its last line raises the interpreter's "branch past end" fault
+/// from every replay site -- a plain block and a fused loop on one column,
+/// the decoupled and scheduled tiers on two, and the lockstep tier -- and
+/// the rollback leaves the interpreter's exact partial state and energy.
+TEST(TraceCache, MissingExitFaultsIdentically) {
+  using isa::RcDst;
+  using isa::RcSrc;
+  auto plain = [] {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_mv(RcDst::kR0, RcSrc::kOne)).emit();
+    pb.line().rc_all(rc_add(RcDst::kVwrC, RcSrc::kR0, RcSrc::kVwrA)).emit();
+    return pb.build();
+  };
+  auto loop = [] {  // a fused DBNZ self-loop is the last line
+    ProgramBuilder pb;
+    pb.line().lcu(lcu_set(0, 5)).emit();
+    Label l = pb.make_label();
+    pb.bind(l);
+    pb.line()
+        .rc_all(rc_add(RcDst::kR1, RcSrc::kR1, RcSrc::kVwrA))
+        .mxcu(mxcu_add_idx(3))
+        .lcu(lcu_dbnz(0), l)
+        .emit();
+    return pb.build();
+  };
+  auto store = [] {  // row 40 statically shared: a sync block
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(RcDst::kVwrA, RcSrc::kVwrA, RcSrc::kOne)).emit();
+    pb.line().lsu(lsu_st_vwr(VwrSel::A, 40)).emit();
+    return pb.build();
+  };
+  auto load = [] {
+    ProgramBuilder pb;
+    pb.line().emit();
+    pb.line().lsu(lsu_ld_vwr(VwrSel::B, 40)).emit();
+    return pb.build();
+  };
+  auto cross = [] {
+    ProgramBuilder pb;
+    pb.line().rc_all(rc_add(RcDst::kR0, RcSrc::kVwrA, RcSrc::kOne)).emit();
+    pb.line().rc_all(rc_add(RcDst::kVwrB, RcSrc::kRcCross, RcSrc::kR0)).emit();
+    return pb.build();
+  };
+  using Mode = cgra::tc::SyncPlan::Mode;
+  struct Case {
+    const char* what;
+    isa::KernelImage img;
+    Mode mode;
+  };
+  const Case cases[] = {
+      {"one column", make_kernel("fall", 0, plain()), Mode::kDecoupled},
+      {"one column, fused loop", make_kernel("fall_loop", 0, loop()),
+       Mode::kDecoupled},
+      {"two columns, decoupled", make_kernel2("fall2", plain(), loop()),
+       Mode::kDecoupled},
+      {"two columns, scheduled", make_kernel2("fall_sync", store(), load()),
+       Mode::kScheduled},
+      {"two columns, lockstep", make_kernel2("fall_cross", cross(), cross()),
+       Mode::kLockstep},
+  };
+  for (const Case& c : cases) {
+    std::array<std::shared_ptr<const cgra::CompiledTrace>, arch::kNumColumns> t;
+    for (unsigned col = 0; col < arch::kNumColumns; ++col) {
+      if (!isa::contains(c.img.columns, col)) continue;
+      t[col] = cgra::compile_trace(c.img.program[col]);
+      ASSERT_TRUE(t[col]->ok) << c.what << ": " << t[col]->bail_reason;
+    }
+    EXPECT_EQ(cgra::tc::make_sync_plan(t[0].get(), t[1].get()).mode, c.mode)
+        << c.what;
+    const std::string err = launch_twice_identical(c.img, 93, c.what);
+    EXPECT_EQ(err, "Column: branch past end of program") << c.what;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// Every shuffle mode through a one-line traced program, as the plain
+/// shuffle into C and as the staged shuffle of a line whose RCs read C and
+/// write A: the row-wide handler of each mode must produce shuffle_eval()
+/// of the pre-cycle rows and match the interpreter in every state word and
+/// energy event.
+TEST(TraceCache, EveryShuffleModeMatchesInterpreter) {
+  for (unsigned m = 0; m < cgra::tc::kShufModes; ++m) {
+    const auto mode = static_cast<isa::ShufMode>(m);
+    for (const bool staged : {false, true}) {
+      const std::string what =
+          "mode " + std::to_string(m) + (staged ? " staged" : " plain");
+      ProgramBuilder pb;
+      auto line = pb.line().lsu(lsu_shuf(mode));
+      if (staged) {
+        line.rc_all(rc_add(isa::RcDst::kVwrA, isa::RcSrc::kVwrC, isa::RcSrc::kOne));
+      }
+      line.emit();
+      pb.line().lcu(lcu_exit()).emit();
+      const isa::ColumnProgram prog = pb.build();
+
+      const auto trace = cgra::compile_trace(prog);
+      ASSERT_TRUE(trace->ok) << what << ": " << trace->bail_reason;
+      const cgra::tc::Line& l = trace->lines[0];
+      ASSERT_EQ(l.nops, staged ? 3u : 1u) << what;
+      ASSERT_EQ(trace->ops[l.op].id,
+                (staged ? cgra::tc::kOpShufStage : cgra::tc::kOpShuf) + m)
+          << what;
+      if (staged) {
+        ASSERT_EQ(trace->ops[l.op + 2].id, cgra::tc::kOpShufCommit) << what;
+      }
+
+      Rig ri(ExecMode::kInterpret);
+      Rig rt(ExecMode::kTraceCache);
+      ri.seed(Rng(500 + m));
+      rt.seed(Rng(500 + m));
+      const cgra::VwrRow a = rt.acc.column(0).vwr(VwrSel::A).read_row();
+      const cgra::VwrRow b = rt.acc.column(0).vwr(VwrSel::B).read_row();
+      const isa::KernelImage img = make_kernel("shuf", 0, prog);
+      ri.acc.run_kernel(ri.acc.register_kernel(img));
+      rt.acc.run_kernel(rt.acc.register_kernel(img));
+      EXPECT_EQ(rt.acc.interpreted_cycles(), 0u) << what;
+      EXPECT_EQ(rt.acc.column(0).vwr(VwrSel::C).read_row(),
+                cgra::shuffle_eval(mode, a, b))
+          << what;
+      expect_identical(ri, rt, what);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 // --- quad handler keys ---------------------------------------------------------
 
 /// One quad line for handler key (op, a, b, d). `alias` routes the
@@ -997,7 +1289,10 @@ TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
 /// Catalog coverage: every column program a device loads to serve one
 /// MBioTracker window and one FIR -> energy -> rFFT pipeline window compiles,
 /// and every line replays through slot handlers -- none needs the staged
-/// evaluate/commit sequence kept for a real intra-line hazard.
+/// evaluate/commit sequence kept for a real intra-line hazard. The fused
+/// loop bodies take MAC ops: every reduce count-le and sum-of-squares body
+/// is one op that runs its whole trip count, and the FIR-11 body drops from
+/// 29 ops per trip to 19.
 TEST(TraceCache, CatalogLinesTakeSlotHandlers) {
   isa::ImageCache cache;
   runtime::Device dev(0, cache, soc::ArchConfig{.exec_mode = ExecMode::kTraceCache});
@@ -1014,8 +1309,12 @@ TEST(TraceCache, CatalogLinesTakeSlotHandlers) {
 
   const mem::ConfigMem& cm = dev.platform().vwr2a().config_mem();
   unsigned programs = 0, lines = 0, staged = 0, quad = 0, multi_line_loops = 0;
+  unsigned mac = 0, one_op_bodies = 0, reduce_bodies = 0, fir_bodies = 0;
   for (unsigned k = 0; k < cm.size(); ++k) {
     const isa::KernelImage& img = cm.kernel(k);
+    const bool reduce = img.name.starts_with("reduce_countle") ||
+                        img.name.starts_with("reduce_sumsq");
+    const bool fir = img.name.starts_with("fir11");
     for (unsigned c = 0; c < arch::kNumColumns; ++c) {
       if (!isa::contains(img.columns, c)) continue;
       const auto trace = cgra::compile_trace(img.program[c]);
@@ -1025,22 +1324,45 @@ TEST(TraceCache, CatalogLinesTakeSlotHandlers) {
         ++lines;
         for (unsigned i = line.op; i < line.op + line.nops; ++i) {
           const unsigned id = trace->ops[i].id;
-          ASSERT_LT(id, cgra::tc::kOps) << img.name;
-          if (id == cgra::tc::kOpShufStage) ++staged;
+          ASSERT_LT(id, cgra::tc::kOpMac) << img.name;  // MACs: bodies only
+          if (id >= cgra::tc::kOpShufStage && id < cgra::tc::kOpShufCommit) ++staged;
           if (id < cgra::tc::kQuadKeys) ++quad;
         }
       }
       for (const cgra::tc::Block& b : trace->blocks) {
-        if (b.fuse_self_loop && b.len > 1) ++multi_line_loops;
+        if (!b.fuse_self_loop) continue;
+        for (unsigned i = b.body_op; i < b.body_op + b.body_nops; ++i) {
+          const unsigned id = trace->body_ops[i].id;
+          ASSERT_LT(id, cgra::tc::kOps) << img.name;
+          if (id >= cgra::tc::kOpMac) ++mac;
+        }
+        if (b.len == 1) continue;
+        ++multi_line_loops;
+        if (b.body_nops == 1) ++one_op_bodies;
+        if (reduce) {
+          ++reduce_bodies;
+          EXPECT_EQ(b.body_nops, 1u) << img.name;
+          EXPECT_GE(trace->body_ops[b.body_op].id, cgra::tc::kOpMac) << img.name;
+        }
+        if (fir) {
+          ++fir_bodies;
+          EXPECT_EQ(b.nops, 29u) << img.name;
+          EXPECT_EQ(b.body_nops, 19u) << img.name;
+        }
       }
     }
   }
-  // 34 programs, 903 lines, 295 quad ops and 31 multi-line hardware loops
+  // 34 programs, 903 lines, 295 quad ops, 31 multi-line hardware loops,
+  // 44 MAC ops, 3 multi-line bodies of one op, 3 reduce and 4 FIR bodies
   // today; the floors only guard against the walk going vacuous.
   EXPECT_GE(programs, 30u);
   EXPECT_GE(lines, 800u);
   EXPECT_GE(quad, 250u);
   EXPECT_GE(multi_line_loops, 25u);
+  EXPECT_GE(mac, 40u);
+  EXPECT_GE(one_op_bodies, 3u);
+  EXPECT_GE(reduce_bodies, 3u);
+  EXPECT_GE(fir_bodies, 2u);
   EXPECT_EQ(staged, 0u);  // lines left on an evaluate/commit path
 }
 
