@@ -63,7 +63,7 @@ int main() {
 
   struct Run {
     runtime::FleetStats stats;
-    runtime::ReplayStats replay;
+    cgra::ReplayStats replay;
     std::uint64_t output_hash = codec::kFnvBasis;  // FNV-1a
     double sys_pj_total = 0.0;
     Cycle job_cycles = 0;
@@ -190,20 +190,21 @@ int main() {
       r.sys_pj_total += jr.cost.total_pj();
     }
     r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    r.replay = dev.replay_stats();
+    r.replay = dev.figures().replay;
     return r;
   };
   const Run fft_interp = run_device(cgra::ExecMode::kInterpret, false);
   const Run fft_sched = run_device(cgra::ExecMode::kTraceCache, false);
   const Run fft_lock = run_device(cgra::ExecMode::kTraceCache, true);
   auto tier_row = [](const char* name, const Run& r) {
+    const cgra::ReplayStats& t = r.replay;
     std::printf("  %-12s | %8.1f ms | dec %10llu lock %10llu interp %10llu | "
                 "sync %llu\n",
                 name, r.wall_s * 1e3,
-                static_cast<unsigned long long>(r.replay.decoupled_cycles),
-                static_cast<unsigned long long>(r.replay.lockstep_cycles),
-                static_cast<unsigned long long>(r.replay.interpreted_cycles),
-                static_cast<unsigned long long>(r.replay.sync_points));
+                static_cast<unsigned long long>(t.replay_decoupled_cycles),
+                static_cast<unsigned long long>(t.replay_lockstep_cycles),
+                static_cast<unsigned long long>(t.replay_interpreted_cycles),
+                static_cast<unsigned long long>(t.replay_sync_points));
   };
   tier_row("interpret", fft_interp);
   tier_row("scheduled", fft_sched);
@@ -221,6 +222,7 @@ int main() {
               fft_identical ? "bit-exact" : "MISMATCH");
   std::printf("  scheduled-over-lockstep speedup: %.2fx (%s 1.5x target)\n",
               lockstep_speedup, lockstep_speedup >= 1.5 ? "meets" : "MISSES");
+  const cgra::ReplayStats& sched = fft_sched.replay;
   bench::JsonRecord("runtime_throughput")
       .field("config", std::string("decoupled_lockstep"))
       .field("jobs", static_cast<std::uint64_t>(kFftJobs))
@@ -228,10 +230,10 @@ int main() {
       .field("wall_seconds_scheduled", fft_sched.wall_s)
       .field("wall_seconds_lockstep", fft_lock.wall_s)
       .field("wall_seconds_interpret", fft_interp.wall_s)
-      .field("replay_decoupled_cycles", fft_sched.replay.decoupled_cycles)
-      .field("replay_lockstep_cycles", fft_sched.replay.lockstep_cycles)
-      .field("replay_interpreted_cycles", fft_sched.replay.interpreted_cycles)
-      .field("replay_sync_points", fft_sched.replay.sync_points)
+      .field("replay_decoupled_cycles", sched.replay_decoupled_cycles)
+      .field("replay_lockstep_cycles", sched.replay_lockstep_cycles)
+      .field("replay_interpreted_cycles", sched.replay_interpreted_cycles)
+      .field("replay_sync_points", sched.replay_sync_points)
       .field("bit_identical", fft_identical)
       .field("speedup_vs_lockstep", lockstep_speedup)
       .write();

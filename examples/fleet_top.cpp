@@ -3,8 +3,9 @@
 // gateway for STATS_PUSH frames every 200 ms (no polling -- the server
 // initiates every frame) while 8 producer threads stream biosignals
 // through their own connections. Each push repaints:
-//   * the fleet scalar lines (jobs, makespan, energy, faults, and the
-//     replay tier mix: traced launches, rollbacks + per-tier cycles);
+//   * every named STATS row the push carries (the fleet and gateway
+//     counter tables: jobs, makespan, energy, faults, the replay tier
+//     mix, frames, bytes, quota rejections), printed generically;
 //   * per-device occupancy bars (device-local cycles relative to the
 //     busiest device), job counts and the health bitmap;
 //   * per-session window rates computed from consecutive pushes, plus the
@@ -16,12 +17,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,20 @@
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
 #include "obs/obs.hpp"
+
+namespace {
+
+/// A STATS row's value as text: the fleet table's f64 rows as decimals.
+std::string format_row(const vwr2a::gateway::StatRow& r) {
+  for (const auto& f : vwr2a::runtime::kFleetFields) {
+    if (f.name == r.name && f.kind == vwr2a::obs::StatKind::kF64) {
+      return std::to_string(std::bit_cast<double>(r.value));
+    }
+  }
+  return std::to_string(r.value);
+}
+
+} // namespace
 
 int main() {
   using namespace vwr2a;
@@ -115,27 +132,17 @@ int main() {
             : 0.0;
 
     std::printf("\x1b[2J\x1b[H");  // clear + home (harmless when piped)
-    std::printf("fleet_top -- push %llu, cadence %u ms, %u devices\n",
+    std::printf("fleet_top -- push %llu, cadence %u ms, %zu devices\n",
                 static_cast<unsigned long long>(p.seq), kCadenceMs,
-                p.stats.devices);
-    std::printf("jobs %llu done / %llu failed | makespan %llu cy | "
-                "%.1f uJ | faults %llu (dead %llu, rescued %llu)\n",
-                static_cast<unsigned long long>(p.stats.jobs_completed),
-                static_cast<unsigned long long>(p.stats.jobs_failed),
-                static_cast<unsigned long long>(p.stats.fleet_makespan),
-                p.stats.total_pj * 1e-6,
-                static_cast<unsigned long long>(p.stats.devices_failed),
-                static_cast<unsigned long long>(p.stats.devices_dead),
-                static_cast<unsigned long long>(p.stats.jobs_rescued));
-    std::printf("replay %llu traced (%llu rollbacks) | "
-                "cy dec %llu / lock %llu / interp %llu | sync %llu\n\n",
-                static_cast<unsigned long long>(p.stats.traced_launches),
-                static_cast<unsigned long long>(p.stats.traced_rollbacks),
-                static_cast<unsigned long long>(p.stats.replay_decoupled_cycles),
-                static_cast<unsigned long long>(p.stats.replay_lockstep_cycles),
-                static_cast<unsigned long long>(
-                    p.stats.replay_interpreted_cycles),
-                static_cast<unsigned long long>(p.stats.replay_sync_points));
+                p.devices.size());
+    // Every STATS row as it arrives, two per line: a counter added to the
+    // fleet or gateway table shows up here without touching this file.
+    for (std::size_t i = 0; i < p.stats.rows.size(); ++i) {
+      const gateway::StatRow& r = p.stats.rows[i];
+      std::printf("  %-32s %14s%s", r.name.c_str(), format_row(r).c_str(),
+                  i % 2 == 1 || i + 1 == p.stats.rows.size() ? "\n" : "");
+    }
+    std::printf("\n");
 
     std::uint64_t busiest = 1;
     for (const auto& d : p.devices) busiest = std::max(busiest, d.cycles);
@@ -197,11 +204,12 @@ int main() {
   stop_producing = true;
   for (auto& t : producers) t.join();
 
-  const gateway::Stats final_stats = dash.stats();
+  const gateway::Telemetry final_stats =
+      obs::view<gateway::kTelemetryFields>(dash.stats().rows);
   std::printf("\nrendered %u pushed frames; final: %llu windows delivered, "
               "%llu sessions served\n",
               frames,
-              static_cast<unsigned long long>(final_stats.windows_delivered),
+              static_cast<unsigned long long>(final_stats.results_sent),
               static_cast<unsigned long long>(final_stats.sessions));
   server.stop();
   return frames >= kFrames ? 0 : 1;

@@ -77,10 +77,11 @@ int main() {
                 static_cast<unsigned long long>(fo.windows_delivered));
   }
 
-  const gateway::Stats stats = clients[0]->stats();
-  std::printf("\nfleet: %u devices, %llu jobs, makespan %llu cycles, "
+  const runtime::FleetCounters stats =
+      obs::view<runtime::kFleetFields>(clients[0]->stats().rows);
+  std::printf("\nfleet: %llu devices, %llu jobs, makespan %llu cycles, "
               "%.1f uJ\n",
-              stats.devices,
+              static_cast<unsigned long long>(stats.devices),
               static_cast<unsigned long long>(stats.jobs_completed),
               static_cast<unsigned long long>(stats.fleet_makespan),
               stats.total_pj * 1e-6);

@@ -108,8 +108,9 @@ bool Vwr2a::busy() const { return col0_.running() || col1_.running(); }
 void Vwr2a::step() {
   if (tracer_ != nullptr) tracer_->on_cycle(cycles_, col0_, col1_);
   const bool synced = col0_.running() && col1_.running();
-  interpreted_cycles_ += static_cast<std::uint64_t>(col0_.running()) +
-                         static_cast<std::uint64_t>(col1_.running());
+  replay_.replay_interpreted_cycles +=
+      static_cast<std::uint64_t>(col0_.running()) +
+      static_cast<std::uint64_t>(col1_.running());
   // Snapshot both columns' previous-cycle results before either commits, so
   // cross-column operands observe a consistent pre-cycle state.
   const Column::RcOutputs outs0 = col0_.rc_outputs();
@@ -158,11 +159,11 @@ Cycle Vwr2a::run_lockstep_traced() {
     }
     if (col0_.running()) {
       col0_.step_traced();
-      ++replayed_lockstep_;
+      ++replay_.replay_lockstep_cycles;
     }
     if (col1_.running()) {
       col1_.step_traced();
-      ++replayed_lockstep_;
+      ++replay_.replay_lockstep_cycles;
     }
     ++n;
   }
@@ -198,16 +199,16 @@ Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan) {
     if (t > tc::kReplayBudget) throw tc::ReplayBudgetExceeded{};
     const unsigned bi = tr[c]->block_of[col.pc()];
     if (plan.sync[c][bi] != 0) {
-      if (!col.mid_block()) ++sync_points_;
+      if (!col.mid_block()) ++replay_.replay_sync_points;
       col.set_mask_tier(1);
       col.step_traced();
       ++t;
-      ++replayed_lockstep_;
+      ++replay_.replay_lockstep_cycles;
     } else {
       col.set_mask_tier(0);
       const Cycle n = col.step_block_traced(tc::kReplayBudget - t);
       t += n;
-      replayed_decoupled_ += n;
+      replay_.replay_decoupled_cycles += n;
     }
   }
   col0_.end_traced();
@@ -276,7 +277,7 @@ void Vwr2a::run_kernel_traced() {
         const Cycle budget = both ? tc::kReplayBudget : ~Cycle{0};
         if (r0) n0 = col0_.run_traced(undo_.get(), budget);
         if (r1) n1 = col1_.run_traced(undo_.get(), budget);
-        replayed_decoupled_ += n0 + n1;
+        replay_.replay_decoupled_cycles += n0 + n1;
         n = std::max(n0, n1);
       }
       if (both) {
@@ -291,7 +292,7 @@ void Vwr2a::run_kernel_traced() {
       }
       if (!conflict) {
         advance(n);
-        ++traced_launches_;
+        ++replay_.traced_launches;
         return;
       }
     } catch (const tc::ReplayBudgetExceeded&) {
@@ -304,7 +305,7 @@ void Vwr2a::run_kernel_traced() {
       run_interpreted();
       return;
     }
-    ++traced_rollbacks_;
+    ++replay_.traced_rollbacks;
     rollback();
     // Dynamically addressed rows carried data across columns this launch;
     // assume they will again until the next reload re-evaluates.
@@ -314,7 +315,7 @@ void Vwr2a::run_kernel_traced() {
   // operands preserved with the interpreter's exact interleaving.
   try {
     advance(run_lockstep_traced());
-    ++traced_launches_;
+    ++replay_.traced_launches;
   } catch (...) {
     rollback();
     run_interpreted();

@@ -38,6 +38,22 @@ inline constexpr unsigned kLaunchCycles = 4;
 /// Cycle cost of raising the completion interrupt line.
 inline constexpr unsigned kIrqCycles = 2;
 
+/// Replay-engine counters of one accelerator, monotone since construction.
+/// The cycle counters are column-cycles per tier: decoupled = free-running
+/// blocks; lockstep = sync blocks and the per-cycle tier; interpreted =
+/// the reference interpreter (interpret mode, tracers, replay fallbacks).
+/// A kernel stuck on the slow tiers shows up here long before a profiler.
+struct ReplayStats {
+  std::uint64_t traced_launches = 0;   ///< launches replayed from traces
+  std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
+  std::uint64_t replay_decoupled_cycles = 0;    ///< free-running replay
+  std::uint64_t replay_lockstep_cycles = 0;     ///< lockstep replay
+  std::uint64_t replay_interpreted_cycles = 0;  ///< interpreter
+  std::uint64_t replay_sync_points = 0;  ///< sync blocks of scheduled replay
+
+  bool operator==(const ReplayStats&) const = default;
+};
+
 /// The VWR2A accelerator block.
 class Vwr2a {
  public:
@@ -121,24 +137,8 @@ class Vwr2a {
     return *owned_traces_;
   }
 
-  /// Kernel launches that replayed compiled traces / fell back to the
-  /// interpreter after a cross-column SPM conflict or replay fault.
-  std::uint64_t traced_launches() const { return traced_launches_; }
-  std::uint64_t traced_rollbacks() const { return traced_rollbacks_; }
-
-  /// Per-engine column-cycle counters: how much simulated work each replay
-  /// tier carried. Decoupled covers free-running block replay (whole-kernel
-  /// decoupled runs and the free stretches of scheduled runs); lockstep
-  /// covers per-line sync blocks and the per-cycle alternation tier;
-  /// interpreted covers cycles stepped by the reference interpreter
-  /// (interpret mode, tracers, and replay fallbacks alike). A kernel stuck
-  /// on the slow tiers shows up here long before a profiler.
-  std::uint64_t replayed_decoupled_cycles() const { return replayed_decoupled_; }
-  std::uint64_t replayed_lockstep_cycles() const { return replayed_lockstep_; }
-  std::uint64_t interpreted_cycles() const { return interpreted_cycles_; }
-
-  /// Sync-block executions performed by scheduled replays.
-  std::uint64_t sync_points() const { return sync_points_; }
+  /// Replay-engine counters: which execution tier carried the work.
+  const ReplayStats& replay_stats() const { return replay_; }
 
   /// Debug/benchmark knob: when set, two-column traced replays skip the
   /// decoupled and scheduled tiers and run the per-cycle lockstep tier
@@ -208,12 +208,7 @@ class Vwr2a {
   TraceCache* trace_cache_ = nullptr;
   std::unique_ptr<TraceCache> owned_traces_;
   std::unique_ptr<tc::SpmUndo> undo_;  ///< lazily allocated (trace mode only)
-  std::uint64_t traced_launches_ = 0;
-  std::uint64_t traced_rollbacks_ = 0;
-  std::uint64_t replayed_decoupled_ = 0;
-  std::uint64_t replayed_lockstep_ = 0;
-  std::uint64_t interpreted_cycles_ = 0;
-  std::uint64_t sync_points_ = 0;
+  ReplayStats replay_;
   bool replay_lockstep_only_ = false;
 };
 

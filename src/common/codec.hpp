@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -132,12 +133,22 @@ class Reader {
   std::int32_t i32() { return static_cast<std::int32_t>(get(4)); }
   double f64() { return std::bit_cast<double>(get(8)); }
 
+  /// The next `len` raw bytes, consumed; empty (and the reader failed)
+  /// when fewer remain. The span points into the reader's buffer.
+  std::span<const std::uint8_t> bytes(std::size_t len) {
+    if (!ok_ || len > remaining()) {
+      ok_ = false;
+      return {};
+    }
+    const std::span<const std::uint8_t> b(p_ + pos_, len);
+    pos_ += len;
+    return b;
+  }
+
   /// Length-prefixed string (Writer::str).
   std::string str() {
-    const std::uint32_t len = count(1);
-    std::string s(reinterpret_cast<const char*>(p_ + pos_), len);
-    pos_ += len;
-    return s;
+    const std::span<const std::uint8_t> b = bytes(count(1));
+    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
   /// Count-prefixed array (Writer::array): `elem(reader)` reads one

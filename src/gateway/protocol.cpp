@@ -3,6 +3,7 @@
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "common/codec.hpp"
 
@@ -24,13 +25,12 @@ constexpr std::size_t wire_size() {
   } else if constexpr (kIsVector<T> || std::is_same_v<T, std::string>) {
     return 4;
   } else {
-    const T v{};
-    return std::apply(
-        [](const auto&... f) {
-          return (std::size_t{0} + ... +
-                  wire_size<std::remove_cvref_t<decltype(f)>>());
-        },
-        T::tie(v));
+    // Summed over the field types alone: no T is built, so a struct with
+    // string fields still sizes at compile time.
+    using Tie = decltype(T::tie(std::declval<T&>()));
+    return []<class... F>(std::type_identity<std::tuple<F...>>) {
+      return (std::size_t{0} + ... + wire_size<std::remove_cvref_t<F>>());
+    }(std::type_identity<Tie>{});
   }
 }
 

@@ -26,30 +26,10 @@
 
 namespace vwr2a::gateway {
 
-/// The versioning byte every frame carries (bumped on breaking changes).
-/// v2: STATS gained three warm-start fields reporting on a prebuilt
-/// kernel cache (removed again in v7).
-/// v3: STATS gained the fault-and-recovery fields (devices_failed,
-/// devices_revived, devices_dead, jobs_rescued, checkpoints_restored) --
-/// the DEVICE_LOST/RECOVERED picture a tenant polls for.
-/// v4: push-mode stats -- STATS_SUBSCRIBE (client -> server: cadence +
-/// enable) and STATS_PUSH (server-initiated: seq + the full STATS picture
-/// + per-device and per-session load arrays), the router-tier feed that
-/// replaces polling.
-/// v5: STATS gained the replay-engine fields (traced_launches,
-/// traced_rollbacks, two fleet-batch counters, and the per-tier
-/// replayed-cycle / sync-point counters) -- which execution tier the
-/// fleet's accelerator work actually ran on.
-/// v6: WINDOW_RESULT gained the server-side span breakdown (queue_ns,
-/// run_ns, deliver_ns host wall-clock; place_cycles, sim_begin simulated)
-/// -- the cross-wire trace propagation a remote client feeds into its
-/// local flight recorder. All five are 0 unless the server runs with
-/// obs spans enabled.
-/// v7: STATS dropped the three v2 warm-start fields, along with the
-/// prebuilt kernel cache they reported on.
-/// v8: STATS dropped the two v5 fleet-batch counters, along with the
-/// fleet-batched dispatch they reported on.
-inline constexpr std::uint8_t kProtocolVersion = 8;
+/// The versioning byte every frame carries, bumped on breaking changes
+/// (history: docs/protocol.md "Version history"). v9 made STATS a list of
+/// named rows, so adding or dropping a counter no longer changes it.
+inline constexpr std::uint8_t kProtocolVersion = 9;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -210,50 +190,26 @@ struct StatsRequest {
   bool operator==(const StatsRequest&) const = default;
 };
 
+/// One named counter of a STATS frame. `value` is the row's u64, or the
+/// IEEE-754 bit pattern of an f64 row.
+struct StatRow {
+  std::string name;  ///< the counter's registry name, e.g. fleet.jobs_failed
+  std::uint64_t value = 0;
+
+  static constexpr auto tie(auto& f) { return std::tie(f.name, f.value); }
+  bool operator==(const StatRow&) const = default;
+};
+
 /// Server + fleet telemetry (runtime::DevicePool::peek_stats picture: live,
-/// non-blocking, batch-boundary freshness).
+/// non-blocking, batch-boundary freshness): one row per row of the fleet
+/// and gateway counter tables, in table order; obs::view reads a table's
+/// block back by name. The rows are kept verbatim, so a frame re-encodes
+/// to its input bytes even when it carries rows this build does not know.
 struct Stats {
   static constexpr FrameType kType = FrameType::kStats;
-  std::uint32_t devices = 0;
-  std::uint64_t sessions = 0;           ///< sessions opened server-lifetime
-  std::uint64_t connections = 0;        ///< connections accepted
-  std::uint64_t windows_delivered = 0;  ///< WINDOW_RESULT frames sent
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t fleet_makespan = 0;       ///< max device-local clock, cycles
-  std::uint64_t total_device_cycles = 0;  ///< sum of device-local clocks
-  std::uint64_t stagings = 0;
-  double total_pj = 0.0;  ///< fleet energy
-  /// Fault-and-recovery telemetry (v3): cumulative DEVICE_LOST/RECOVERED
-  /// counts, the current dead-device count, and how the fleet coped
-  /// (queued jobs re-placed, resident state adopted elsewhere).
-  std::uint64_t devices_failed = 0;
-  std::uint64_t devices_revived = 0;
-  std::uint64_t devices_dead = 0;
-  std::uint64_t jobs_rescued = 0;
-  std::uint64_t checkpoints_restored = 0;
-  /// Replay-engine telemetry (v5): launches replayed from compiled traces,
-  /// replays rolled back by cross-column SPM conflicts, plus per-tier
-  /// column-cycle counters -- decoupled free-run vs lockstep vs
-  /// interpreter -- and the sync-block count of scheduled replays. Work
-  /// pinned to the slow tiers is visible here.
-  std::uint64_t traced_launches = 0;
-  std::uint64_t traced_rollbacks = 0;
-  std::uint64_t replay_decoupled_cycles = 0;
-  std::uint64_t replay_lockstep_cycles = 0;
-  std::uint64_t replay_interpreted_cycles = 0;
-  std::uint64_t replay_sync_points = 0;
+  std::vector<StatRow> rows;
 
-  static constexpr auto tie(auto& f) {
-    return std::tie(f.devices, f.sessions, f.connections, f.windows_delivered,
-                    f.jobs_completed, f.jobs_failed, f.fleet_makespan,
-                    f.total_device_cycles, f.stagings, f.total_pj,
-                    f.devices_failed, f.devices_revived, f.devices_dead,
-                    f.jobs_rescued, f.checkpoints_restored, f.traced_launches,
-                    f.traced_rollbacks, f.replay_decoupled_cycles,
-                    f.replay_lockstep_cycles, f.replay_interpreted_cycles,
-                    f.replay_sync_points);
-  }
+  static constexpr auto tie(auto& f) { return std::tie(f.rows); }
   bool operator==(const Stats&) const = default;
 };
 

@@ -87,11 +87,7 @@ class Server::Connection {
         wq_.pop_front();
       }
       wspace_cv_.notify_one();
-      if (obs::metrics_enabled()) {
-        static obs::Counter& out =
-            obs::Registry::get().counter("gateway.bytes_out");
-        out.add(bytes.size());
-      }
+      srv_->tel_.add<&Telemetry::bytes_out>(bytes.size());
       if (!t_->send(bytes.data(), bytes.size())) {
         std::lock_guard<std::mutex> lock(wmu_);
         closed_ = true;
@@ -104,12 +100,7 @@ class Server::Connection {
 
   void send_error(std::uint32_t stream, ErrorCode code,
                   const std::string& message) {
-    srv_->note_error_sent();
-    if (obs::metrics_enabled()) {
-      static obs::Counter& errs =
-          obs::Registry::get().counter("gateway.errors_sent");
-      errs.add(1);
-    }
+    srv_->tel_.add<&Telemetry::errors_sent>();
     enqueue(Error{stream, static_cast<std::uint16_t>(code), message});
   }
 
@@ -141,12 +132,7 @@ class Server::Connection {
       if (srv_->journal_ != nullptr) {
         srv_->journal_->result(journal_conn_, stream, r.job.output);
       }
-      srv_->note_result_sent();
-      if (obs::metrics_enabled()) {
-        static obs::Counter& results =
-            obs::Registry::get().counter("gateway.results_sent");
-        results.add(1);
-      }
+      srv_->tel_.add<&Telemetry::results_sent>();
     }
   }
 
@@ -159,25 +145,16 @@ class Server::Connection {
       for (;;) {
         const std::size_t n = t_->recv(buf.data(), buf.size());
         if (n == 0) break;  // EOF / shutdown
-        if (obs::metrics_enabled()) {
-          static obs::Counter& in =
-              obs::Registry::get().counter("gateway.bytes_in");
-          in.add(n);
-        }
+        srv_->tel_.add<&Telemetry::bytes_in>(n);
         dec.feed(buf.data(), n);
         while (auto f = dec.next()) {
-          srv_->note_frame_in();
+          srv_->tel_.add<&Telemetry::frames_in>();
           if (srv_->journal_ != nullptr) {
             // The codec is canonical (strict framing, deterministic field
             // order), so re-encoding the decoded frame reproduces the
             // peer's bytes exactly -- and taps whole frames, never a
             // partial receive chunk.
             srv_->journal_->frame(journal_conn_, srv_->now_ns(), encode(*f));
-          }
-          if (obs::metrics_enabled()) {
-            static obs::Counter& frames =
-                obs::Registry::get().counter("gateway.frames_in");
-            frames.add(1);
           }
           obs::Span sp("gateway.frame", 0,
                        static_cast<std::uint64_t>(frame_type(*f)));
@@ -241,9 +218,7 @@ class Server::Connection {
     }
     Error err;
     if (!srv_->admit_session(o.tenant, o, &err)) {
-      err.stream = o.stream;
-      srv_->note_error_sent();
-      enqueue(err);
+      send_error(o.stream, static_cast<ErrorCode>(err.code), err.message);
       return;
     }
     stream::SessionConfig cfg;
@@ -505,7 +480,7 @@ void Server::serve(std::unique_ptr<Transport> t) {
     connections_.erase(
         std::remove(connections_.begin(), connections_.end(), nullptr),
         connections_.end());
-    ++tel_.connections;
+    tel_.add<&Telemetry::connections>();
     const std::uint32_t journal_conn =
         journal_ != nullptr ? journal_->conn_open(now_ns()) : 0;
     connections_.push_back(
@@ -554,7 +529,7 @@ bool Server::admit_session(std::uint32_t tenant, const OpenSession& open,
                    std::to_string(cfg_.quotas.max_inflight) + "]";
     return false;
   }
-  if (live_sessions_ >= cfg_.quotas.max_sessions) {
+  if (tel_.get<&Telemetry::open_streams>() >= cfg_.quotas.max_sessions) {
     err->code = static_cast<std::uint16_t>(ErrorCode::kQuotaSessions);
     err->message = "gateway: server session quota exhausted";
     return false;
@@ -566,9 +541,8 @@ bool Server::admit_session(std::uint32_t tenant, const OpenSession& open,
     return false;
   }
   ++t.live_sessions;
-  ++live_sessions_;
-  ++tel_.sessions;
-  ++tel_.open_streams;
+  tel_.add<&Telemetry::sessions>();
+  tel_.add<&Telemetry::open_streams>();
   return true;
 }
 
@@ -576,8 +550,9 @@ void Server::release_session(std::uint32_t tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   Tenant& t = tenants_[tenant];
   if (t.live_sessions > 0) --t.live_sessions;
-  if (live_sessions_ > 0) --live_sessions_;
-  if (tel_.open_streams > 0) --tel_.open_streams;
+  if (tel_.get<&Telemetry::open_streams>() > 0) {
+    tel_.sub<&Telemetry::open_streams>();
+  }
 }
 
 std::uint64_t Server::now_ns() const {
@@ -604,43 +579,11 @@ bool Server::charge_rate(std::uint32_t tenant, std::size_t bytes) {
                       t.tokens + elapsed_s * cfg_.quotas.bytes_per_second);
   t.last_ns = now;
   if (t.tokens < static_cast<double>(bytes)) {
-    ++tel_.rate_limited;
+    tel_.add<&Telemetry::rate_limited>();
     return false;
   }
   t.tokens -= static_cast<double>(bytes);
   return true;
-}
-
-Server::Telemetry Server::telemetry() const {
-  Telemetry t;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    t = tel_;
-  }
-  t.frames_in = frames_in_.load(std::memory_order_relaxed);
-  t.results_sent = results_sent_.load(std::memory_order_relaxed);
-  t.errors_sent = errors_sent_.load(std::memory_order_relaxed);
-  return t;
-}
-
-void fold_fleet(Stats& s, const runtime::FleetStats& fleet) {
-  s.jobs_completed = fleet.jobs_completed;
-  s.jobs_failed = fleet.jobs_failed;
-  s.fleet_makespan = fleet.fleet_makespan;
-  s.total_device_cycles = fleet.total_device_cycles;
-  s.stagings = fleet.stagings;
-  s.total_pj = fleet.total_pj;
-  s.devices_failed = fleet.devices_failed;
-  s.devices_revived = fleet.devices_revived;
-  s.devices_dead = fleet.devices_dead;
-  s.jobs_rescued = fleet.jobs_rescued;
-  s.checkpoints_restored = fleet.checkpoints_restored;
-  s.traced_launches = fleet.traced_launches;
-  s.traced_rollbacks = fleet.traced_rollbacks;
-  s.replay_decoupled_cycles = fleet.replay_decoupled_cycles;
-  s.replay_lockstep_cycles = fleet.replay_lockstep_cycles;
-  s.replay_interpreted_cycles = fleet.replay_interpreted_cycles;
-  s.replay_sync_points = fleet.replay_sync_points;
 }
 
 Stats Server::build_stats() const {
@@ -649,14 +592,9 @@ Stats Server::build_stats() const {
 
 Stats Server::build_stats(const runtime::FleetStats& fleet) const {
   Stats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.sessions = tel_.sessions;
-    s.connections = tel_.connections;
-  }
-  s.windows_delivered = results_sent_.load(std::memory_order_relaxed);
-  s.devices = stream_.pool().num_devices();
-  fold_fleet(s, fleet);
+  s.rows.reserve(runtime::kFleetFields.size() + kTelemetryFields.size());
+  obs::to_rows<runtime::kFleetFields>(fleet, s.rows);
+  obs::to_rows<kTelemetryFields>(telemetry(), s.rows);
   return s;
 }
 

@@ -27,7 +27,7 @@
 // are connection-fatal). The quota clock is injectable for deterministic
 // tests.
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,10 +43,38 @@
 
 namespace vwr2a::gateway {
 
-/// The single runtime::FleetStats -> wire-Stats mapping. Both the v3 STATS
-/// reply and the v4 STATS_PUSH scalar block go through it (the
-/// stats-aggregation dedup: the frames can never drift from peek_stats).
-void fold_fleet(Stats& s, const runtime::FleetStats& fleet);
+/// Gateway-level counters, one row each in kTelemetryFields.
+struct Telemetry {
+  std::uint64_t connections = 0;   ///< accepted, lifetime
+  std::uint64_t sessions = 0;      ///< streams opened, lifetime
+  std::uint64_t open_streams = 0;  ///< currently live streams
+  std::uint64_t frames_in = 0;     ///< frames parsed from peers
+  std::uint64_t results_sent = 0;  ///< WINDOW_RESULT frames enqueued
+  std::uint64_t errors_sent = 0;   ///< ERROR frames enqueued
+  std::uint64_t rate_limited = 0;  ///< PUSH frames rejected by the bucket
+  std::uint64_t bytes_in = 0;      ///< bytes received from peers
+  std::uint64_t bytes_out = 0;     ///< bytes handed to the transports
+
+  bool operator==(const Telemetry&) const = default;
+};
+
+/// The gateway counter table: Server::telemetry(), the obs::Registry
+/// mirror and the gateway rows of STATS / STATS_PUSH derive from it.
+inline constexpr auto kTelemetryFields = [] {
+  using enum obs::StatKind;
+  using T = Telemetry;
+  return std::to_array<obs::StatField<T>>({
+      {"gateway.connections", kCounter, &T::connections},
+      {"gateway.sessions", kCounter, &T::sessions},
+      {"gateway.open_streams", kValue, &T::open_streams},
+      {"gateway.frames_in", kCounter, &T::frames_in},
+      {"gateway.results_sent", kCounter, &T::results_sent},
+      {"gateway.errors_sent", kCounter, &T::errors_sent},
+      {"gateway.rate_limited", kCounter, &T::rate_limited},
+      {"gateway.bytes_in", kCounter, &T::bytes_in},
+      {"gateway.bytes_out", kCounter, &T::bytes_out},
+  });
+}();
 
 /// The gateway.
 class Server {
@@ -83,17 +111,6 @@ class Server {
     std::string journal_path;
   };
 
-  /// Gateway-level counters (frames/results are atomic snapshots).
-  struct Telemetry {
-    std::uint64_t connections = 0;    ///< accepted, lifetime
-    std::uint64_t sessions = 0;       ///< streams opened, lifetime
-    std::uint64_t open_streams = 0;   ///< currently live streams
-    std::uint64_t frames_in = 0;      ///< frames parsed from peers
-    std::uint64_t results_sent = 0;   ///< WINDOW_RESULT frames enqueued
-    std::uint64_t errors_sent = 0;    ///< ERROR frames enqueued
-    std::uint64_t rate_limited = 0;   ///< PUSH frames rejected by the bucket
-  };
-
   Server() : Server(Config()) {}
   explicit Server(Config cfg);
   ~Server();  ///< stop()
@@ -119,10 +136,10 @@ class Server {
   /// The black-box journal, or null when Config::journal_path is empty.
   obs::Journal* journal() { return journal_.get(); }
 
-  Telemetry telemetry() const;
+  Telemetry telemetry() const { return tel_.snapshot(); }
 
-  /// The STATS-frame picture: gateway counters + the pool's non-blocking
-  /// fleet aggregate (runtime::DevicePool::peek_stats).
+  /// The STATS-frame picture: the fleet rows of the pool's non-blocking
+  /// aggregate (runtime::DevicePool::peek_stats), then the gateway rows.
   Stats build_stats() const;
   /// Same, over an already-fetched fleet snapshot (lets STATS_PUSH build
   /// the scalar block and the per-device array from one snapshot).
@@ -145,15 +162,6 @@ class Server {
   /// Charges `bytes` against the tenant's token bucket; false = rejected.
   bool charge_rate(std::uint32_t tenant, std::size_t bytes);
   std::uint64_t now_ns() const;
-  // Per-frame counters are lock-free: every connection bumps them on its
-  // hot path, so they must not contend on mu_.
-  void note_frame_in() { frames_in_.fetch_add(1, std::memory_order_relaxed); }
-  void note_result_sent() {
-    results_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_error_sent() {
-    errors_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   Config cfg_;
   stream::StreamServer stream_;
@@ -168,15 +176,15 @@ class Server {
     bool bucket_init = false;
   };
 
-  mutable std::mutex mu_;  ///< connections_, tenants_, counters, stopping_
+  /// connections_, tenants_, stopping_; also orders the open_streams
+  /// quota check in admit_session with every update of that row.
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::map<std::uint32_t, Tenant> tenants_;
-  std::uint32_t live_sessions_ = 0;
-  Telemetry tel_;  ///< low-rate counters (sessions, connections, quota)
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> results_sent_{0};
-  std::atomic<std::uint64_t> errors_sent_{0};
   bool stopping_ = false;
+  /// Lock-free: every connection bumps the per-frame rows on its hot path,
+  /// so they must not contend on mu_.
+  obs::Tally<kTelemetryFields> tel_;
 };
 
 } // namespace vwr2a::gateway

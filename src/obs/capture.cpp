@@ -121,15 +121,10 @@ bool load_capture(const std::string& path, Capture* out, std::string* why) {
   Capture cap;
   cap.threads = r.u32();
   cap.dropped = r.u64();
-  const std::uint32_t nnames = r.u32();
-  if (!r.ok()) return fail(why, "truncated header");
   // Every name needs at least its 4-byte length on disk.
-  if (nnames > r.remaining() / 4) return fail(why, "name count exceeds file");
-  cap.names.reserve(nnames);
-  for (std::uint32_t i = 0; i < nnames; ++i) {
-    cap.names.push_back(r.str());
-    if (!r.ok()) return fail(why, "truncated string table");
-  }
+  cap.names =
+      r.array<std::string>(4, [](codec::Reader& in) { return in.str(); });
+  if (!r.ok()) return fail(why, "truncated string table");
   const std::uint64_t nevents = r.u64();
   if (!r.ok()) return fail(why, "truncated event count");
   constexpr std::size_t kEvBytes = 4 + 4 + 1 + 8 * 8;

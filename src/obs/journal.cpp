@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 
 #include "common/codec.hpp"
 
@@ -201,15 +202,9 @@ bool load_journal(const std::string& path, JournalFile* out,
       return fail(why, "journal: arrival sequence out of order");
     }
     if (rec.kind == JournalRecord::kFrame) {
-      const std::uint32_t len = r.u32();
-      if (!r.ok() || len > r.remaining()) {
-        return fail(why, "journal: frame record overruns the file");
-      }
-      const std::size_t consumed =
-          (trailer_off - kHeaderBytes) - r.remaining();
-      const std::uint8_t* p = buf.data() + kHeaderBytes + consumed;
-      rec.bytes.assign(p, p + len);
-      for (std::uint32_t i = 0; i < len; ++i) r.u8();
+      const std::span<const std::uint8_t> frame = r.bytes(r.u32());
+      if (!r.ok()) return fail(why, "journal: frame record overruns the file");
+      rec.bytes.assign(frame.begin(), frame.end());
     }
     jf.records.push_back(std::move(rec));
   }

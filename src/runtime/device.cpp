@@ -111,18 +111,6 @@ void Device::stage_rows(const SharedBuffer& buf) {
   staged_version_ = spm.region_version(0, nrows);
 }
 
-ReplayStats Device::replay_stats() const {
-  const cgra::Vwr2a& acc = platform_.vwr2a();
-  ReplayStats r;
-  r.traced_launches = acc.traced_launches();
-  r.traced_rollbacks = acc.traced_rollbacks();
-  r.decoupled_cycles = acc.replayed_decoupled_cycles();
-  r.lockstep_cycles = acc.replayed_lockstep_cycles();
-  r.interpreted_cycles = acc.interpreted_cycles();
-  r.sync_points = acc.sync_points();
-  return r;
-}
-
 kernels::FirRunStats Device::run_fir11(unsigned n, const SharedBuffer& taps,
                                        unsigned sys_in, unsigned sys_out) {
   mem::Spm& spm = platform_.vwr2a().spm();

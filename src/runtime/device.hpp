@@ -55,17 +55,13 @@ struct DeviceOptions {
   bool dedup = true;      ///< skip re-staging of an unclobbered SharedBuffer
 };
 
-/// Replay-engine counters of one device's accelerator (the trace-cache
-/// tiers of src/cgra/tracecache.hpp). Monotone since device construction;
-/// the pool caches them at batch boundaries for peek_stats() and folds the
-/// fleet totals into FleetStats.
-struct ReplayStats {
-  std::uint64_t traced_launches = 0;   ///< launches replayed from traces
-  std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
-  std::uint64_t decoupled_cycles = 0;    ///< column-cycles replayed free-running
-  std::uint64_t lockstep_cycles = 0;     ///< column-cycles replayed in lockstep
-  std::uint64_t interpreted_cycles = 0;  ///< column-cycles interpreted
-  std::uint64_t sync_points = 0;  ///< sync-block executions (scheduled replay)
+/// One device's telemetry at a point in time: what the pool folds into
+/// FleetStats, live or from its batch-boundary cache.
+struct DeviceFigures {
+  soc::Platform::Snapshot snapshot;  ///< local time + energy
+  std::uint64_t jobs = 0;            ///< jobs run
+  std::uint64_t stagings = 0;        ///< staging events (see stagings())
+  cgra::ReplayStats replay;          ///< replay-engine counters
 };
 
 /// One pool member.
@@ -92,9 +88,6 @@ class Device {
   /// exception into the job's promise.
   JobResult run(const Job& job, std::uint64_t seq);
 
-  /// Live replay-engine counters of this device's accelerator.
-  ReplayStats replay_stats() const;
-
   unsigned id() const { return id_; }
   std::uint64_t jobs_run() const { return jobs_; }
   const soc::ArchConfig& arch() const { return platform_.arch(); }
@@ -106,6 +99,11 @@ class Device {
 
   /// Device-local snapshot (local time + energy since construction).
   soc::Platform::Snapshot snapshot() const { return platform_.snapshot(); }
+
+  /// Everything the pool's telemetry reads from this device, in one call.
+  DeviceFigures figures() const {
+    return {snapshot(), jobs_, stagings_, platform_.vwr2a().replay_stats()};
+  }
 
   /// True when a resident MBioTracker image exists on this device (init()
   /// ran at least once and was never discarded).

@@ -36,28 +36,21 @@ double arch_speed(const soc::ArchConfig& a) {
   return s;
 }
 
-/// Folds one device's figures into a fleet aggregate -- the single place
-/// stats() (live snapshots) and peek_stats() (cached snapshots) share, so
-/// a new FleetStats field cannot silently diverge between the two views.
-void fold_device(FleetStats& s, const soc::Platform::Snapshot& snap,
-                 std::uint64_t jobs, std::uint64_t stagings,
-                 const soc::ArchConfig& arch, const ReplayStats& replay) {
-  const Cycle local = snap.total_cycles();
+/// Folds one device's figures into a fleet aggregate (DevicePool::
+/// fold_locked, live or cached).
+void fold_device(FleetStats& s, const DeviceFigures& d,
+                 const soc::ArchConfig& arch) {
+  const Cycle local = d.snapshot.total_cycles();
   s.device_cycles.push_back(local);
-  s.device_pj.push_back(snap.total_pj());
-  s.device_jobs.push_back(jobs);
-  s.device_stagings.push_back(stagings);
-  s.stagings += stagings;
+  s.device_pj.push_back(d.snapshot.total_pj());
+  s.device_jobs.push_back(d.jobs);
+  s.device_stagings.push_back(d.stagings);
+  s.stagings += d.stagings;
   s.device_arch.push_back(arch);
   s.fleet_makespan = std::max(s.fleet_makespan, local);
   s.total_device_cycles += local;
-  s.total_pj += snap.total_pj();
-  s.traced_launches += replay.traced_launches;
-  s.traced_rollbacks += replay.traced_rollbacks;
-  s.replay_decoupled_cycles += replay.decoupled_cycles;
-  s.replay_lockstep_cycles += replay.lockstep_cycles;
-  s.replay_interpreted_cycles += replay.interpreted_cycles;
-  s.replay_sync_points += replay.sync_points;
+  s.total_pj += d.snapshot.total_pj();
+  for (const auto& f : kReplayFields) s.*f.u64 += d.replay.*f.u64;
 }
 
 } // namespace
@@ -262,7 +255,7 @@ unsigned DevicePool::place_load(Cycle estimate) {
 void DevicePool::begin_kill_locked(unsigned d) {
   DeviceState& ds = devices_[d];
   ds.dead = true;
-  ++devices_failed_;
+  tally_.add<&FleetCounters::devices_failed>();
   // Stable failover target for this device's pinned work, chosen by the
   // same shortest-local-clock rule placement uses. Chains are fine: if the
   // target later dies too, resolve_alive follows its failover in turn.
@@ -273,11 +266,6 @@ void DevicePool::begin_kill_locked(unsigned d) {
   }
   obs::instant("fault.kill", 0, d,
                static_cast<std::uint64_t>(ds.failover + 1));
-  if (obs::metrics_enabled()) {
-    static obs::Counter& m =
-        obs::Registry::get().counter("fleet.devices_failed");
-    m.add(1);
-  }
 }
 
 void DevicePool::finish_kill_locked(unsigned d) {
@@ -286,13 +274,8 @@ void DevicePool::finish_kill_locked(unsigned d) {
   // there before any rescued job runs.
   std::vector<std::uint8_t> blob = ds.device->checkpoint();
   if (!blob.empty()) {
-    ++ckpt_taken_;
+    tally_.add<&FleetCounters::checkpoints_taken>();
     obs::instant("fault.checkpoint", 0, d, blob.size());
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.checkpoints_taken");
-      m.add(1);
-    }
     if (ds.failover >= 0) {
       devices_[static_cast<unsigned>(ds.failover)].pending_restore =
           std::move(blob);
@@ -330,7 +313,7 @@ void DevicePool::finish_kill_locked(unsigned d) {
       // future (a drain must never hang on a dead fleet).
       p.promise.set_exception(std::make_exception_ptr(
           HostError("DevicePool: device died with no healthy device left")));
-      ++failed_;
+      tally_.add<&FleetCounters::jobs_failed>();
       --inflight_;
       continue;
     }
@@ -338,14 +321,9 @@ void DevicePool::finish_kill_locked(unsigned d) {
         scaled_estimate(est, static_cast<unsigned>(target));
     const std::uint64_t rescued_trace = p.job.trace_id;
     devices_[static_cast<unsigned>(target)].queue.push_back(std::move(p));
-    ++jobs_rescued_;
+    tally_.add<&FleetCounters::jobs_rescued>();
     obs::instant("fault.rescue", rescued_trace, d,
                  static_cast<std::uint64_t>(target));
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.jobs_rescued");
-      m.add(1);
-    }
     moved = true;
   }
   if (moved) work_cv_.notify_all();
@@ -383,13 +361,8 @@ bool DevicePool::revive_device(unsigned d) {
     if (!ds.dead || ds.kill_pending) return false;
     ds.dead = false;
     ds.failover = -1;
-    ++devices_revived_;
+    tally_.add<&FleetCounters::devices_revived>();
     obs::instant("fault.revive", 0, d);
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m =
-          obs::Registry::get().counter("fleet.devices_revived");
-      m.add(1);
-    }
   }
   work_cv_.notify_all();
   return true;
@@ -404,8 +377,10 @@ bool DevicePool::device_dead(unsigned d) const {
 }
 
 void DevicePool::check_faults_locked() {
+  const std::uint64_t completed =
+      tally_.get<&FleetCounters::jobs_completed>();
   for (FaultTrace& t : fault_trace_) {
-    if (!t.killed && completed_ >= t.ev.kill_after_jobs) {
+    if (!t.killed && completed >= t.ev.kill_after_jobs) {
       t.killed = true;
       DeviceState& ds = devices_[t.ev.device];
       if (!ds.dead) {
@@ -419,20 +394,15 @@ void DevicePool::check_faults_locked() {
       }
     }
     if (t.killed && !t.revived && t.ev.revive_after_jobs > 0 &&
-        completed_ >= t.ev.revive_after_jobs) {
+        completed >= t.ev.revive_after_jobs) {
       DeviceState& ds = devices_[t.ev.device];
       if (ds.kill_pending) continue;  // fail-stop mid-flight; next boundary
       t.revived = true;
       if (ds.dead) {
         ds.dead = false;
         ds.failover = -1;
-        ++devices_revived_;
+        tally_.add<&FleetCounters::devices_revived>();
         obs::instant("fault.revive", 0, t.ev.device);
-        if (obs::metrics_enabled()) {
-          static obs::Counter& m =
-              obs::Registry::get().counter("fleet.devices_revived");
-          m.add(1);
-        }
         work_cv_.notify_all();
       }
     }
@@ -489,35 +459,14 @@ std::vector<JobHandle> DevicePool::submit_batch(std::vector<Job> jobs) {
 }
 
 void DevicePool::cache_device_locked(DeviceState& ds,
-                                     const soc::Platform::Snapshot& snap,
-                                     std::uint64_t jobs,
-                                     std::uint64_t stagings,
-                                     const ReplayStats& replay) {
+                                     const DeviceFigures& now) {
   if (obs::metrics_enabled()) {
-    static obs::Counter& m_tl =
-        obs::Registry::get().counter("fleet.replay_traced_launches");
-    static obs::Counter& m_rb =
-        obs::Registry::get().counter("fleet.replay_rollbacks");
-    static obs::Counter& m_dc =
-        obs::Registry::get().counter("fleet.replay_decoupled_cycles");
-    static obs::Counter& m_lc =
-        obs::Registry::get().counter("fleet.replay_lockstep_cycles");
-    static obs::Counter& m_ic =
-        obs::Registry::get().counter("fleet.replay_interpreted_cycles");
-    static obs::Counter& m_sp =
-        obs::Registry::get().counter("fleet.replay_sync_points");
-    const ReplayStats& prev = ds.cached_replay;
-    m_tl.add(replay.traced_launches - prev.traced_launches);
-    m_rb.add(replay.traced_rollbacks - prev.traced_rollbacks);
-    m_dc.add(replay.decoupled_cycles - prev.decoupled_cycles);
-    m_lc.add(replay.lockstep_cycles - prev.lockstep_cycles);
-    m_ic.add(replay.interpreted_cycles - prev.interpreted_cycles);
-    m_sp.add(replay.sync_points - prev.sync_points);
+    for (std::size_t i = 0; i < kReplayFields.size(); ++i) {
+      const auto m = kReplayFields[i].u64;
+      obs::mirror<kReplayFields>(i).add(now.replay.*m - ds.cached.replay.*m);
+    }
   }
-  ds.cached_snapshot = snap;
-  ds.cached_jobs = jobs;
-  ds.cached_stagings = stagings;
-  ds.cached_replay = replay;
+  ds.cached = now;
 }
 
 void DevicePool::worker_loop() {
@@ -554,11 +503,6 @@ void DevicePool::worker_loop() {
       restored = oc == Device::RestoreOutcome::kApplied;
       obs::instant("fault.restore", 0, static_cast<std::uint64_t>(d),
                    restored ? 1 : 0);
-      if (restored && obs::metrics_enabled()) {
-        static obs::Counter& m =
-            obs::Registry::get().counter("fleet.checkpoints_restored");
-        m.add(1);
-      }
       if (oc == Device::RestoreOutcome::kRejected) {
         log::Line(log::Level::kWarn)
             << "pool: checkpoint rejected on device "
@@ -609,33 +553,21 @@ void DevicePool::worker_loop() {
       }
     }
 
-    if (obs::metrics_enabled()) {
-      static obs::Counter& m_done =
-          obs::Registry::get().counter("fleet.jobs_completed");
-      static obs::Counter& m_fail =
-          obs::Registry::get().counter("fleet.jobs_failed");
-      if (ok != 0) m_done.add(ok);
-      if (bad != 0) m_fail.add(bad);
-    }
-
     // Refresh the device's telemetry cache while nothing else can be
     // driving it (our claim is still held until the lock below).
-    const soc::Platform::Snapshot snap = ds.device->snapshot();
-    const std::uint64_t dev_jobs = ds.device->jobs_run();
-    const std::uint64_t dev_stagings = ds.device->stagings();
-    const ReplayStats dev_replay = ds.device->replay_stats();
+    const DeviceFigures figures = ds.device->figures();
 
     lock.lock();
     for (unsigned f = 0; f < kJobFamilies; ++f) {
       pend_measured_[f] += meas[f];
       pend_prior_[f] += prior[f];
     }
-    cache_device_locked(ds, snap, dev_jobs, dev_stagings, dev_replay);
+    cache_device_locked(ds, figures);
     ds.claimed = false;
-    completed_ += ok;
-    failed_ += bad;
+    tally_.add<&FleetCounters::jobs_completed>(ok);
+    tally_.add<&FleetCounters::jobs_failed>(bad);
     inflight_ -= ok + bad;
-    if (restored) ++ckpt_restored_;
+    if (restored) tally_.add<&FleetCounters::checkpoints_restored>();
     if (ds.kill_pending) {
       // The fail-stop landed while we were driving the device; jobs are
       // atomic, so the fault completes here, at the chunk boundary.
@@ -662,20 +594,7 @@ FleetStats DevicePool::stats() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return inflight_ == 0; });
   fold_estimator_locked();
-  FleetStats s;
-  s.family_factor = family_factor_;
-  s.jobs_completed = completed_;
-  s.jobs_failed = failed_;
-  s.device_cycles.reserve(devices_.size());
-  s.device_pj.reserve(devices_.size());
-  s.device_jobs.reserve(devices_.size());
-  s.device_arch.reserve(devices_.size());
-  for (const DeviceState& ds : devices_) {
-    fold_device(s, ds.device->snapshot(), ds.device->jobs_run(),
-                ds.device->stagings(), ds.device->arch(),
-                ds.device->replay_stats());
-  }
-  fold_faults_locked(s);
+  FleetStats s = fold_locked(true);
   fold_caches(s);
   return s;
 }
@@ -684,34 +603,24 @@ FleetStats DevicePool::peek_stats() const {
   FleetStats s;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    s.family_factor = family_factor_;
-    s.jobs_completed = completed_;
-    s.jobs_failed = failed_;
-    s.device_cycles.reserve(devices_.size());
-    s.device_pj.reserve(devices_.size());
-    s.device_jobs.reserve(devices_.size());
-    s.device_arch.reserve(devices_.size());
-    for (const DeviceState& ds : devices_) {
-      fold_device(s, ds.cached_snapshot, ds.cached_jobs, ds.cached_stagings,
-                  ds.device->arch(), ds.cached_replay);
-    }
-    fold_faults_locked(s);
+    s = fold_locked(false);
   }
   fold_caches(s);
   return s;
 }
 
-void DevicePool::fold_faults_locked(FleetStats& s) const {
-  s.devices_failed = devices_failed_;
-  s.devices_revived = devices_revived_;
-  s.jobs_rescued = jobs_rescued_;
-  s.checkpoints_taken = ckpt_taken_;
-  s.checkpoints_restored = ckpt_restored_;
-  s.device_dead.reserve(devices_.size());
+FleetStats DevicePool::fold_locked(bool live) const {
+  FleetStats s;
+  static_cast<FleetCounters&>(s) = tally_.snapshot();
+  s.devices = devices_.size();
+  s.family_factor = family_factor_;
   for (const DeviceState& ds : devices_) {
+    fold_device(s, live ? ds.device->figures() : ds.cached,
+                ds.device->arch());
     s.device_dead.push_back(ds.dead ? 1 : 0);
     if (ds.dead) ++s.devices_dead;
   }
+  return s;
 }
 
 void DevicePool::fold_caches(FleetStats& s) const {

@@ -55,6 +55,7 @@
 
 #include "common/types.hpp"
 #include "isa/image_cache.hpp"
+#include "obs/stat_table.hpp"
 #include "runtime/device.hpp"
 #include "runtime/job.hpp"
 
@@ -88,8 +89,11 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
 };
 
-/// Fleet-wide aggregate over all devices of a pool.
-struct FleetStats {
+/// The fleet's scalar counters, one row each in kFleetFields (the
+/// replay-engine rows come from the cgra::ReplayStats base, summed over
+/// devices). Monotone counters are pool-lifetime cumulative.
+struct FleetCounters : cgra::ReplayStats {
+  std::uint64_t devices = 0;  ///< fleet size
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
   /// Max device-local elapsed time -- host-control CPU cycles plus
@@ -99,42 +103,77 @@ struct FleetStats {
   Cycle fleet_makespan = 0;
   /// Sum of device-local elapsed times: total simulated device occupancy.
   Cycle total_device_cycles = 0;
-  /// Fleet energy (all devices, all meters), in pJ / µJ.
+  /// Fleet energy (all devices, all meters), in pJ.
   double total_pj = 0.0;
   /// Staging events fleet-wide (regions copied + DMA'd: job inputs, FIR
   /// taps, resident app images). Residency tracking and cross-job dedup
   /// show up as this number shrinking for the same job stream.
   std::uint64_t stagings = 0;
-  std::vector<Cycle> device_cycles;  ///< per-device local time
-  std::vector<double> device_pj;     ///< per-device energy
-  std::vector<std::uint64_t> device_jobs;      ///< per-device jobs run
-  std::vector<std::uint64_t> device_stagings;  ///< per-device staging events
-  std::vector<soc::ArchConfig> device_arch;    ///< per-device variant
-  isa::ImageCache::Stats image_cache;
-  cgra::TraceCache::Stats trace_cache;
-  /// Online-estimator correction factor per job family (1.0 = the analytic
-  /// prior is spot on; see DevicePool::estimate). Indexed by Job::work
-  /// alternative.
-  std::array<double, kJobFamilies> family_factor{};
-  // Fault-and-recovery picture (docs/operations.md). Counters are
-  // pool-lifetime cumulative; device_dead is the current health bitmap.
+  // Fault-and-recovery picture (docs/operations.md).
   std::uint64_t devices_failed = 0;   ///< kill events observed
   std::uint64_t devices_revived = 0;  ///< revive events observed
   std::uint64_t devices_dead = 0;     ///< currently dead devices
   std::uint64_t jobs_rescued = 0;     ///< queued jobs re-placed off the dead
   std::uint64_t checkpoints_taken = 0;     ///< resident state serialized
   std::uint64_t checkpoints_restored = 0;  ///< resident state adopted
-  std::vector<std::uint8_t> device_dead;   ///< per-device health (1 = dead)
-  // Replay-engine picture (src/cgra/tracecache.hpp): how the fleet's
-  // accelerator work actually executed, as fleet totals. The cycle
-  // counters are column-cycles per tier -- work stuck on the slow tiers
-  // (lockstep, interpreter) shows up here long before a profiler would.
-  std::uint64_t traced_launches = 0;   ///< launches replayed from traces
-  std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
-  std::uint64_t replay_decoupled_cycles = 0;    ///< free-running replay work
-  std::uint64_t replay_lockstep_cycles = 0;     ///< lockstep replay work
-  std::uint64_t replay_interpreted_cycles = 0;  ///< interpreter work
-  std::uint64_t replay_sync_points = 0;  ///< sync blocks run by scheduled replay
+
+  bool operator==(const FleetCounters&) const = default;
+};
+
+/// Replay-engine rows: each device's accelerator counters, summed.
+inline constexpr auto kReplayFields = [] {
+  using enum obs::StatKind;
+  using R = cgra::ReplayStats;
+  return std::to_array<obs::StatField<R>>({
+      {"fleet.replay_traced_launches", kCounter, &R::traced_launches},
+      {"fleet.replay_rollbacks", kCounter, &R::traced_rollbacks},
+      {"fleet.replay_decoupled_cycles", kCounter, &R::replay_decoupled_cycles},
+      {"fleet.replay_lockstep_cycles", kCounter, &R::replay_lockstep_cycles},
+      {"fleet.replay_interpreted_cycles", kCounter,
+       &R::replay_interpreted_cycles},
+      {"fleet.replay_sync_points", kCounter, &R::replay_sync_points},
+  });
+}();
+
+/// The fleet counter table: what FleetStats, the obs::Registry mirror, the
+/// gateway's STATS rows and fleet_top all derive from.
+inline constexpr auto kFleetFields = [] {
+  using enum obs::StatKind;
+  using C = FleetCounters;
+  return obs::join<C>(
+      std::to_array<obs::StatField<C>>({
+          {"fleet.devices", kValue, &C::devices},
+          {"fleet.jobs_completed", kCounter, &C::jobs_completed},
+          {"fleet.jobs_failed", kCounter, &C::jobs_failed},
+          {"fleet.makespan_cycles", kValue, &C::fleet_makespan},
+          {"fleet.total_device_cycles", kValue, &C::total_device_cycles},
+          {"fleet.total_pj", kF64, nullptr, &C::total_pj},
+          {"fleet.stagings", kValue, &C::stagings},
+          {"fleet.devices_failed", kCounter, &C::devices_failed},
+          {"fleet.devices_revived", kCounter, &C::devices_revived},
+          {"fleet.devices_dead", kValue, &C::devices_dead},
+          {"fleet.jobs_rescued", kCounter, &C::jobs_rescued},
+          {"fleet.checkpoints_taken", kCounter, &C::checkpoints_taken},
+          {"fleet.checkpoints_restored", kCounter, &C::checkpoints_restored},
+      }),
+      kReplayFields);
+}();
+
+/// Fleet-wide aggregate over all devices of a pool: the counter block plus
+/// the per-device breakdown.
+struct FleetStats : FleetCounters {
+  std::vector<Cycle> device_cycles;  ///< per-device local time
+  std::vector<double> device_pj;     ///< per-device energy
+  std::vector<std::uint64_t> device_jobs;      ///< per-device jobs run
+  std::vector<std::uint64_t> device_stagings;  ///< per-device staging events
+  std::vector<soc::ArchConfig> device_arch;    ///< per-device variant
+  std::vector<std::uint8_t> device_dead;  ///< per-device health (1 = dead)
+  isa::ImageCache::Stats image_cache;
+  cgra::TraceCache::Stats trace_cache;
+  /// Online-estimator correction factor per job family (1.0 = the analytic
+  /// prior is spot on; see DevicePool::estimate). Indexed by Job::work
+  /// alternative.
+  std::array<double, kJobFamilies> family_factor{};
 
   double total_uj() const { return total_pj * 1e-6; }
   double sim_seconds() const {
@@ -270,10 +309,7 @@ class DevicePool {
     /// Batch-boundary telemetry cache (guarded by mu_): written by the
     /// worker releasing its claim, read by peek_stats() without touching
     /// the (not thread-safe) device itself.
-    soc::Platform::Snapshot cached_snapshot;
-    std::uint64_t cached_jobs = 0;
-    std::uint64_t cached_stagings = 0;
-    ReplayStats cached_replay;
+    DeviceFigures cached;
     // Fault state (guarded by mu_).
     bool dead = false;          ///< fail-stopped; receives no work
     bool kill_pending = false;  ///< claimed at kill time; worker finishes it
@@ -291,12 +327,9 @@ class DevicePool {
 
   void worker_loop();
   /// Refreshes one device's batch-boundary telemetry cache and bumps the
-  /// fleet replay obs:: counters by the delta since the previous cache.
-  /// Caller holds mu_ and still owns the device's claim.
-  static void cache_device_locked(DeviceState& ds,
-                                  const soc::Platform::Snapshot& snap,
-                                  std::uint64_t jobs, std::uint64_t stagings,
-                                  const ReplayStats& replay);
+  /// registry mirrors of the replay rows by the delta since the previous
+  /// cache. Caller holds mu_ and still owns the device's claim.
+  static void cache_device_locked(DeviceState& ds, const DeviceFigures& now);
   /// Index of a serviceable device (unclaimed, non-empty queue), or -1.
   int find_work() const;
   /// Throws unless the job's pin (if any) names a device of the fleet.
@@ -322,18 +355,20 @@ class DevicePool {
   /// failover target, and re-places the queued jobs in order. Caller holds
   /// mu_; d is dead and not driven by any other worker.
   void finish_kill_locked(unsigned d);
-  /// Evaluates the scripted fault plan against completed_. Caller holds mu_.
+  /// Evaluates the scripted fault plan against the completed-job count.
+  /// Caller holds mu_.
   void check_faults_locked();
   /// Folds the pending measured-cost sums into the EWMA factors. Called
   /// only when the fleet is quiescent (inflight_ == 0) under mu_, so the
   /// result is independent of worker count and completion order.
   void fold_estimator_locked();
 
-  /// Fills the cache fields of a FleetStats (shared by stats()
-  /// and peek_stats()).
+  /// The fleet aggregate shared by stats() (`live`: read the devices'
+  /// meters) and peek_stats() (read the batch-boundary caches), so the two
+  /// views cannot diverge. Caller holds mu_. The cache-stat fields are
+  /// filled separately (fold_caches), outside the lock for peek_stats().
+  FleetStats fold_locked(bool live) const;
   void fold_caches(FleetStats& s) const;
-  /// Fills the fault fields of a FleetStats. Caller holds mu_.
-  void fold_faults_locked(FleetStats& s) const;
 
   isa::ImageCache cache_;
   Config cfg_;
@@ -354,17 +389,12 @@ class DevicePool {
   std::condition_variable idle_cv_;  ///< waiters: inflight_ reached zero
   std::uint64_t next_seq_ = 0;
   std::uint64_t inflight_ = 0;  ///< queued or running jobs
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
   bool stopping_ = false;
-
-  // Fault bookkeeping (guarded by mu_).
   std::vector<FaultTrace> fault_trace_;  ///< scripted-plan progress
-  std::uint64_t devices_failed_ = 0;
-  std::uint64_t devices_revived_ = 0;
-  std::uint64_t jobs_rescued_ = 0;
-  std::uint64_t ckpt_taken_ = 0;
-  std::uint64_t ckpt_restored_ = 0;
+
+  /// The pool's own counter rows (jobs, faults, checkpoints); the device
+  /// rows are folded from the devices at read time. Bumped under mu_.
+  obs::Tally<kFleetFields> tally_;
 };
 
 } // namespace vwr2a::runtime

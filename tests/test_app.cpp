@@ -119,8 +119,8 @@ TEST(App, TraceReplayMatchesInterpreter) {
     EXPECT_EQ(ri.total.cycles, rt.total.cycles) << "window " << w;
     EXPECT_EQ(ri.total.uj, rt.total.uj) << "window " << w;
   }
-  EXPECT_GT(pt.vwr2a().traced_launches(), 0u);
-  EXPECT_EQ(pt.vwr2a().interpreted_cycles(), 0u);
+  EXPECT_GT(pt.vwr2a().replay_stats().traced_launches, 0u);
+  EXPECT_EQ(pt.vwr2a().replay_stats().replay_interpreted_cycles, 0u);
 }
 
 } // namespace

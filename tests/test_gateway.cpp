@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <thread>
-#include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "app/mbiotracker.hpp"
@@ -361,14 +359,16 @@ TEST(Gateway, StatsFrameReportsFleetAndGatewayCounters) {
   server.streams().pool().wait_idle();
 
   const Stats st = client.stats();
-  EXPECT_EQ(st.devices, 3u);
-  EXPECT_EQ(st.connections, 1u);
-  EXPECT_EQ(st.sessions, 1u);
-  EXPECT_EQ(st.windows_delivered, 2u);
-  EXPECT_GE(st.jobs_completed, 2u);
-  EXPECT_EQ(st.jobs_failed, 0u);
-  EXPECT_GT(st.fleet_makespan, 0u);
-  EXPECT_GT(st.total_pj, 0.0);
+  const auto fleet = obs::view<runtime::kFleetFields>(st.rows);
+  const Telemetry gw = obs::view<kTelemetryFields>(st.rows);
+  EXPECT_EQ(fleet.devices, 3u);
+  EXPECT_EQ(gw.connections, 1u);
+  EXPECT_EQ(gw.sessions, 1u);
+  EXPECT_EQ(gw.results_sent, 2u);
+  EXPECT_GE(fleet.jobs_completed, 2u);
+  EXPECT_EQ(fleet.jobs_failed, 0u);
+  EXPECT_GT(fleet.fleet_makespan, 0u);
+  EXPECT_GT(fleet.total_pj, 0.0);
   server.stop();
 }
 
@@ -496,21 +496,22 @@ TEST(Gateway, MatchesDirectStreamServerBitForBit) {
 }
 
 TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
-  // The v3 STATS payload grew five fault-and-recovery counters; the
-  // encoder/decoder pair must keep carrying them, and every other STATS
-  // field, bit-exactly in every later protocol version.
+  // The v3 STATS payload grew the fault-and-recovery counters; since v9
+  // they travel as named rows. Every row of the fleet and gateway tables
+  // must keep round-tripping bit-exactly and read back through the typed
+  // views.
   ASSERT_GE(kProtocolVersion, 3u);
 
-  // A distinct value in every field, so a dropped or swapped field cannot
+  // A distinct value in every row, so a dropped or swapped row cannot
   // round-trip by accident.
   Stats st;
-  unsigned k = 0;
-  std::apply(
-      [&k](auto&... f) {
-        ((f = static_cast<std::remove_reference_t<decltype(f)>>(++k)), ...);
-      },
-      Stats::tie(st));
-  ASSERT_EQ(k, 21u);
+  std::uint64_t k = 0;
+  for (const auto& f : runtime::kFleetFields) {
+    st.rows.push_back({std::string(f.name), ++k});
+  }
+  for (const auto& f : kTelemetryFields) {
+    st.rows.push_back({std::string(f.name), ++k});
+  }
 
   const auto bytes = encode(Frame{st});
   Decoder dec;
@@ -521,6 +522,14 @@ TEST(Gateway, ProtocolV3StatsRoundTripsFaultFields) {
   ASSERT_NE(got, nullptr);
   EXPECT_TRUE(*got == st);
   EXPECT_FALSE(dec.next().has_value());
+
+  // The typed views hold every value: exporting them again gives the rows.
+  std::vector<StatRow> again;
+  obs::to_rows<runtime::kFleetFields>(
+      obs::view<runtime::kFleetFields>(got->rows), again);
+  obs::to_rows<kTelemetryFields>(obs::view<kTelemetryFields>(got->rows),
+                                 again);
+  EXPECT_EQ(again, st.rows);
 }
 
 TEST(Gateway, StatsReportsDeviceFaultsOverTheWire) {
@@ -540,13 +549,13 @@ TEST(Gateway, StatsReportsDeviceFaultsOverTheWire) {
   // the wire.
   const std::uint32_t victim = (client.device_of(sid) + 1) % 3;
   ASSERT_TRUE(server.streams().pool().kill_device(victim));
-  Stats st = client.stats();
+  auto st = obs::view<runtime::kFleetFields>(client.stats().rows);
   EXPECT_EQ(st.devices_failed, 1u);
   EXPECT_EQ(st.devices_dead, 1u);
   EXPECT_EQ(st.devices_revived, 0u);
 
   ASSERT_TRUE(server.streams().pool().revive_device(victim));
-  st = client.stats();
+  st = obs::view<runtime::kFleetFields>(client.stats().rows);
   EXPECT_EQ(st.devices_failed, 1u);
   EXPECT_EQ(st.devices_dead, 0u);
   EXPECT_EQ(st.devices_revived, 1u);
@@ -657,7 +666,8 @@ TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
         EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
       }
       EXPECT_EQ(pushes[i].devices.size(), 2u);
-      EXPECT_EQ(pushes[i].stats.devices, 2u);
+      EXPECT_EQ(
+          obs::view<runtime::kFleetFields>(pushes[i].stats.rows).devices, 2u);
     }
     // The stream above ran one window; the newest push must know it.
     const StatsPush& last = pushes.back();
@@ -667,7 +677,8 @@ TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
     EXPECT_GT(last.sessions[0].latency_cycles_total, 0u);
     std::uint64_t dev_jobs = 0;
     for (const auto& d : last.devices) dev_jobs += d.jobs;
-    EXPECT_EQ(dev_jobs, last.stats.jobs_completed);
+    EXPECT_EQ(dev_jobs,
+              obs::view<runtime::kFleetFields>(last.stats.rows).jobs_completed);
   }
   client.close_stream(sid);
   client.close();

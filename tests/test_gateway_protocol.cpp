@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -19,6 +20,7 @@
 #include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "gateway/protocol.hpp"
+#include "runtime/pool.hpp"
 
 // Allocation cap for this test binary. The decoder promises never to
 // allocate much more than one frame, whatever a length or count prefix
@@ -95,54 +97,51 @@ struct PinnedFrame {
 };
 
 const std::vector<PinnedFrame>& pinned_frames() {
-  static const Stats kStats{16, 3, 2, 40, 41, 1, 123456, 654321, 7, 3.25, 2,
-                            1, 1, 6, 5, 11, 12, 15, 16, 17, 18};
+  static const Stats kStats{
+      {{"fleet.jobs_completed", 41},
+       {"fleet.total_pj", std::bit_cast<std::uint64_t>(3.25)},
+       {"gateway.frames_in", 7}}};
   static const std::vector<PinnedFrame> kFrames = {
       {OpenSession{0x01020304, 7, 1, 2, 1, 512, 256, 4, 2048},
-       "1d00000008010403020107000000010201000200000001000004000000000800"
+       "1d00000009010403020107000000010201000200000001000004000000000800"
        "00"},
       {PushSamples{9, {1, -2, 0x7fffffff}},
-       "160000000802090000000300000001000000feffffffffffff7f"},
+       "160000000902090000000300000001000000feffffffffffff7f"},
       {Flush{3},
-       "06000000080303000000"},
+       "06000000090303000000"},
       {Close{4},
-       "06000000080404000000"},
+       "06000000090404000000"},
       {StatsRequest{},
-       "020000000805"},
+       "020000000905"},
       {OpenOk{5, 0x1122334455667788ull, 6},
-       "12000000088105000000887766554433221106000000"},
+       "12000000098105000000887766554433221106000000"},
       {WindowResult{5, 123, 2, 456, 1.5, {10, -20, 30}, 7, 8, 9, 10, 11},
-       "5a0000000882050000007b0000000000000002000000c8010000000000000000"
+       "5a0000000982050000007b0000000000000002000000c8010000000000000000"
        "00000000f83f030000000a000000ecffffff1e00000007000000000000000800"
        "00000000000009000000000000000a000000000000000b00000000000000"},
       {FlushOk{5, 42},
-       "0e0000000883050000002a00000000000000"},
+       "0e0000000983050000002a00000000000000"},
       {CloseOk{5, 1, 2, 3, 4, 5, 6, 7, 8},
-       "4600000008840500000001000000000000000200000000000000030000000000"
+       "4600000009840500000001000000000000000200000000000000030000000000"
        "0000040000000000000005000000000000000600000000000000070000000000"
        "00000800000000000000"},
       {kStats,
-       "a600000008851000000003000000000000000200000000000000280000000000"
-       "00002900000000000000010000000000000040e2010000000000f1fb09000000"
-       "000007000000000000000000000000000a400200000000000000010000000000"
-       "00000100000000000000060000000000000005000000000000000b0000000000"
-       "00000c000000000000000f000000000000001000000000000000110000000000"
-       "00001200000000000000"},
+       "5d00000009850300000014000000666c6565742e6a6f62735f636f6d706c6574"
+       "656429000000000000000e000000666c6565742e746f74616c5f706a00000000"
+       "00000a4011000000676174657761792e6672616d65735f696e07000000000000"
+       "00"},
       {Error{kConnectionStream, 4, "bad params"},
-       "160000000886ffffffff04000a00000062616420706172616d73"},
+       "160000000986ffffffff04000a00000062616420706172616d73"},
       {StatsSubscribe{250, 1},
-       "070000000806fa00000001"},
+       "070000000906fa00000001"},
       {StatsPush{7, kStats, {{100, 3, 0}, {200, 4, 1}},
                  {{9, 1, 10, 9, 2, 500}}},
-       "0401000008870700000000000000100000000300000000000000020000000000"
-       "000028000000000000002900000000000000010000000000000040e201000000"
-       "0000f1fb09000000000007000000000000000000000000000a40020000000000"
-       "0000010000000000000001000000000000000600000000000000050000000000"
-       "00000b000000000000000c000000000000000f00000000000000100000000000"
-       "0000110000000000000012000000000000000200000064000000000000000300"
-       "00000000000000c8000000000000000400000000000000010100000009000000"
-       "00000000010000000a0000000000000009000000000000000200000000000000"
-       "f401000000000000"},
+       "bb000000098707000000000000000300000014000000666c6565742e6a6f6273"
+       "5f636f6d706c6574656429000000000000000e000000666c6565742e746f7461"
+       "6c5f706a0000000000000a4011000000676174657761792e6672616d65735f69"
+       "6e0700000000000000020000006400000000000000030000000000000000c800"
+       "000000000000040000000000000001010000000900000000000000010000000a"
+       "0000000000000009000000000000000200000000000000f401000000000000"},
   };
   return kFrames;
 }
@@ -273,8 +272,11 @@ TEST(GatewayProtocol, RejectsLyingArrayCountWithoutOverReading) {
       {PushSamples{9, {1, 2, 3}}, 10, 3},
       {WindowResult{5, 1, 2, 3, 0.5, {4, 5}}, 38, 2},
       {Error{1, 2, "abc"}, 12, 3},
-      {StatsPush{1, {}, {{1, 2, 0}}, {}}, 178, 1},
-      {StatsPush{1, {}, {}, {{1, 2, 3, 4, 5, 6}}}, 182, 1},
+      {Stats{{{"a", 1}, {"bc", 2}}}, 6, 2},          // STATS row count
+      {Stats{{{"abcd", 1}}}, 10, 4},                 // row name length
+      {StatsPush{1, {{{"a", 1}}}, {}, {}}, 14, 1},   // embedded row count
+      {StatsPush{1, {}, {{1, 2, 0}}, {}}, 18, 1},
+      {StatsPush{1, {}, {}, {{1, 2, 3, 4, 5, 6}}}, 22, 1},
   };
   for (const Case& c : cases) {
     for (const std::uint32_t lie : {0x7fffffffu, 0xffffffffu}) {
@@ -331,10 +333,39 @@ TEST(GatewayProtocol, TruncatedStatsPushThrowsNotCrash) {
   // throw before allocating either array.
   StatsPush push;
   push.seq = 7;
-  push.stats.devices = 4;
+  push.stats.rows = {{"fleet.devices", 4}, {"gateway.sessions", 2}};
   push.devices.resize(3);
   push.sessions.resize(2);
   expect_every_truncation_throws(push);
+}
+
+TEST(GatewayProtocol, UnknownStatsRowRoundTripsAndTypedViewIgnoresIt) {
+  // Forward compatibility of the v9 named rows: a STATS frame from a peer
+  // with a counter this build does not know re-encodes byte-exact (rows
+  // are kept verbatim), its typed view ignores the unknown row, and a
+  // table row the peer did not send reads 0.
+  runtime::FleetCounters want;
+  std::uint64_t k = 100;
+  for (const auto& f : runtime::kFleetFields) {
+    if (f.kind != obs::StatKind::kF64) want.*f.u64 = ++k;
+  }
+  want.total_pj = 12.5;
+  Stats st;
+  obs::to_rows<runtime::kFleetFields>(want, st.rows);
+  st.rows.insert(st.rows.begin() + 3, StatRow{"fleet.from_a_newer_peer", 7});
+  ASSERT_EQ(st.rows.back().name, "fleet.replay_sync_points");
+  st.rows.pop_back();  // an older peer: one row missing
+  want.replay_sync_points = 0;
+
+  const std::vector<std::uint8_t> wire = encode(st);
+  Decoder dec;
+  dec.feed(wire);
+  const auto got = dec.next();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(encode(*got), wire);
+  const Stats& back = std::get<Stats>(*got);
+  EXPECT_EQ(back.rows, st.rows);
+  EXPECT_TRUE(obs::view<runtime::kFleetFields>(back.rows) == want);
 }
 
 TEST(GatewayProtocol, RandomByteFuzzNeverCrashes) {

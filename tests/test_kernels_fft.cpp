@@ -166,8 +166,8 @@ TEST(FftTraceReplay, MatchesInterpreter) {
           << "n " << n << " event " << e;
     }
     EXPECT_EQ(ri.acc.cycles(), rt.acc.cycles()) << "n " << n;
-    EXPECT_GT(rt.acc.traced_launches(), 0u);
-    EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
+    EXPECT_GT(rt.acc.replay_stats().traced_launches, 0u);
+    EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u);
   }
 }
 

@@ -765,15 +765,15 @@ TEST(TraceCache, StaticSpmFlowReplaysOnSyncSchedule) {
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "first launch (sync schedule)");
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 0u);
-  EXPECT_GT(rt.acc.sync_points(), 0u);
-  EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
+  EXPECT_GT(rt.acc.replay_stats().replay_sync_points, 0u);
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u);
 
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "second launch (sync schedule)");
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 0u);
-  EXPECT_EQ(rt.acc.traced_launches(), 2u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 2u);
 }
 
 /// The same dataflow with a *dynamically* addressed store (SRF-based row):
@@ -824,13 +824,13 @@ TEST(TraceCache, DynamicSpmConflictRollsBackAndHintReEvaluates) {
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "dynamic conflict (rollback to lockstep)");
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
 
   // Still resident: the hint sends the relaunch straight to lockstep.
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "hinted relaunch (lockstep, no new rollback)");
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
 
   // Change the row parameter so the store no longer overlaps, and force a
   // reload: the hint is re-evaluated, the relaunch free-runs decoupled, and
@@ -839,12 +839,13 @@ TEST(TraceCache, DynamicSpmConflictRollsBackAndHintReEvaluates) {
   rt.acc.run_kernel(et);
   ri.acc.host_write_srf(0, 4, 10);
   rt.acc.host_write_srf(0, 4, 10);
-  const std::uint64_t dec_before = rt.acc.replayed_decoupled_cycles();
+  const std::uint64_t dec_before =
+      rt.acc.replay_stats().replay_decoupled_cycles;
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "reload re-evaluates the hint (decoupled again)");
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 1u);
-  EXPECT_GT(rt.acc.replayed_decoupled_cycles(), dec_before);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
+  EXPECT_GT(rt.acc.replay_stats().replay_decoupled_cycles, dec_before);
 }
 
 /// A cross-column POLL at a statically known word: column 0 spins on an SPM
@@ -889,14 +890,14 @@ TEST(TraceCache, StaticCrossColumnPollRunsOnSyncSchedule) {
   const unsigned kt = rt.acc.register_kernel(img);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 0u);
-  EXPECT_GT(rt.acc.sync_points(), 0u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
+  EXPECT_GT(rt.acc.replay_stats().replay_sync_points, 0u);
   expect_identical(ri, rt, "static cross-column poll");
 
   for (Rig* r : {&ri, &rt}) r->acc.spm().poke(kFlagWord, 0);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 0u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
   expect_identical(ri, rt, "static cross-column poll, relaunch");
 }
 
@@ -943,14 +944,14 @@ TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndGoesLockstep) {
   const unsigned kt = rt.acc.register_kernel(img);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);  // must terminate (budget -> rollback -> lockstep)
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
   expect_identical(ri, rt, "dynamic cross-column poll");
 
   // Later launches go straight to lockstep (the hint holds while resident).
   for (Rig* r : {&ri, &rt}) r->acc.spm().poke(kFlagWord, 0);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
   expect_identical(ri, rt, "dynamic cross-column poll, lockstep relaunch");
 }
 
@@ -990,10 +991,10 @@ TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
   expect_identical(ri, rt, "cross-operand lockstep replay");
-  EXPECT_EQ(rt.acc.traced_launches(), 1u);
-  EXPECT_EQ(rt.acc.traced_rollbacks(), 0u);
-  EXPECT_EQ(rt.acc.interpreted_cycles(), 0u);
-  EXPECT_GT(rt.acc.replayed_lockstep_cycles(), 0u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u);
+  EXPECT_GT(rt.acc.replay_stats().replay_lockstep_cycles, 0u);
 }
 
 /// A kRcCross operand without a running partner column must surface the
@@ -1145,7 +1146,8 @@ TEST(TraceCache, EveryShuffleModeMatchesInterpreter) {
       const isa::KernelImage img = make_kernel("shuf", 0, prog);
       ri.acc.run_kernel(ri.acc.register_kernel(img));
       rt.acc.run_kernel(rt.acc.register_kernel(img));
-      EXPECT_EQ(rt.acc.interpreted_cycles(), 0u) << what;
+      EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u)
+          << what;
       EXPECT_EQ(rt.acc.column(0).vwr(VwrSel::C).read_row(),
                 cgra::shuffle_eval(mode, a, b))
           << what;
@@ -1274,7 +1276,8 @@ TEST(TraceCacheQuadKeys, EveryKeyPlainAndFusedMatchesInterpreter) {
             const isa::KernelImage img = make_kernel("quad", 0, prog);
             ri.acc.run_kernel(ri.acc.register_kernel(img));
             rt.acc.run_kernel(rt.acc.register_kernel(img));
-            EXPECT_EQ(rt.acc.interpreted_cycles(), 0u) << what;
+            EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u)
+                << what;
             expect_identical(ri, rt, what);
             if (::testing::Test::HasFatalFailure()) return;
           }
