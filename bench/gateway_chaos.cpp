@@ -129,9 +129,10 @@ int main() {
         while (sent < streams[i].size()) {
           const std::size_t take =
               std::min<std::size_t>(kChunk, streams[i].size() - sent);
-          // Stamped BEFORE the push: the result callback may fire as soon
-          // as the bytes are queued (see gateway_soak for the ordering
-          // argument).
+          // Stamped BEFORE the push: the result callback (client reader
+          // thread) may fire as soon as the bytes are queued, and the
+          // transport's internal locks give the stamp a happens-before
+          // edge to that callback.
           for (std::size_t w = sent / app::kWindow + 1;
                w <= (sent + take) / app::kWindow; ++w) {
             if (w - 1 < pushed.size()) pushed[w - 1] = Clock::now();

@@ -256,9 +256,8 @@ void Vwr2a::run_kernel_traced() {
   }
   const tc::SyncPlan& plan = rt.plan;
   const bool both = r0 && r1;
-  if (!both || (!replay_lockstep_only_ &&
-                plan.mode != tc::SyncPlan::Mode::kLockstep &&
-                !rt.lockstep_hint)) {
+  if (!both ||
+      (plan.mode != tc::SyncPlan::Mode::kLockstep && !rt.lockstep_hint)) {
     // Free tiers: whole-kernel decoupled free-run, or the compiled sync
     // schedule when some blocks statically share SPM rows. Either way the
     // free-running accesses are validated against the partner's totals

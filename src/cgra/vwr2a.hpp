@@ -140,16 +140,6 @@ class Vwr2a {
   /// Replay-engine counters: which execution tier carried the work.
   const ReplayStats& replay_stats() const { return replay_; }
 
-  /// Debug/benchmark knob: when set, two-column traced replays skip the
-  /// decoupled and scheduled tiers and run the per-cycle lockstep tier
-  /// unconditionally -- the pre-sync-plan behaviour of cross-column
-  /// kernels. Results are identical by construction (lockstep is the
-  /// conservative tier); only host-side replay throughput changes.
-  /// Single-column replays are unaffected (free-running them is already
-  /// conflict-free).
-  void set_replay_lockstep_only(bool on) { replay_lockstep_only_ = on; }
-  bool replay_lockstep_only() const { return replay_lockstep_only_; }
-
  private:
   void advance(Cycle n);
   /// run_kernel body for ExecMode::kTraceCache: replays the kernel on the
@@ -209,7 +199,6 @@ class Vwr2a {
   std::unique_ptr<TraceCache> owned_traces_;
   std::unique_ptr<tc::SpmUndo> undo_;  ///< lazily allocated (trace mode only)
   ReplayStats replay_;
-  bool replay_lockstep_only_ = false;
 };
 
 } // namespace vwr2a::cgra

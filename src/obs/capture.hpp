@@ -2,7 +2,7 @@
 // Trace capture files (.vwr2trc): the on-disk form of a Tracer snapshot.
 // A capture is a string table (event names) plus fixed-size little-endian
 // event records; load/save, Chrome trace_event JSON export and window-chain
-// analysis live here so the vwr2a_trace tool, gateway_soak and the obs
+// analysis live here so the vwr2a_trace tool and the obs and journal
 // tests all share one implementation. Format (all little-endian, through
 // common/codec.hpp):
 //

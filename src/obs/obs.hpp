@@ -2,11 +2,11 @@
 // Global observability gate. The whole obs layer (metrics registry,
 // tracer) is always compiled in and off by default; every instrumentation
 // site in the hot path is guarded by metrics_enabled()/tracing_enabled(),
-// which cost exactly one relaxed atomic load when the layer is disabled --
-// the hard budget bench/obs_overhead.cpp gates. Observability only ever
-// *reads* the simulation: no placement decision, job cost or output may
-// depend on whether it is on (bit/cycle/energy identity is asserted by the
-// overhead bench).
+// which cost exactly one relaxed atomic load when the layer is disabled.
+// Observability only ever *reads* the simulation: no placement decision,
+// job cost or output may depend on whether it is on (bit/cycle/energy
+// identity with everything on vs everything off is asserted by
+// tests/test_journal.cpp).
 
 #include <atomic>
 #include <chrono>

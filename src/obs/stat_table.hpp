@@ -9,9 +9,9 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -38,14 +38,21 @@ struct StatField {
   std::uint64_t Block::*u64 = nullptr;  ///< kCounter / kValue member
   double Block::*f64 = nullptr;         ///< kF64 member
 
+  static_assert(sizeof(double) == sizeof(std::uint64_t));
+  // A double row moves its bytes with memcpy: GCC 12 flags a std::bit_cast
+  // of `b.*f64` as a maybe-uninitialized read once get() is inlined over a
+  // block that has no double member.
   std::uint64_t get(const Block& b) const {
-    return f64 != nullptr ? std::bit_cast<std::uint64_t>(b.*f64) : b.*u64;
+    if (f64 == nullptr) return b.*u64;
+    std::uint64_t v = 0;
+    std::memcpy(&v, &(b.*f64), sizeof v);
+    return v;
   }
   void set(Block& b, std::uint64_t v) const {
-    if (f64 != nullptr) {
-      b.*f64 = std::bit_cast<double>(v);
-    } else {
+    if (f64 == nullptr) {
       b.*u64 = v;
+    } else {
+      std::memcpy(&(b.*f64), &v, sizeof v);
     }
   }
 };

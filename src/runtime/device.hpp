@@ -25,8 +25,8 @@
 //   * FIR tap staging is skipped while the same taps buffer sits unclobbered
 //     in kernels::kFirTapRow.
 // All three depend only on the device's own job history, so worker-count
-// invariance is preserved; both can be disabled per-device (Options) to
-// measure the no-residency baseline.
+// invariance is preserved; both can be disabled per-device (Options), the
+// untuned baseline tests/test_stream.cpp's fleet-shape test runs against.
 //
 // A Device is not thread-safe; the pool guarantees at most one worker
 // drives a device at a time and that a device's jobs run in submission

@@ -19,8 +19,12 @@
 #include "dsp/signal.hpp"
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
+#include "obs/capture.hpp"
 #include "obs/journal.hpp"
 #include "obs/journal_replay.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 
 namespace vwr2a::obs {
 namespace {
@@ -40,50 +44,55 @@ std::vector<std::int32_t> make_signal(unsigned windows, unsigned seed) {
 }
 
 struct Recorded {
-  std::string path;
   std::vector<std::uint32_t> sids;     ///< client-chosen stream ids
   std::vector<std::uint64_t> fnv;      ///< per stream, client-side truth
   std::vector<std::uint64_t> windows;  ///< per stream
+  runtime::FleetStats fleet;           ///< quiescent, after every close
 };
 
-/// Drives kStreams x kWindows through a journaling loopback gateway under
-/// a fake nanosecond clock and returns the journal path plus the
-/// client-side output digests.
-Recorded record_soak(const std::string& path, unsigned devices) {
-  constexpr unsigned kStreams = 3;
-  constexpr unsigned kWindows = 2;
-
+/// Drives `streams` x `windows` (odd streams run the feature pipeline)
+/// through a loopback gateway built from `cfg` under a fake nanosecond
+/// clock and returns the client-side output digests plus the fleet totals.
+Recorded drive_soak(gateway::Server::Config cfg, unsigned streams = 3,
+                    unsigned windows = 2) {
   std::atomic<std::uint64_t> fake_ns{1'000'000'000};
-  gateway::Server::Config cfg;
-  cfg.stream.pool.devices = devices;
-  cfg.journal_path = path;
   cfg.clock_ns = [&fake_ns] { return fake_ns.fetch_add(1000) + 1000; };
   gateway::Server server(cfg);
   gateway::Client client(server.connect_loopback());
 
   Recorded rec;
-  rec.path = path;
-  rec.fnv.assign(kStreams, codec::kFnvBasis);
-  rec.windows.assign(kStreams, 0);
-  for (unsigned i = 0; i < kStreams; ++i) {
+  rec.fnv.assign(streams, codec::kFnvBasis);
+  rec.windows.assign(streams, 0);
+  for (unsigned i = 0; i < streams; ++i) {
     gateway::Client::StreamOpts opts;
     opts.tenant = i;
-    if (i == 1) opts.kind = 1;
+    if (i % 2 == 1) opts.kind = 1;
     rec.sids.push_back(
         client.open(opts, [&rec, i](const gateway::WindowResult& wr) {
           rec.fnv[i] = fold_fnv(rec.fnv[i], wr.output);
           ++rec.windows[i];
         }));
   }
-  for (unsigned i = 0; i < kStreams; ++i) {
-    const std::vector<std::int32_t> sig = make_signal(kWindows, 9100 + i);
+  for (unsigned i = 0; i < streams; ++i) {
+    const std::vector<std::int32_t> sig = make_signal(windows, 9100 + i);
     client.push(rec.sids[i], sig);
   }
   for (std::uint32_t sid : rec.sids) client.flush(sid);
   for (std::uint32_t sid : rec.sids) client.close_stream(sid);
+  // CLOSE_OK trails every WINDOW_RESULT of its stream, so the digests are
+  // final; stats() waits for the fleet to go idle.
+  rec.fleet = server.streams().stats().fleet;
   client.close();
   server.stop();  // finalizes the journal
   return rec;
+}
+
+/// A journaling soak of 3 streams x 2 windows on `devices` baseline devices.
+Recorded record_soak(const std::string& path, unsigned devices) {
+  gateway::Server::Config cfg;
+  cfg.stream.pool.devices = devices;
+  cfg.journal_path = path;
+  return drive_soak(std::move(cfg));
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -178,6 +187,74 @@ TEST(Journal, ReplayReproducesEveryStreamOnADifferentFleet) {
     EXPECT_TRUE(s.ok());
     EXPECT_EQ(s.got_windows, s.expected_windows);
     EXPECT_EQ(s.got_fnv, s.expected_fnv);
+  }
+}
+
+/// Switches the whole recorder off and clears its singletons on scope exit.
+struct RecorderOffOnExit {
+  ~RecorderOffOnExit() {
+    set_metrics(false);
+    set_tracing(false);
+    set_spans(false);
+    Tracer::get().reset();
+    Registry::get().reset();
+  }
+};
+
+TEST(Journal, FullRecorderLeavesOutputsCyclesAndEnergyUntouched) {
+  // The observer-effect identity: the same gateway traffic on a 4-device
+  // mixed trace-mode fleet, once with everything off and once with
+  // metrics, tracing, v6 spans and the journal all on, must agree on
+  // every stream's outputs and on the fleet's cycles and energy. The
+  // recorder reads the simulation; it never steers it. The capture and
+  // journal stay in the test temp dir for `vwr2a_trace verify` and
+  // `vwr2a_replay verify`.
+  constexpr unsigned kStreams = 8;
+  constexpr unsigned kWindows = 4;
+  RecorderOffOnExit restore;
+  auto mixed_fleet = [] {
+    gateway::Server::Config cfg;
+    cfg.stream.pool.devices = 4;
+    constexpr auto kTrace = cgra::ExecMode::kTraceCache;
+    cfg.stream.pool.device_arch = {
+        soc::ArchConfig{.exec_mode = kTrace},
+        soc::ArchConfig{.vwr_count = 2, .exec_mode = kTrace},
+        soc::ArchConfig{.vwr_count = 4, .exec_mode = kTrace},
+        soc::ArchConfig{.simd_width = 16, .exec_mode = kTrace}};
+    return cfg;
+  };
+
+  const Recorded off = drive_soak(mixed_fleet(), kStreams, kWindows);
+
+  Tracer::get().reset();
+  Registry::get().reset();
+  set_metrics(true);
+  set_tracing(true);
+  set_spans(true);
+  const std::string stem = ::testing::TempDir() + "recorder_identity";
+  gateway::Server::Config cfg = mixed_fleet();
+  cfg.journal_path = stem + ".vwr2jrn";
+  const Recorded on = drive_soak(std::move(cfg), kStreams, kWindows);
+  set_tracing(false);
+
+  EXPECT_EQ(on.windows, off.windows);
+  EXPECT_EQ(on.fnv, off.fnv);
+  EXPECT_EQ(on.fleet.fleet_makespan, off.fleet.fleet_makespan);
+  EXPECT_EQ(on.fleet.total_device_cycles, off.fleet.total_device_cycles);
+  EXPECT_EQ(on.fleet.total_pj, off.fleet.total_pj);
+
+  // Every traced window reconstructs push -> ... -> deliver across the
+  // connection reader, a pool worker and a delivery lane.
+  const Tracer::Snapshot snap = Tracer::get().snapshot();
+  std::string why;
+  ASSERT_TRUE(save_capture(snap, stem + ".vwr2trc", &why)) << why;
+  const Capture cap = to_capture(snap);
+  EXPECT_EQ(cap.dropped, 0u);
+  const std::vector<WindowChain> chains = analyze_windows(cap);
+  EXPECT_EQ(chains.size(), std::size_t{kStreams} * kWindows);
+  for (const WindowChain& c : chains) {
+    EXPECT_TRUE(c.complete()) << "window " << c.window;
+    EXPECT_GE(c.distinct_tids, 3u) << "window " << c.window;
   }
 }
 

@@ -769,6 +769,61 @@ TEST(RuntimePool, PeekStatsBeforeFirstBatchAndConcurrentWithWorkers) {
   EXPECT_EQ(s.devices_failed, 1u);
 }
 
+/// Fleet scaling: one 1000-job FIR-11/256 batch on 1/2/4/8 trace-mode
+/// devices. Every fleet size must compute the same outputs, and since the
+/// devices are independent VWR2A blocks the simulated throughput must scale
+/// with the device count: 4 devices serve the batch in a quarter of the
+/// 1-device makespan, up to the round-robin remainder.
+TEST(RuntimeSchedule, FirBatchScalesWithFleetSize) {
+  constexpr unsigned kJobs = 1000;
+  constexpr unsigned kPoints = 256;
+  Rng rng(17);
+  const auto taps = make_buffer(dsp::fir11_lowpass_q15());
+  std::vector<SharedBuffer> inputs;
+  for (unsigned i = 0; i < 25; ++i) {
+    std::vector<std::int32_t> x(kPoints);
+    for (auto& v : x) v = fx::to_q16_15(rng.next_range(-0.9, 0.9));
+    inputs.push_back(make_buffer(std::move(x)));
+  }
+
+  struct RunOut {
+    std::vector<std::vector<std::int32_t>> outputs;
+    FleetStats stats;
+  };
+  auto run_fleet = [&](unsigned devices) {
+    DevicePool::Config cfg;
+    cfg.devices = devices;
+    cfg.device_arch = {
+        soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache}};
+    DevicePool pool(cfg);
+    std::vector<Job> jobs;
+    jobs.reserve(kJobs);
+    for (unsigned j = 0; j < kJobs; ++j) {
+      jobs.emplace_back().work = FirJob{kPoints, taps, inputs[j % 25]};
+    }
+    RunOut out;
+    for (auto& h : pool.submit_batch(std::move(jobs))) {
+      out.outputs.push_back(h.get().output);
+    }
+    out.stats = pool.stats();
+    return out;
+  };
+
+  const RunOut one = run_fleet(1);
+  ASSERT_EQ(one.stats.jobs_completed, kJobs);
+  double jps_at_4 = 0.0;
+  for (unsigned devices : {2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(devices) + " devices");
+    const RunOut got = run_fleet(devices);
+    ASSERT_EQ(got.stats.jobs_completed, kJobs);
+    for (unsigned j = 0; j < kJobs; ++j) {
+      ASSERT_EQ(got.outputs[j], one.outputs[j]) << "job " << j;
+    }
+    if (devices == 4) jps_at_4 = got.stats.jobs_per_sim_second();
+  }
+  EXPECT_GE(jps_at_4 / one.stats.jobs_per_sim_second(), 3.99);
+}
+
 /// Trace-mode fleet identity: a homogeneous trace-mode fleet serving FIR
 /// jobs in two rounds (the second on warm traces) must match an
 /// interpret-mode fleet job for job -- placement, outputs, per-job cycles,

@@ -1,6 +1,6 @@
 // Streaming session layer: windowing edge cases, per-session outputs
 // bit-identical to an offline app::MBioTracker / dsp::reference run over
-// the same samples, ordered delivery, worker-count invariance, and
+// the same samples, ordered delivery, fleet-shape invariance, and
 // backpressure drop accounting.
 
 #include <gtest/gtest.h>
@@ -359,16 +359,50 @@ TEST(StreamServer, MultiTenantOrderedAndBitIdentical) {
   EXPECT_GT(st.fleet_occupancy(), 0.0);
 }
 
-TEST(StreamServer, DeliveredResultsInvariantToWorkerCount) {
-  // The same tenant streams on 1-worker and 4-worker servers must deliver
-  // bit- and cycle-identical windows: worker threads are interchangeable
-  // executors of the simulated fleet.
-  auto run_with_workers = [](unsigned workers) {
-    StreamServer::Config scfg;
-    scfg.pool.devices = 4;
-    scfg.pool.workers = workers;
-    StreamServer server(scfg);
+TEST(StreamServer, DeliveredResultsInvariantToFleetShape) {
+  // The same tenant streams on every fleet shape must deliver bit-identical
+  // windows: worker threads, the replay engine and the device count change
+  // where and how fast windows run, never what they compute. The reference
+  // is one worker driving a 4-device mixed-architecture fleet with the
+  // tuned runtime (shortest-local-clock placement, SPM residency, staging
+  // dedup); each variant adds the identities its shape must keep.
+  enum class Check {
+    kPerWindow,     ///< same device and cost for every window
+    kFleetTotals,   ///< same makespan, stagings and fleet energy
+    kOutputsOnly,   ///< a different fleet: only the outputs must agree
+    kSlowerBaseline ///< untuned runtime: strictly worse makespan/stagings
+  };
+  struct Shape {
+    const char* name;
+    Check check;
+    unsigned workers = 1;
+    unsigned devices = 4;
+    cgra::ExecMode mode = cgra::ExecMode::kInterpret;
+    bool tuned = true;
+  };
+  struct Run {
     std::map<std::uint64_t, std::vector<WindowResult>> delivered;
+    runtime::FleetStats fleet;
+  };
+  auto run_shape = [](const Shape& shape) {
+    StreamServer::Config scfg;
+    scfg.pool.devices = shape.devices;
+    scfg.pool.workers = shape.workers;
+    if (!shape.tuned) {
+      scfg.pool.schedule = runtime::Schedule::kRoundRobin;
+      scfg.pool.device_opts.residency = false;
+      scfg.pool.device_opts.dedup = false;
+    }
+    const soc::ArchConfig mix[] = {
+        soc::ArchConfig{.exec_mode = shape.mode},
+        soc::ArchConfig{.vwr_count = 2, .exec_mode = shape.mode},
+        soc::ArchConfig{.vwr_count = 4, .exec_mode = shape.mode},
+        soc::ArchConfig{.simd_width = 16, .exec_mode = shape.mode}};
+    for (unsigned d = 0; d < shape.devices; ++d) {
+      scfg.pool.device_arch.push_back(mix[d % 4]);
+    }
+    StreamServer server(scfg);
+    Run run;
     std::vector<Session*> sessions;
     std::vector<std::vector<std::int32_t>> streams;
     for (unsigned i = 0; i < 6; ++i) {
@@ -377,29 +411,55 @@ TEST(StreamServer, DeliveredResultsInvariantToWorkerCount) {
       SessionConfig cfg;
       if (i >= 4) cfg.kind = SessionKind::kPipeline;
       sessions.push_back(&server.open_session(cfg, [&](const WindowResult& r) {
-        delivered[r.session].push_back(r);
+        run.delivered[r.session].push_back(r);
       }));
     }
     for (unsigned i = 0; i < 6; ++i) sessions[i]->push(streams[i]);
     server.finish();
-    return delivered;
+    run.fleet = server.stats().fleet;
+    return run;
   };
 
-  const auto base = run_with_workers(1);
-  const auto got = run_with_workers(4);
-  ASSERT_EQ(got.size(), base.size());
-  for (const auto& [sid, results] : base) {
-    SCOPED_TRACE("session " + std::to_string(sid));
-    const auto& g = got.at(sid);
-    ASSERT_EQ(g.size(), results.size());
-    for (std::size_t w = 0; w < results.size(); ++w) {
-      SCOPED_TRACE("window " + std::to_string(w));
-      EXPECT_EQ(g[w].job.output, results[w].job.output);
-      EXPECT_EQ(g[w].job.device, results[w].job.device);
-      EXPECT_EQ(g[w].job.cost.cpu_cycles, results[w].job.cost.cpu_cycles);
-      EXPECT_EQ(g[w].job.cost.vwr2a_cycles, results[w].job.cost.vwr2a_cycles);
-      EXPECT_EQ(g[w].job.cost.vwr2a_pj, results[w].job.cost.vwr2a_pj);
-      EXPECT_EQ(g[w].job.cost.sys_pj, results[w].job.cost.sys_pj);
+  const Run base = run_shape({.name = "reference", .check = Check::kPerWindow});
+  for (const Shape& shape :
+       {Shape{.name = "4 workers", .check = Check::kPerWindow, .workers = 4},
+        Shape{.name = "trace engine",
+              .check = Check::kFleetTotals,
+              .mode = cgra::ExecMode::kTraceCache},
+        Shape{.name = "16 devices",
+              .check = Check::kOutputsOnly,
+              .devices = 16,
+              .mode = cgra::ExecMode::kTraceCache},
+        Shape{.name = "round-robin, no residency/dedup",
+              .check = Check::kSlowerBaseline,
+              .tuned = false}}) {
+    SCOPED_TRACE(shape.name);
+    const Run got = run_shape(shape);
+    ASSERT_EQ(got.delivered.size(), base.delivered.size());
+    for (const auto& [sid, results] : base.delivered) {
+      SCOPED_TRACE("session " + std::to_string(sid));
+      const auto& g = got.delivered.at(sid);
+      ASSERT_EQ(g.size(), results.size());
+      for (std::size_t w = 0; w < results.size(); ++w) {
+        SCOPED_TRACE("window " + std::to_string(w));
+        EXPECT_EQ(g[w].job.output, results[w].job.output);
+        if (shape.check != Check::kPerWindow) continue;
+        EXPECT_EQ(g[w].job.device, results[w].job.device);
+        EXPECT_EQ(g[w].job.cost.cpu_cycles, results[w].job.cost.cpu_cycles);
+        EXPECT_EQ(g[w].job.cost.vwr2a_cycles,
+                  results[w].job.cost.vwr2a_cycles);
+        EXPECT_EQ(g[w].job.cost.vwr2a_pj, results[w].job.cost.vwr2a_pj);
+        EXPECT_EQ(g[w].job.cost.sys_pj, results[w].job.cost.sys_pj);
+      }
+    }
+    if (shape.check == Check::kFleetTotals) {
+      EXPECT_EQ(got.fleet.fleet_makespan, base.fleet.fleet_makespan);
+      EXPECT_EQ(got.fleet.stagings, base.fleet.stagings);
+      EXPECT_EQ(got.fleet.total_pj, base.fleet.total_pj);
+    }
+    if (shape.check == Check::kSlowerBaseline) {
+      EXPECT_GT(got.fleet.fleet_makespan, base.fleet.fleet_makespan);
+      EXPECT_GT(got.fleet.stagings, base.fleet.stagings);
     }
   }
 }
