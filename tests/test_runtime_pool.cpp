@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "app/mbiotracker.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dsp/reference.hpp"
@@ -898,6 +900,82 @@ TEST(RuntimeTrace, TraceFleetFirMatchesInterpretBitCycleExact) {
   EXPECT_GT(traced.stats.replay_decoupled_cycles, 0u);
   EXPECT_EQ(interp.stats.traced_launches, 0u);
   EXPECT_EQ(interp.stats.replay_decoupled_cycles, 0u);
+}
+
+/// Replay traffic of the whole job catalog, pinned per family. One
+/// trace-mode device serves one job of each family in a fixed order; each
+/// family's cgra::ReplayStats delta must match exactly: how many launches
+/// replayed, how many column-cycles ran free (decoupled) and how many ran
+/// line by line (sync blocks and the per-cycle lockstep pass), and how
+/// many sync blocks were entered. No catalog kernel conflicts across
+/// columns or faults, so no launch rolls back and the interpreter never
+/// runs. A change to the replay schedule that moves work between tiers,
+/// or sends a catalog kernel to the rollback path, fails here by name.
+TEST(RuntimeTrace, CatalogReplayTrafficIsPinned) {
+  struct Traffic {
+    std::uint64_t launches, decoupled, lockstep, sync_points;
+    bool operator==(const Traffic&) const = default;
+  };
+  struct Family {
+    Job job;
+    Traffic want;
+  };
+  Rng rng(601);
+  auto samples = [&rng](unsigned n, double lim) {
+    std::vector<std::int32_t> x(n);
+    for (auto& v : x) v = fx::to_q16_15(rng.next_range(-lim, lim));
+    return make_buffer(std::move(x));
+  };
+  const auto taps = make_buffer(dsp::fir11_lowpass_q15());
+  dsp::RespirationParams resp;
+  resp.breath_hz = 0.3;
+  Rng sig(602);
+  const auto breath = make_buffer(dsp::respiration_q16_15(app::kWindow, resp, sig));
+  const Family families[] = {
+      {Job{FirJob{512, taps, samples(512, 0.9)}, "fir"}, {1, 2826, 0, 0}},
+      {Job{CfftJob{256, samples(512, 0.4)}, "cfft256"}, {17, 4024, 64, 24}},
+      {Job{CfftJob{2048, samples(4096, 0.4)}, "cfft2048"},
+       {96, 37128, 0, 0}},
+      {Job{RfftJob{1024, samples(1024, 0.4)}, "rfft"}, {23, 9862, 0, 0}},
+      {Job{IfftJob{512, samples(1024, 0.4)}, "ifft"}, {24, 8320, 0, 0}},
+      {Job{ReduceJob{ReduceOp::kMin, 512, samples(512, 0.95)}, "min"},
+       {18, 5094, 0, 0}},
+      {Job{ReduceJob{ReduceOp::kMax, 512, samples(512, 0.95)}, "max"},
+       {18, 5094, 0, 0}},
+      {Job{ReduceJob{ReduceOp::kMean, 512, samples(512, 0.95)}, "mean"},
+       {1, 155, 0, 0}},
+      {Job{ReduceJob{ReduceOp::kEnergy, 512, samples(512, 0.95)}, "energy"},
+       {1, 283, 0, 0}},
+      {Job{DelineationJob{app::kWindow, fx::to_q16_15(0.08), breath},
+           "delineation"},
+       {2, 8523, 0, 0}},
+      {Job{PipelineJob{1024, taps, samples(1024, 0.4)}, "pipeline"},
+       {25, 16055, 0, 0}},
+      {Job{BioTrackerJob{app::Target::kCpuVwr2a, breath}, "bio"},
+       {48, 22141, 0, 0}},
+  };
+
+  DevicePool::Config cfg;
+  cfg.workers = 1;
+  cfg.device_arch = {soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache}};
+  DevicePool pool(cfg);
+  cgra::ReplayStats before = pool.stats();
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.job.tag);
+    pool.submit(f.job).get();
+    const cgra::ReplayStats after = pool.stats();
+    const Traffic got{
+        after.traced_launches - before.traced_launches,
+        after.replay_decoupled_cycles - before.replay_decoupled_cycles,
+        after.replay_lockstep_cycles - before.replay_lockstep_cycles,
+        after.replay_sync_points - before.replay_sync_points};
+    EXPECT_EQ(got, f.want) << "got {" << got.launches << ", " << got.decoupled
+                           << ", " << got.lockstep << ", " << got.sync_points
+                           << "}";
+    EXPECT_EQ(after.traced_rollbacks, before.traced_rollbacks);
+    EXPECT_EQ(after.replay_interpreted_cycles, before.replay_interpreted_cycles);
+    before = after;
+  }
 }
 
 } // namespace
