@@ -1044,17 +1044,12 @@ Cycle Column::step_block_traced(Cycle budget_left) {
   return n;
 }
 
-Cycle Column::run_traced(tc::SpmUndo* undo, Cycle budget) {
-  if (!has_trace()) throw HostError("Column: run_traced without a trace");
-  begin_traced(undo);
+Cycle Column::run_free(const std::uint8_t* sync, Cycle budget) {
   Cycle n = 0;
-  while (running_) {
+  do {
     if (n > budget) throw tc::ReplayBudgetExceeded{};  // caller rolls back
     n += step_block_traced(budget - n);
-  }
-  // Sync the per-RC result registers the replay tracked via rc_prev_.
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
-  undo_ = nullptr;
+  } while (running_ && (sync == nullptr || sync[block()] == 0));
   return n;
 }
 

@@ -101,32 +101,31 @@ class Column {
   /// True when a replayable compiled trace is attached.
   bool has_trace() const { return trace_ != nullptr && trace_->ok; }
 
-  /// Replays the compiled trace from the current PC to EXIT, recording SPM
-  /// row-access masks (and, when `undo` is given, a copy-on-write SPM undo
-  /// log for conflict rollback). Returns the cycles executed. Bit-, cycle-
-  /// and energy-identical to stepping the interpreter the same number of
-  /// cycles. Throws tc::ReplayBudgetExceeded past `budget` cycles (the
-  /// caller rolls back): a decoupled column polling its partner's SPM
-  /// writes would otherwise spin forever.
-  Cycle run_traced(tc::SpmUndo* undo, Cycle budget = ~Cycle{0});
-
   /// Replays exactly one superblock from the current PC (a fused self-loop
   /// replays its whole trip count). Returns the cycles executed; clears
   /// running() at EXIT. Throws tc::ReplayBudgetExceeded when a fused loop
-  /// alone would exceed `budget_left`. The caller brackets a sequence of
-  /// these with begin_traced()/end_traced(); the sync scheduler drives free
-  /// stretches through this entry point.
+  /// alone would exceed `budget_left`.
   Cycle step_block_traced(Cycle budget_left);
+
+  /// Free stretch of the replay schedule: replays whole superblocks from
+  /// the current PC until EXIT or until the next block flagged in `sync`
+  /// (one byte per block, tc::SyncPlan::sync; nullptr = none, so the column
+  /// runs to EXIT). Returns the cycles executed. Bit-, cycle- and energy-
+  /// identical to stepping the interpreter the same number of cycles.
+  /// Throws tc::ReplayBudgetExceeded past `budget` cycles (the caller rolls
+  /// back): a column polling its partner's SPM writes would otherwise spin
+  /// forever. Called between begin_traced() and end_traced().
+  Cycle run_free(const std::uint8_t* sync, Cycle budget);
 
   /// SPM rows this column read / wrote during the last replay, across both
   /// mask tiers (free-running and sync-scheduled accesses).
   std::uint64_t spm_read_mask() const { return spm_rmask_[0] | spm_rmask_[1]; }
   std::uint64_t spm_write_mask() const { return spm_wmask_[0] | spm_wmask_[1]; }
 
-  /// Free-tier-only masks: rows touched while free-running (decoupled
-  /// blocks and dynamically addressed accesses). The post-hoc conflict
-  /// check intersects these with the partner's totals; sync-tier accesses
-  /// are excluded because the schedule already ordered them.
+  /// Free-tier-only masks: rows touched while free-running (run_free
+  /// stretches, dynamically addressed accesses included). The post-hoc
+  /// conflict check intersects these with the partner's totals; sync-tier
+  /// accesses are excluded because the schedule already ordered them.
   std::uint64_t spm_free_read_mask() const { return spm_rmask_[0]; }
   std::uint64_t spm_free_write_mask() const { return spm_wmask_[0]; }
 
@@ -135,19 +134,24 @@ class Column {
   void set_mask_tier(unsigned tier) { mask_tier_ = tier & 1u; }
 
   /// Publishes (or clears, nullptr) the partner column's previous-cycle RC
-  /// results for kCross operands. Only the per-cycle lockstep tier keeps
-  /// this current; anywhere else a kCross read faults like the interpreter.
+  /// results for kCross operands. Only the lockstep pass keeps this
+  /// current; anywhere else a kCross read faults like the interpreter.
   void set_cross(const RcOutputs* cross) { cross_ = cross; }
+
+  /// Superblock index of the current PC in the attached trace.
+  unsigned block() const { return trace_->block_of[pc_]; }
 
   /// True while a sync-scheduled block is mid-flight (between step_traced()
   /// calls); block classification cannot change until it completes.
   bool mid_block() const { return tb_ != nullptr; }
 
-  /// Lockstep traced stepping, for kernels whose columns communicate
-  /// through the SPM: begin_traced() arms the replay state, step_traced()
-  /// executes one compiled line (one cycle of this column) with the same
-  /// per-cycle interleaving as the interpreter, end_traced() syncs the
-  /// observable state back. Bit-identical to step() for traceable programs.
+  /// Traced replay of one launch: begin_traced() arms the replay state
+  /// (SPM access masks and, when `undo` is given, the copy-on-write SPM
+  /// undo log for rollback); run_free() replays free stretches and
+  /// step_traced() one compiled line (one cycle of this column, for sync
+  /// blocks and the lockstep pass) with the interpreter's per-cycle
+  /// semantics; end_traced() syncs the observable state back. Bit-identical
+  /// to step() for traceable programs.
   void begin_traced(tc::SpmUndo* undo) {
     undo_ = undo;
     spm_rmask_[0] = spm_rmask_[1] = 0;
@@ -160,11 +164,12 @@ class Column {
   void end_traced() {
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
     undo_ = nullptr;
+    cross_ = nullptr;
   }
 
-  /// Full architectural state of a column, snapshotted before a decoupled
-  /// replay so a detected cross-column SPM conflict can roll back and rerun
-  /// on the interpreter.
+  /// Full architectural state of a column, snapshotted before a traced
+  /// launch so a detected cross-column SPM conflict (or a replay fault) can
+  /// roll back and rerun in lockstep (or on the interpreter).
   struct Checkpoint {
     std::array<mem::Vwr::Row, arch::kVwrsPerColumn> vwr;
     std::array<Word, arch::kSrfEntries> srf;
@@ -264,8 +269,8 @@ class Column {
   unsigned mask_tier_ = 0;
   const RcOutputs* cross_ = nullptr; ///< partner snapshot for kCross operands
   mem::Vwr::Row shuf_scratch_{};     ///< staged shuffle result (hazard lines)
-  const tc::Block* tb_ = nullptr;    ///< lockstep replay: current block
-  unsigned tb_line_ = 0;             ///< lockstep replay: line within block
+  const tc::Block* tb_ = nullptr;    ///< step_traced: current block
+  unsigned tb_line_ = 0;             ///< step_traced: line within block
 };
 
 } // namespace vwr2a::cgra

@@ -256,8 +256,8 @@ void add_line_energy(const DecodedLine& L,
 }
 
 /// Resolves one RC source. kRcCross resolves to the partner-snapshot slot:
-/// it replays on the per-cycle lockstep tier (Column::set_cross) and faults
-/// like the interpreter anywhere else.
+/// it replays in the lockstep pass (Column::set_cross) and faults like the
+/// interpreter anywhere else.
 bool resolve_src(RcSrc s, const isa::RcInstr& I, unsigned r, tc::Src& out) {
   using K = tc::Src::K;
   switch (s) {
@@ -824,7 +824,7 @@ SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1) {
   }
   if (t0->has_cross || t1->has_cross) {
     // The cross-column operand network needs per-cycle partner snapshots.
-    p.mode = SyncPlan::Mode::kLockstep;
+    p.has_cross = true;
     return p;
   }
   const std::array<const CompiledTrace*, arch::kNumColumns> t{t0, t1};
@@ -841,12 +841,11 @@ SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1) {
       if (((b.swrite & (peer.static_reads | peer.static_writes)) |
            (b.sread & peer.static_writes)) != 0) {
         p.sync[c][i] = 1;
-        ++p.sync_blocks[c];
         any = true;
       }
     }
   }
-  p.mode = any ? SyncPlan::Mode::kScheduled : SyncPlan::Mode::kDecoupled;
+  if (!any) p.sync = {};  // no sync point: each column free-runs to EXIT
   return p;
 }
 

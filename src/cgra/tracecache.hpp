@@ -74,9 +74,9 @@ struct Src {
     kSrf,      ///< SRF[idx]
     kPrev,     ///< rc_prev_[idx] (neighbour result, index pre-wrapped)
     kCross,    ///< partner column's previous-cycle RC result, read from the
-               ///< per-cycle snapshot the lockstep tier publishes via
-               ///< Column::set_cross (decoupled tiers have no snapshot and
-               ///< fault exactly like the interpreter)
+               ///< per-cycle snapshot the lockstep pass publishes via
+               ///< Column::set_cross (a free pass has no snapshot and
+               ///< faults exactly like the interpreter)
   };
   K k = K::kImm;
   std::uint8_t vwr = 0;    ///< VWR select for kVwr
@@ -287,7 +287,7 @@ class CompiledTrace {
   std::vector<tc::SlotOp> body_ops;  ///< fused loop bodies (Block::body_op)
   /// Whole-trace unions of the per-block static SPM row masks, and whether
   /// any kRcCross operand survives into the micro-ops (such a trace replays
-  /// only on the per-cycle lockstep tier, which has partner snapshots).
+  /// only in the lockstep pass, which has partner snapshots).
   std::uint64_t static_reads = 0;
   std::uint64_t static_writes = 0;
   bool has_cross = false;
@@ -363,8 +363,8 @@ class TraceCache {
 
 namespace tc {
 
-/// Thrown by Column::run_traced when a decoupled replay exceeds its cycle
-/// budget. A column polling SPM state its partner has not produced yet
+/// Thrown when a column of a free replay pass (Column::run_free, or a sync
+/// step of Vwr2a::run_scheduled_traced) exceeds its cycle budget. A column polling SPM state its partner has not produced yet
 /// (cross-column dataflow the conflict masks would only catch after the
 /// fact) spins forever when free-run alone; the budget turns that into a
 /// rollback + lockstep rerun, which interleaves the columns like the
@@ -372,7 +372,7 @@ namespace tc {
 /// abandons mid-kernel state -- the caller always rolls back.
 struct ReplayBudgetExceeded {};
 
-/// Decoupled-replay cycle budget per column: ~40x the largest catalog
+/// Free-pass replay cycle budget per column: ~40x the largest catalog
 /// kernel (~10^5 cycles), so only pathological cross-column polls or
 /// runaway loops ever hit it -- and when they do, the wasted replay stays
 /// in the tens of milliseconds before lockstep takes over.
@@ -396,28 +396,24 @@ struct SpmUndo {
   }
 };
 
-/// The compiled sync schedule of one two-column kernel: which replay tier
-/// the launch takes, and -- on the scheduled tier -- which superblocks of
-/// each column are sync points. A block is a sync point when its static SPM
-/// rows intersect the partner trace's static unions (write/write,
+/// The compiled sync schedule of one two-column kernel: which superblocks
+/// of each column are sync points. A block is a sync point when its static
+/// SPM rows intersect the partner trace's static unions (write/write,
 /// write/read or read/write); such blocks replay one line per local cycle
 /// under the behind-column-first schedule, which reproduces the
 /// interpreter's access order exactly. All other blocks free-run (fused
 /// loops included) and their runtime access masks are validated post hoc.
+/// Empty `sync` vectors mean no block is a sync point (whole-kernel
+/// free-run); `has_cross` means a kRcCross operand needs per-cycle partner
+/// snapshots, so every launch replays in lockstep.
 struct SyncPlan {
-  enum class Mode : std::uint8_t {
-    kDecoupled = 0,  ///< no static overlap: whole-kernel free-run per column
-    kScheduled,      ///< static overlap: free stretches + per-line sync blocks
-    kLockstep,       ///< kRcCross present: per-cycle alternation, cross snapshots
-  };
-  Mode mode = Mode::kDecoupled;
   std::array<std::vector<std::uint8_t>, arch::kNumColumns> sync;  ///< [col][block]
-  std::array<std::uint32_t, arch::kNumColumns> sync_blocks{};     ///< SYNC count
+  bool has_cross = false;
 };
 
 /// Builds the sync schedule for a kernel occupying the given column traces
-/// (nullptr = column idle). Null/non-ok traces yield the decoupled plan:
-/// the caller gates on has_trace() before replaying at all.
+/// (nullptr = column idle). Null/non-ok traces yield the empty plan: the
+/// caller gates on has_trace() before replaying at all.
 SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1);
 
 } // namespace tc

@@ -135,84 +135,64 @@ Cycle Vwr2a::run_kernel(unsigned kernel_id) {
   return cycles_ - t0;
 }
 
-Cycle Vwr2a::run_lockstep_traced() {
-  // Per-cycle alternation, exactly the interpreter's interleaving: column 0
-  // executes (and commits, including its SPM side effects) before column 1
-  // each cycle, so cross-column SPM dataflow is observed identically. Both
-  // columns' previous-cycle RC results are snapshotted before either
-  // commits, so kCross operands observe a consistent pre-cycle state --
-  // the slot that used to punt such kernels all the way to the interpreter.
-  col0_.begin_traced(undo_.get());
-  col1_.begin_traced(undo_.get());
-  const KernelRuntime& rt = kernel_rt_[cur_kernel_];
-  const bool cross = (rt.trace[0] != nullptr && rt.trace[0]->has_cross) ||
-                     (rt.trace[1] != nullptr && rt.trace[1]->has_cross);
-  Column::RcOutputs outs0{}, outs1{};
-  Cycle n = 0;
-  while (col0_.running() || col1_.running()) {
-    if (cross) {
-      const bool synced = col0_.running() && col1_.running();
-      outs0 = col0_.rc_outputs();
-      outs1 = col1_.rc_outputs();
-      col0_.set_cross(synced ? &outs1 : nullptr);
-      col1_.set_cross(synced ? &outs0 : nullptr);
-    }
-    if (col0_.running()) {
-      col0_.step_traced();
-      ++replay_.replay_lockstep_cycles;
-    }
-    if (col1_.running()) {
-      col1_.step_traced();
-      ++replay_.replay_lockstep_cycles;
-    }
-    ++n;
-  }
-  col0_.set_cross(nullptr);
-  col1_.set_cross(nullptr);
-  col0_.end_traced();
-  col1_.end_traced();
-  return n;
-}
-
-Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan) {
+Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
   // Behind-column-first schedule over local clocks (a column's local time
   // equals its interpreter global cycle: columns launch together and never
   // stall). The behind column advances; ties go to column 0, matching the
-  // interpreter's intra-cycle column order. Sync blocks advance one line
-  // (one cycle) per pick, so for any two sync-classified accesses A (col 0,
-  // time a) and B (col 1, time b): A executes only once t1 >= a and B only
-  // once t0 > b, which forbids either from overtaking the other -- the
+  // interpreter's intra-cycle column order. Sync steps advance one line
+  // (one cycle) per pick, so for any two sync accesses A (col 0, time a)
+  // and B (col 1, time b): A executes only once t1 >= a and B only once
+  // t0 > b, which forbids either from overtaking the other -- the
   // interpreter's (time, column) access order is reproduced exactly. Free
-  // blocks leap whole (fused trip counts included); the rows they touch are
-  // checked against the partner's totals after the run.
-  col0_.begin_traced(undo_.get());
-  col1_.begin_traced(undo_.get());
-  const KernelRuntime& rt = kernel_rt_[cur_kernel_];
-  const std::array<const CompiledTrace*, arch::kNumColumns> tr{
-      rt.trace[0].get(), rt.trace[1].get()};
+  // stretches leap to the next sync block (fused trip counts included);
+  // the rows they touch are checked against the partner's totals after the
+  // run. In lockstep every step is a sync step, so the columns alternate
+  // per cycle like step(), with pre-cycle cross snapshots for kCross.
+  const bool r0 = col0_.running();
+  const bool r1 = col1_.running();
+  if (r0) col0_.begin_traced(undo_.get());
+  if (r1) col1_.begin_traced(undo_.get());
+  // A lone column cannot wait on a partner, so it needs no budget.
+  const Cycle budget = r0 && r1 ? tc::kReplayBudget : ~Cycle{0};
+  const bool cross = lockstep && plan.has_cross;
+  const std::array<const std::uint8_t*, arch::kNumColumns> sync{
+      plan.sync[0].empty() ? nullptr : plan.sync[0].data(),
+      plan.sync[1].empty() ? nullptr : plan.sync[1].data()};
+  Column::RcOutputs outs0{}, outs1{};
   Cycle t0 = 0, t1 = 0;
   while (col0_.running() || col1_.running()) {
     const bool pick0 = col0_.running() && (!col1_.running() || t0 <= t1);
     Column& col = pick0 ? col0_ : col1_;
     Cycle& t = pick0 ? t0 : t1;
-    const unsigned c = pick0 ? 0u : 1u;
-    if (t > tc::kReplayBudget) throw tc::ReplayBudgetExceeded{};
-    const unsigned bi = tr[c]->block_of[col.pc()];
-    if (plan.sync[c][bi] != 0) {
-      if (!col.mid_block()) ++replay_.replay_sync_points;
+    const std::uint8_t* s = sync[pick0 ? 0 : 1];
+    if (lockstep) {
+      if (cross && (pick0 || !col0_.running())) {
+        // Snapshot both columns' results before column 0 commits this
+        // cycle (or before column 1 once column 0 has exited).
+        const bool synced = col0_.running() && col1_.running();
+        outs0 = col0_.rc_outputs();
+        outs1 = col1_.rc_outputs();
+        col0_.set_cross(synced ? &outs1 : nullptr);
+        col1_.set_cross(synced ? &outs0 : nullptr);
+      }
+    } else if (t > budget) {
+      throw tc::ReplayBudgetExceeded{};
+    }
+    if (lockstep || (s != nullptr && s[col.block()] != 0)) {
+      if (!lockstep && !col.mid_block()) ++replay_.replay_sync_points;
       col.set_mask_tier(1);
       col.step_traced();
       ++t;
       ++replay_.replay_lockstep_cycles;
     } else {
       col.set_mask_tier(0);
-      const Cycle n = col.step_block_traced(tc::kReplayBudget - t);
+      const Cycle n = col.run_free(s, budget - t);
       t += n;
       replay_.replay_decoupled_cycles += n;
     }
   }
-  col0_.end_traced();
-  col1_.end_traced();
+  if (r0) col0_.end_traced();
+  if (r1) col1_.end_traced();
   return std::max(t0, t1);
 }
 
@@ -247,75 +227,44 @@ void Vwr2a::run_kernel_traced() {
     undo_->reset(spm_.write_gen());
   };
 
-  if (kernel_rt_.size() <= cur_kernel_) kernel_rt_.resize(cur_kernel_ + 1);
+  // The column traces were bound by start_kernel's reload, which also
+  // built this kernel's plan.
   KernelRuntime& rt = kernel_rt_[cur_kernel_];
-  if (!rt.plan_ready) {
-    rt.plan = tc::make_sync_plan(r0 ? rt.trace[0].get() : nullptr,
-                                 r1 ? rt.trace[1].get() : nullptr);
-    rt.plan_ready = true;
-  }
-  const tc::SyncPlan& plan = rt.plan;
-  const bool both = r0 && r1;
-  if (!both ||
-      (plan.mode != tc::SyncPlan::Mode::kLockstep && !rt.lockstep_hint)) {
-    // Free tiers: whole-kernel decoupled free-run, or the compiled sync
-    // schedule when some blocks statically share SPM rows. Either way the
-    // free-running accesses are validated against the partner's totals
-    // after the fact; sync-scheduled accesses are already ordered.
-    bool conflict = false;
-    try {
+  bool lockstep = rt.plan.has_cross || rt.lockstep_hint;
+  try {
+    // At most two passes: free (sync blocks ordered, the rest free-running
+    // and validated post hoc), then lockstep after a conflict or an expired
+    // budget. The lockstep pass orders every access, so it cannot conflict.
+    for (;;) {
+      bool conflict = true;
       Cycle n = 0;
-      if (both && plan.mode == tc::SyncPlan::Mode::kScheduled) {
-        n = run_scheduled_traced(plan);
-      } else {
-        // Decoupled replay: each column free-runs its compiled blocks to
-        // EXIT (hardware-loop fusion applies). A per-column cycle budget is
-        // only needed with a partner: a column polling the other's SPM
-        // writes would free-run forever.
-        Cycle n0 = 0, n1 = 0;
-        const Cycle budget = both ? tc::kReplayBudget : ~Cycle{0};
-        if (r0) n0 = col0_.run_traced(undo_.get(), budget);
-        if (r1) n1 = col1_.run_traced(undo_.get(), budget);
-        replay_.replay_decoupled_cycles += n0 + n1;
-        n = std::max(n0, n1);
-      }
-      if (both) {
-        const std::uint64_t t0r = col0_.spm_read_mask();
-        const std::uint64_t t0w = col0_.spm_write_mask();
-        const std::uint64_t t1r = col1_.spm_read_mask();
-        const std::uint64_t t1w = col1_.spm_write_mask();
-        conflict = ((col0_.spm_free_write_mask() & (t1r | t1w)) |
-                    (col1_.spm_free_write_mask() & (t0r | t0w)) |
-                    (col0_.spm_free_read_mask() & t1w) |
-                    (col1_.spm_free_read_mask() & t0w)) != 0;
+      try {
+        n = run_scheduled_traced(rt.plan, lockstep);
+        conflict = r0 && r1 &&
+                   ((col0_.spm_free_write_mask() &
+                     (col1_.spm_read_mask() | col1_.spm_write_mask())) |
+                    (col1_.spm_free_write_mask() &
+                     (col0_.spm_read_mask() | col0_.spm_write_mask())) |
+                    (col0_.spm_free_read_mask() & col1_.spm_write_mask()) |
+                    (col1_.spm_free_read_mask() & col0_.spm_write_mask())) != 0;
+      } catch (const tc::ReplayBudgetExceeded&) {
+        // A cross-column poll no mask could predict: handled exactly like a
+        // detected conflict.
       }
       if (!conflict) {
         advance(n);
         ++replay_.traced_launches;
         return;
       }
-    } catch (const tc::ReplayBudgetExceeded&) {
-      // Undetectable-in-advance cross-column poll: handled exactly like a
-      // detected conflict below (rollback, then per-cycle lockstep).
-    } catch (...) {
-      // Replay fault: rerun interpreted so the documented error surfaces
-      // with the interpreter's exact partial state.
+      ++replay_.traced_rollbacks;
       rollback();
-      run_interpreted();
-      return;
+      // Dynamically addressed rows carried data across columns this launch;
+      // assume they will again until the next reload re-evaluates.
+      rt.lockstep_hint = lockstep = true;
     }
-    ++replay_.traced_rollbacks;
-    rollback();
-    // Dynamically addressed rows carried data across columns this launch;
-    // assume they will again until the next reload re-evaluates.
-    rt.lockstep_hint = true;
-  }
-  // Per-cycle lockstep replay: cross-column SPM dataflow and kCross
-  // operands preserved with the interpreter's exact interleaving.
-  try {
-    advance(run_lockstep_traced());
-    ++replay_.traced_launches;
   } catch (...) {
+    // Replay fault: rerun interpreted so the documented error surfaces
+    // with the interpreter's exact partial state.
     rollback();
     run_interpreted();
   }

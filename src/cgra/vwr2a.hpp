@@ -39,17 +39,18 @@ inline constexpr unsigned kLaunchCycles = 4;
 inline constexpr unsigned kIrqCycles = 2;
 
 /// Replay-engine counters of one accelerator, monotone since construction.
-/// The cycle counters are column-cycles per tier: decoupled = free-running
-/// blocks; lockstep = sync blocks and the per-cycle tier; interpreted =
-/// the reference interpreter (interpret mode, tracers, replay fallbacks).
+/// The cycle counters are column-cycles by how they ran: decoupled = free
+/// stretches; lockstep = line-by-line steps (sync blocks and every step of
+/// a lockstep pass); interpreted = the reference interpreter (interpret
+/// mode, tracers, replay-fault reruns).
 /// A kernel stuck on the slow tiers shows up here long before a profiler.
 struct ReplayStats {
   std::uint64_t traced_launches = 0;   ///< launches replayed from traces
   std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
-  std::uint64_t replay_decoupled_cycles = 0;    ///< free-running replay
-  std::uint64_t replay_lockstep_cycles = 0;     ///< lockstep replay
+  std::uint64_t replay_decoupled_cycles = 0;    ///< free stretches
+  std::uint64_t replay_lockstep_cycles = 0;     ///< line-by-line steps
   std::uint64_t replay_interpreted_cycles = 0;  ///< interpreter
-  std::uint64_t replay_sync_points = 0;  ///< sync blocks of scheduled replay
+  std::uint64_t replay_sync_points = 0;  ///< sync blocks entered (free pass)
 
   bool operator==(const ReplayStats&) const = default;
 };
@@ -142,20 +143,23 @@ class Vwr2a {
 
  private:
   void advance(Cycle n);
-  /// run_kernel body for ExecMode::kTraceCache: replays the kernel on the
-  /// tier its compiled sync plan selects (decoupled free-run, scheduled
-  /// free/sync stretches, or per-cycle lockstep), with copy-on-write SPM
-  /// undo; rolls back to per-cycle lockstep on a runtime conflict, or to
-  /// the interpreter on a replay fault.
+  /// run_kernel body for ExecMode::kTraceCache: checkpoints the columns,
+  /// the meter and (copy-on-write) the SPM, then replays the launch with
+  /// run_scheduled_traced: a free pass, and a lockstep pass after a
+  /// cross-column conflict or an expired budget (which also sets the
+  /// kernel's lockstep hint). A replay fault rolls back and reruns on the
+  /// interpreter, which raises the documented error.
   void run_kernel_traced();
-  /// Per-cycle lockstep traced replay (columns alternate like step(), with
-  /// per-cycle cross snapshots serving kCross operands).
-  Cycle run_lockstep_traced();
-  /// Scheduled replay: free blocks free-run whole (fused loops included),
-  /// sync blocks advance one line per local cycle under the behind-column-
-  /// first schedule, which reproduces the interpreter's cross-column access
-  /// order for every sync/sync pair.
-  Cycle run_scheduled_traced(const tc::SyncPlan& plan);
+  /// The one replay schedule. The behind column advances (ties go to
+  /// column 0, the interpreter's intra-cycle order). Free blocks run as
+  /// free stretches (Column::run_free: whole superblocks, fused loops
+  /// included, up to the next sync block); sync blocks advance one line
+  /// per local cycle, which reproduces the interpreter's cross-column
+  /// access order for every sync/sync pair. With `lockstep` every step is
+  /// a sync step with no budget, and kCross operands read pre-cycle
+  /// partner snapshots: the columns alternate per cycle exactly as step()
+  /// does. Returns the launch's cycles (the later column's local time).
+  Cycle run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep);
   /// Runs the started kernel interpreted until both columns exit.
   void run_interpreted() {
     while (busy()) step();
@@ -185,9 +189,9 @@ class Vwr2a {
     bool plan_ready = false;
     /// Runtime hint: a *dynamically* addressed cross-column conflict (or a
     /// budget-expired cross-column poll) forced a rollback, so later
-    /// launches go straight to per-cycle lockstep. Cleared on reload: trip
-    /// counts and pointer parameters may have changed, so the free tiers
-    /// get re-evaluated instead of pinning the slow path forever.
+    /// launches go straight to the lockstep pass. Cleared on reload: trip
+    /// counts and pointer parameters may have changed, so the free pass
+    /// gets re-evaluated instead of pinning the slow path forever.
     bool lockstep_hint = false;
   };
   std::vector<KernelRuntime> kernel_rt_;

@@ -185,6 +185,29 @@ std::vector<CplxFx> pease_fft_fx(const std::vector<CplxFx>& x) {
   return out;
 }
 
+std::vector<CplxFx> cfft_fx(const std::vector<CplxFx>& x) {
+  const std::size_t n = x.size();
+  if (n <= 1024) return pease_fft_fx(x);
+  if (n != 2048) throw HostError("cfft_fx: size must be at most 2048");
+  const std::size_t h = n / 2;
+  std::vector<CplxFx> ev(h), od(h);
+  for (std::size_t i = 0; i < h; ++i) {
+    ev[i] = x[2 * i];
+    od[i] = x[2 * i + 1];
+  }
+  const std::vector<CplxFx> fe = pease_fft_fx(ev);
+  const std::vector<CplxFx> fo = pease_fft_fx(od);
+  std::vector<CplxFx> out(n);
+  for (std::size_t k = 0; k < h; ++k) {
+    const double ang = -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    const CplxFx w{fx::to_coeff(std::cos(ang)), fx::to_coeff(std::sin(ang))};
+    const CplxFx t = cmul_fx(fo[k], w);
+    out[k] = {wadd(fe[k].re, t.re), wadd(fe[k].im, t.im)};
+    out[k + h] = {wsub(fe[k].re, t.re), wsub(fe[k].im, t.im)};
+  }
+  return out;
+}
+
 std::vector<CplxFx> pease_ifft_fx(const std::vector<CplxFx>& x) {
   const std::size_t n = x.size();
   require_pow2(n, "pease_ifft_fx");

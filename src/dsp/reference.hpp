@@ -68,6 +68,13 @@ std::vector<CplxFx> pease_fft_fx_bitrev(const std::vector<CplxFx>& x);
 /// Full N-point CG-FFT in 16.15 with natural-order output.
 std::vector<CplxFx> pease_fft_fx(const std::vector<CplxFx>& x);
 
+/// The device's complex FFT (runtime::CfftJob, kernels::FftKernels::cfft)
+/// in exact VWR2A arithmetic, natural-order output: the CG-FFT up to 1024
+/// points; at 2048 points the 1024-point transforms E/O of the even and
+/// odd samples combined as X[k] = E[k] + W^k O[k] and
+/// X[k+1024] = E[k] - W^k O[k], with 16.15 coefficients W^k.
+std::vector<CplxFx> cfft_fx(const std::vector<CplxFx>& x);
+
 /// Inverse FFT in exact VWR2A arithmetic: conj -> forward CG-FFT -> conj,
 /// then an arithmetic shift by log2(N) (the 1/N scale). Matches the VWR2A
 /// cifft kernel bit-for-bit.

@@ -65,6 +65,33 @@ TEST_P(FftSizes, FixedPointTracksDouble) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizes,
                          ::testing::Values(4u, 8u, 16u, 64u, 256u, 512u, 1024u));
 
+/// The device cfft golden: the CG-FFT itself up to 1024 points, and at 2048
+/// points an even/odd split whose result still tracks the double FFT within
+/// the same per-size bound as the CG-FFT.
+TEST(CfftFx, PeaseUpTo1024AndTracksDoubleAt2048) {
+  Rng rng(13);
+  for (unsigned n : {256u, 1024u, 2048u}) {
+    std::vector<CplxFx> xf(n);
+    std::vector<cplx> xd(n);
+    for (unsigned i = 0; i < n; ++i) {
+      xf[i] = {fx::to_q16_15(rng.next_range(-0.4, 0.4)),
+               fx::to_q16_15(rng.next_range(-0.4, 0.4))};
+      xd[i] = cplx(fx::from_q16_15(xf[i].re), fx::from_q16_15(xf[i].im));
+    }
+    const auto ff = cfft_fx(xf);
+    if (n <= 1024) {
+      EXPECT_EQ(ff, pease_fft_fx(xf)) << "n " << n;
+      continue;
+    }
+    const auto fd = pease_fft(xd);
+    const double tol = 2e-4 * n;
+    for (unsigned i = 0; i < n; ++i) {
+      EXPECT_NEAR(fx::from_q16_15(ff[i].re), fd[i].real(), tol) << "bin " << i;
+      EXPECT_NEAR(fx::from_q16_15(ff[i].im), fd[i].imag(), tol) << "bin " << i;
+    }
+  }
+}
+
 TEST(Rfft, MatchesDftOnReal) {
   const unsigned n = 512;
   Rng rng(7);

@@ -103,35 +103,12 @@ TEST(Cfft2048, BitExactAgainstGolden) {
     rig.sram.poke(rig.in + 2 * i + 1, static_cast<Word>(x[i].im));
   }
   rig.fft.cfft(n, rig.in, rig.out, rig.scratch);
-  // Golden: X[k] = E[k] + W^k O[k]; X[k+1024] = E[k] - W^k O[k], with E/O
-  // the 1024-point CG-FFTs and the same coefficient arithmetic.
-  std::vector<dsp::CplxFx> ev(1024), od(1024);
-  for (unsigned i = 0; i < 1024; ++i) {
-    ev[i] = x[2 * i];
-    od[i] = x[2 * i + 1];
-  }
-  const auto fe = dsp::pease_fft_fx(ev);
-  const auto fo = dsp::pease_fft_fx(od);
-  constexpr double kPi = 3.14159265358979323846;
-  for (unsigned k = 0; k < 1024; ++k) {
-    dsp::CplxFx w{fx::to_coeff(std::cos(-2.0 * kPi * k / n)),
-                  fx::to_coeff(std::sin(-2.0 * kPi * k / n))};
-    const std::int32_t tre = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].re, w.re)) -
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].im, w.im)));
-    const std::int32_t tim = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].re, w.im)) +
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].im, w.re)));
-    const std::int32_t lo_re = fe[k].re + tre;
-    const std::int32_t lo_im = fe[k].im + tim;
-    const std::int32_t hi_re = fe[k].re - tre;
-    const std::int32_t hi_im = fe[k].im - tim;
-    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * k)), lo_re) << k;
-    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * k + 1)), lo_im) << k;
-    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * (k + 1024))),
-              hi_re) << k;
-    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * (k + 1024) + 1)),
-              hi_im) << k;
+  const auto golden = dsp::cfft_fx(x);
+  for (unsigned k = 0; k < n; ++k) {
+    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * k)),
+              golden[k].re) << k;
+    EXPECT_EQ(static_cast<std::int32_t>(rig.sram.peek(rig.out + 2 * k + 1)),
+              golden[k].im) << k;
   }
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,39 +64,6 @@ TEST(RuntimeJobs, FirBitExactAgainstGolden) {
   }
 }
 
-/// The device's complex FFT golden: the Pease CG-FFT up to 1024 points;
-/// 2048 points combine the 1024-point transforms E/O of the even and odd
-/// samples, X[k] = E[k] + W^k O[k] and X[k+1024] = E[k] - W^k O[k], with
-/// the kernel's coefficient arithmetic.
-std::vector<dsp::CplxFx> cfft_golden(const std::vector<dsp::CplxFx>& x) {
-  const std::size_t n = x.size();
-  if (n < 2048) return dsp::pease_fft_fx(x);
-  const std::size_t h = n / 2;
-  std::vector<dsp::CplxFx> ev(h), od(h);
-  for (std::size_t i = 0; i < h; ++i) {
-    ev[i] = x[2 * i];
-    od[i] = x[2 * i + 1];
-  }
-  const auto fe = dsp::pease_fft_fx(ev);
-  const auto fo = dsp::pease_fft_fx(od);
-  constexpr double kPi = 3.14159265358979323846;
-  std::vector<dsp::CplxFx> out(n);
-  for (std::size_t k = 0; k < h; ++k) {
-    const double a = -2.0 * kPi * static_cast<double>(k) / n;
-    const std::int32_t wre = fx::to_coeff(std::cos(a));
-    const std::int32_t wim = fx::to_coeff(std::sin(a));
-    const std::int32_t tre = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].re, wre)) -
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].im, wim)));
-    const std::int32_t tim = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].re, wim)) +
-        static_cast<std::uint32_t>(fx::fxp_mul(fo[k].im, wre)));
-    out[k] = {fe[k].re + tre, fe[k].im + tim};
-    out[k + h] = {fe[k].re - tre, fe[k].im - tim};
-  }
-  return out;
-}
-
 TEST(RuntimeJobs, CfftBitExactAgainstGolden) {
   Rng rng(102);
   for (unsigned n : {256u, 512u, 2048u}) {
@@ -110,7 +76,7 @@ TEST(RuntimeJobs, CfftBitExactAgainstGolden) {
       interleaved[2 * i + 1] = x[i].im;
     }
     const JobResult r = run_one(Job{CfftJob{n, make_buffer(interleaved)}, ""});
-    const auto golden = cfft_golden(x);
+    const auto golden = dsp::cfft_fx(x);
     ASSERT_EQ(r.output.size(), 2 * n) << "n " << n;
     for (unsigned k = 0; k < n; ++k) {
       ASSERT_EQ(r.output[2 * k], golden[k].re) << "n " << n << " bin " << k;

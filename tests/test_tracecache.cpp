@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <optional>
@@ -489,6 +490,20 @@ std::string launch_twice_identical(const isa::KernelImage& img,
   return err_i;
 }
 
+/// The replay a sync plan asks for: "lockstep" (a kRcCross operand),
+/// "scheduled" (some block is a sync point) or "decoupled" (no sync
+/// vectors at all). Non-empty vectors without a sync point read "invalid".
+std::string plan_kind(const cgra::tc::SyncPlan& p) {
+  if (p.has_cross) return "lockstep";
+  unsigned flagged = 0, blocks = 0;
+  for (const auto& v : p.sync) {
+    blocks += static_cast<unsigned>(v.size());
+    for (std::uint8_t f : v) flagged += f;
+  }
+  if (blocks == 0) return "decoupled";
+  return flagged > 0 ? "scheduled" : "invalid";
+}
+
 /// Multi-line fused bodies against the interpreter: the bound-body replay
 /// must re-read SRF operands every trip and keep each line's slot order,
 /// on one column and on two (decoupled or scheduled, and lockstep after a
@@ -752,9 +767,8 @@ TEST(TraceCache, StaticSpmFlowReplaysOnSyncSchedule) {
   ASSERT_TRUE(tw->ok && tr->ok);
   EXPECT_EQ(tw->static_writes, 1ull << 40);
   EXPECT_EQ(tr->static_reads, 1ull << 40);
-  const cgra::tc::SyncPlan plan = cgra::tc::make_sync_plan(tw.get(), tr.get());
-  EXPECT_EQ(plan.mode, cgra::tc::SyncPlan::Mode::kScheduled);
-  EXPECT_GT(plan.sync_blocks[0] + plan.sync_blocks[1], 0u);
+  EXPECT_EQ(plan_kind(cgra::tc::make_sync_plan(tw.get(), tr.get())),
+            "scheduled");
 
   Rig ri(ExecMode::kInterpret);
   Rig rt(ExecMode::kTraceCache);
@@ -781,7 +795,7 @@ TEST(TraceCache, StaticSpmFlowReplaysOnSyncSchedule) {
 /// post-hoc mask check catches the overlap, and the rollback ladder reruns
 /// in per-cycle lockstep. The hint pins later launches to lockstep until a
 /// reload re-evaluates -- and a reload with a non-conflicting row parameter
-/// returns the kernel to the decoupled tier.
+/// returns the kernel to the free pass.
 TEST(TraceCache, DynamicSpmConflictRollsBackAndHintReEvaluates) {
   auto writer = [] {
     ProgramBuilder pb;
@@ -946,6 +960,11 @@ TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndGoesLockstep) {
   rt.acc.run_kernel(kt);  // must terminate (budget -> rollback -> lockstep)
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
   expect_identical(ri, rt, "dynamic cross-column poll");
+  // The lockstep rerun counts every column-cycle the interpreter ran as a
+  // lockstep cycle, and enters no sync point.
+  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+            ri.acc.replay_stats().replay_interpreted_cycles);
+  EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 
   // Later launches go straight to lockstep (the hint holds while resident).
   for (Rig* r : {&ri, &rt}) r->acc.spm().poke(kFlagWord, 0);
@@ -953,12 +972,15 @@ TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndGoesLockstep) {
   rt.acc.run_kernel(kt);
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
   expect_identical(ri, rt, "dynamic cross-column poll, lockstep relaunch");
+  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+            ri.acc.replay_stats().replay_interpreted_cycles);
+  EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 }
 
 /// kRcCross operands inside a lockstep-traced pair: both columns read the
 /// partner's previous-cycle RC results. Such programs used to be
 /// non-traceable (interpreter only); they now compile with a partner
-/// snapshot slot and replay on the per-cycle lockstep tier -- the
+/// snapshot slot and replay in the per-cycle lockstep pass -- the
 /// interpreter never runs on the happy path.
 TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   auto make_prog = [](isa::RcDst dst) {
@@ -978,8 +1000,8 @@ TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   ASSERT_TRUE(t0->ok);
   EXPECT_TRUE(t0->has_cross);
   const auto t1 = cgra::compile_trace(p1);
-  const cgra::tc::SyncPlan plan = cgra::tc::make_sync_plan(t0.get(), t1.get());
-  EXPECT_EQ(plan.mode, cgra::tc::SyncPlan::Mode::kLockstep);
+  EXPECT_EQ(plan_kind(cgra::tc::make_sync_plan(t0.get(), t1.get())),
+            "lockstep");
 
   Rig ri(ExecMode::kInterpret);
   Rig rt(ExecMode::kTraceCache);
@@ -995,6 +1017,11 @@ TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
   EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u);
   EXPECT_GT(rt.acc.replay_stats().replay_lockstep_cycles, 0u);
+  // A lockstep launch counts every column-cycle the interpreter ran as a
+  // lockstep cycle, and enters no sync point.
+  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+            ri.acc.replay_stats().replay_interpreted_cycles);
+  EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 }
 
 /// A kRcCross operand without a running partner column must surface the
@@ -1033,7 +1060,7 @@ TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
 /// The trace-mode twin of Column.MissingExitThrows: a program that falls
 /// through its last line raises the interpreter's "branch past end" fault
 /// from every replay site -- a plain block and a fused loop on one column,
-/// the decoupled and scheduled tiers on two, and the lockstep tier -- and
+/// decoupled and scheduled plans on two, and the lockstep pass -- and
 /// the rollback leaves the interpreter's exact partial state and energy.
 TEST(TraceCache, MissingExitFaultsIdentically) {
   using isa::RcDst;
@@ -1074,22 +1101,21 @@ TEST(TraceCache, MissingExitFaultsIdentically) {
     pb.line().rc_all(rc_add(RcDst::kVwrB, RcSrc::kRcCross, RcSrc::kR0)).emit();
     return pb.build();
   };
-  using Mode = cgra::tc::SyncPlan::Mode;
   struct Case {
     const char* what;
     isa::KernelImage img;
-    Mode mode;
+    const char* plan;
   };
   const Case cases[] = {
-      {"one column", make_kernel("fall", 0, plain()), Mode::kDecoupled},
+      {"one column", make_kernel("fall", 0, plain()), "decoupled"},
       {"one column, fused loop", make_kernel("fall_loop", 0, loop()),
-       Mode::kDecoupled},
+       "decoupled"},
       {"two columns, decoupled", make_kernel2("fall2", plain(), loop()),
-       Mode::kDecoupled},
+       "decoupled"},
       {"two columns, scheduled", make_kernel2("fall_sync", store(), load()),
-       Mode::kScheduled},
+       "scheduled"},
       {"two columns, lockstep", make_kernel2("fall_cross", cross(), cross()),
-       Mode::kLockstep},
+       "lockstep"},
   };
   for (const Case& c : cases) {
     std::array<std::shared_ptr<const cgra::CompiledTrace>, arch::kNumColumns> t;
@@ -1098,7 +1124,8 @@ TEST(TraceCache, MissingExitFaultsIdentically) {
       t[col] = cgra::compile_trace(c.img.program[col]);
       ASSERT_TRUE(t[col]->ok) << c.what << ": " << t[col]->bail_reason;
     }
-    EXPECT_EQ(cgra::tc::make_sync_plan(t[0].get(), t[1].get()).mode, c.mode)
+    EXPECT_EQ(plan_kind(cgra::tc::make_sync_plan(t[0].get(), t[1].get())),
+              c.plan)
         << c.what;
     const std::string err = launch_twice_identical(c.img, 93, c.what);
     EXPECT_EQ(err, "Column: branch past end of program") << c.what;
