@@ -364,12 +364,13 @@ class TraceCache {
 namespace tc {
 
 /// Thrown when a column of a free replay pass (Column::run_free, or a sync
-/// step of Vwr2a::run_scheduled_traced) exceeds its cycle budget. A column polling SPM state its partner has not produced yet
-/// (cross-column dataflow the conflict masks would only catch after the
-/// fact) spins forever when free-run alone; the budget turns that into a
-/// rollback + lockstep rerun, which interleaves the columns like the
-/// interpreter and therefore terminates exactly when it does. The thrower
-/// abandons mid-kernel state -- the caller always rolls back.
+/// step of Vwr2a::run_scheduled_traced) exceeds its cycle budget. A column
+/// polling SPM state its partner has not produced yet (cross-column
+/// dataflow the conflict masks would only catch after the fact) spins
+/// forever when free-run alone; the budget turns that into a rollback +
+/// lockstep rerun, which interleaves the columns like the interpreter and
+/// therefore terminates exactly when it does. The thrower abandons
+/// mid-kernel state -- the caller always rolls back.
 struct ReplayBudgetExceeded {};
 
 /// Free-pass replay cycle budget per column: ~40x the largest catalog

@@ -154,7 +154,6 @@ Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
   if (r1) col1_.begin_traced(undo_.get());
   // A lone column cannot wait on a partner, so it needs no budget.
   const Cycle budget = r0 && r1 ? tc::kReplayBudget : ~Cycle{0};
-  const bool cross = lockstep && plan.has_cross;
   const std::array<const std::uint8_t*, arch::kNumColumns> sync{
       plan.sync[0].empty() ? nullptr : plan.sync[0].data(),
       plan.sync[1].empty() ? nullptr : plan.sync[1].data()};
@@ -166,7 +165,7 @@ Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
     Cycle& t = pick0 ? t0 : t1;
     const std::uint8_t* s = sync[pick0 ? 0 : 1];
     if (lockstep) {
-      if (cross && (pick0 || !col0_.running())) {
+      if (plan.has_cross && (pick0 || !col0_.running())) {
         // Snapshot both columns' results before column 0 commits this
         // cycle (or before column 1 once column 0 has exited).
         const bool synced = col0_.running() && col1_.running();
