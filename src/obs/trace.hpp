@@ -1,7 +1,9 @@
 #pragma once
 // Flight recorder: per-thread ring-buffered span events following a window
-// across threads. Each thread owns a fixed-capacity ring (drop-oldest when
-// full, drops counted exactly); events carry both host-monotonic
+// across threads. Each thread owns a ring of a fixed event capacity
+// (drop-oldest when full, drops counted exactly) that stores events as
+// compact varint records in recycled chunks; the rings of exited threads
+// fold into one shared retired ring. Events carry both host-monotonic
 // nanoseconds and, for device spans, simulated-cycle begin/duration, plus a
 // propagated window id (obs::window_id) that lets the offline tools chain
 // push -> slice -> place -> queue -> run -> complete -> deliver even though
@@ -48,34 +50,45 @@ constexpr std::uint64_t window_index(std::uint64_t id) {
   return id & 0xffffffu;
 }
 
-/// Process-wide tracer: owns one ring per thread that ever emitted.
-/// emit() locks only the emitting thread's own ring mutex (uncontended
-/// except while a snapshot drains it); rings never reallocate after
-/// creation. snapshot()/save() may run concurrently with emitters.
+/// Process-wide tracer: owns one ring per live thread that emitted, plus
+/// the retired ring that an exiting thread's live events fold into (same
+/// event capacity, drop-oldest, each event keeps its tid), so memory is
+/// bounded by the live threads + 1. emit() locks only the emitting
+/// thread's own ring mutex (uncontended except while a snapshot drains it).
+/// snapshot()/save() may run concurrently with emitters.
 class Tracer {
  public:
   static Tracer& get();
 
   /// Record into this thread's ring (creates it on first use). The caller
   /// is expected to have checked tracing_enabled(); emit() re-checks and
-  /// drops when disabled. tid/ts_ns are stamped here if left 0.
+  /// drops when disabled. tid is always the emitting thread's slot; ts_ns
+  /// is stamped here if left 0.
   void emit(TraceEvent e);
 
-  /// Capacity (events) for rings created after this call. Existing rings
-  /// keep their size. Default 32768 events/thread (~2.6 MB once full; a
-  /// ring commits memory only as it fills).
+  /// Capacity (events) for rings created after this call and for the
+  /// retired ring from its next fold on. Existing thread rings keep their
+  /// size. Default 32768 events/thread. A ring holds 4 KiB chunks only for
+  /// its live records (~14 B per event on gateway traffic, ~450 KB once
+  /// full).
   void set_ring_capacity(std::size_t cap);
 
   struct Snapshot {
-    std::vector<TraceEvent> events;  ///< per-ring oldest-to-newest order
+    /// Per-ring oldest-to-newest order: the retired ring first, then the
+    /// live threads' rings in creation order.
+    std::vector<TraceEvent> events;
     std::uint64_t dropped = 0;       ///< total drop-oldest evictions, exact
-    std::uint32_t threads = 0;       ///< rings that recorded >= 1 event
+    std::uint32_t threads = 0;       ///< threads that recorded >= 1 event
   };
   Snapshot snapshot() const;
 
-  /// Clear every ring's contents and drop counters (rings stay attached to
-  /// their threads). Use between runs sharing a process.
+  /// Clear every ring's contents and drop counters and free their chunks
+  /// (rings stay attached to their threads). Use between runs sharing a
+  /// process.
   void reset();
+
+  /// Bytes of record chunks held by all rings, the retired one included.
+  std::size_t ring_bytes() const;
 
   /// Write snapshot() as a binary .vwr2trc capture (see obs/capture.hpp).
   /// Returns false and fills *why on I/O failure.

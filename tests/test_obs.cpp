@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dsp/signal.hpp"
 #include "obs/capture.hpp"
 #include "obs/metrics.hpp"
@@ -292,6 +295,278 @@ TEST(ObsTrace, LazyRingSnapshotsBeforeFillAndAfterWrap) {
   ASSERT_EQ(r.size(), 10u);
   EXPECT_EQ(refilled.dropped, 0u);
   for (std::size_t i = 0; i < r.size(); ++i) EXPECT_EQ(r[i], 1000 + i);
+  Tracer::get().set_ring_capacity(32768);  // restore the default
+}
+
+/// Rings of exited threads fold into one retired ring of the same event
+/// capacity: drop-oldest across the threads, exact drops, tids kept, and
+/// the dead threads' chunks freed.
+TEST(ObsTrace, ExitedThreadRingsFoldIntoOneBoundedRetiredRing) {
+  ObsScope scope(false, true);
+  Tracer::get().set_ring_capacity(64);
+  constexpr unsigned kThreads = 16;
+  using TidSeq = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  for (const std::uint64_t per_thread : {std::uint64_t{100}, std::uint64_t{10}}) {
+    Tracer::get().reset();
+    // Each thread emits per_thread events (a1 = its sequence number) and
+    // exits before the next one starts, so fold order is thread order.
+    TidSeq emitted;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      std::thread th([&emitted, per_thread] {
+        for (std::uint64_t i = 0; i < per_thread; ++i) {
+          instant("test.retired", 0, i);
+          emitted.emplace_back(thread_slot(), i);
+        }
+      });
+      th.join();
+    }
+    const Tracer::Snapshot snap = Tracer::get().snapshot();
+    TidSeq kept;
+    for (const TraceEvent& e : snap.events) kept.emplace_back(e.tid, e.a1);
+    EXPECT_EQ(kept, TidSeq(emitted.end() - 64, emitted.end()))
+        << per_thread << " events per thread";
+    EXPECT_EQ(snap.dropped, kThreads * per_thread - 64);
+    EXPECT_EQ(snap.threads, kThreads);
+    // Only the retired ring holds chunks: 64 records fit one 4 KiB chunk,
+    // plus at most one it is writing into and one spare.
+    EXPECT_LE(Tracer::get().ring_bytes(), 3u * 4096);
+  }
+  Tracer::get().set_ring_capacity(32768);  // restore the default
+}
+
+/// Sizes the compact records on one gateway window's span mix (the
+/// taxonomy in docs/observability.md plus the in-process client's remote.*
+/// spans, argument values shaped like the real sites) for 10,000 windows:
+/// the ring wraps, and its chunk bytes per retained event stay within the
+/// recorder's memory budget (a real gateway run averages 13.7 B).
+TEST(ObsTrace, GatewayWindowMixStaysWithinTwentyFourBytesPerEvent) {
+  ObsScope scope(false, true);
+  constexpr std::uint64_t kWindows = 10000;
+  std::size_t bytes = 0;
+  std::size_t retained = 0;
+  std::thread t([&] {
+    Rng rng(2301);
+    std::uint64_t sim_clock[16] = {};
+    for (std::uint64_t w = 0; w < kWindows; ++w) {
+      const std::uint64_t session = w % 64;
+      const std::uint64_t wid = window_id(session, w / 64);
+      const std::uint64_t dev = rng.next_below(16);
+      const std::uint64_t cycles = 20000 + rng.next_below(30000);
+      const std::uint64_t ts = now_ns();
+      for (int chunk = 0; chunk < 2; ++chunk) {
+        complete("gateway.frame", 0, ts + 1000 * chunk,
+                 2000 + rng.next_below(8000), 3);
+        complete("session.push", 0, ts + 1000 * chunk + 300,
+                 1000 + rng.next_below(4000), session, 256);
+      }
+      complete("window.slice", wid, ts + 2500, 3000 + rng.next_below(6000),
+               session, w / 64);
+      instant("window.place", wid, dev, cycles, sim_clock[dev] + cycles);
+      complete("window.queue", wid, ts + 6000, 5000 + rng.next_below(60000),
+               dev);
+      complete("device.stage", 0, ts + 70000, 2000 + rng.next_below(3000),
+               dev, 512);
+      TraceEvent run;
+      run.name = "device.run";
+      run.window = wid;
+      run.ts_ns = ts + 70000;
+      run.dur_ns = 40000 + rng.next_below(80000);
+      run.sim_begin = sim_clock[dev];
+      run.sim_dur = cycles;
+      run.a1 = dev;
+      run.a3 = 1;
+      Tracer::get().emit(run);
+      sim_clock[dev] += cycles;
+      complete("window.complete", wid, ts + 150000, 500 + rng.next_below(2000),
+               session);
+      complete("window.deliver", wid, ts + 152000, 1000 + rng.next_below(5000),
+               session, 1);
+      // The in-process client's spans rebuilt from the WINDOW_RESULT
+      // breakdown (gateway/client.cpp).
+      complete("remote.queue", wid, ts + 6000, 5000 + rng.next_below(60000),
+               dev, cycles);
+      TraceEvent remote = run;
+      remote.name = "remote.run";
+      remote.a3 = 0;
+      Tracer::get().emit(remote);
+      complete("remote.deliver", wid, ts + 152000, 1000 + rng.next_below(5000),
+               dev);
+    }
+    bytes = Tracer::get().ring_bytes();
+    retained = Tracer::get().snapshot().events.size();
+  });
+  t.join();
+  ASSERT_EQ(retained, 32768u);  // the default capacity, wrapped
+  const double per_event =
+      static_cast<double>(bytes) / static_cast<double>(retained);
+  RecordProperty("bytes_per_event", std::to_string(per_event));
+  EXPECT_LE(per_event, 24.0);
+  Tracer::get().reset();
+  EXPECT_EQ(Tracer::get().ring_bytes(), 0u);
+}
+
+void expect_same_event(const TraceEvent& got, const TraceEvent& want,
+                       std::size_t i) {
+  EXPECT_EQ(got.name, want.name) << "event " << i;
+  EXPECT_EQ(got.ts_ns, want.ts_ns) << "event " << i;
+  EXPECT_EQ(got.dur_ns, want.dur_ns) << "event " << i;
+  EXPECT_EQ(got.window, want.window) << "event " << i;
+  EXPECT_EQ(got.sim_begin, want.sim_begin) << "event " << i;
+  EXPECT_EQ(got.sim_dur, want.sim_dur) << "event " << i;
+  EXPECT_EQ(got.a1, want.a1) << "event " << i;
+  EXPECT_EQ(got.a2, want.a2) << "event " << i;
+  EXPECT_EQ(got.a3, want.a3) << "event " << i;
+  EXPECT_EQ(got.tid, want.tid) << "event " << i;
+  EXPECT_EQ(got.kind, want.kind) << "event " << i;
+}
+
+void expect_same_events(const std::vector<TraceEvent>& got,
+                        const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_event(got[i], want[i], i);
+  }
+}
+
+/// Seeded random events through the compact records: every field at 0,
+/// small and 2^64-1, ts_ns going backwards, kinds beyond 0/1, 320 names
+/// (multi-byte name indices), records of 3 to ~90 bytes so many straddle
+/// chunk ends, a ring that wraps, a reset, and the retired ring after the
+/// thread exits. The snapshot must equal what was emitted, and a capture
+/// of it must round-trip through disk.
+TEST(ObsTrace, CompactRecordsRoundTripLosslessly) {
+  ObsScope scope(false, true);
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (int i = 0; i < 320; ++i) v.push_back("test.lossless." + std::to_string(i));
+    return v;
+  }();
+  constexpr std::size_t kCap = 1000;
+  Tracer::get().set_ring_capacity(kCap);
+  Rng rng(23);
+  auto value = [&rng]() -> std::uint64_t {
+    switch (rng.next_below(5)) {
+      case 0: return 0;
+      case 1: return rng.next_below(200);
+      case 2: return ~std::uint64_t{0};
+      case 3: return rng.next_u64() >> rng.next_below(64);
+      default: return rng.next_u64();
+    }
+  };
+  std::uint64_t ts = 1'000'000'000;
+  auto random_event = [&](std::uint32_t tid) {
+    TraceEvent e;
+    e.name = names[rng.next_below(names.size())].c_str();
+    // Mostly forward, sometimes backwards (complete() stamps begin times
+    // that predate the previous event), sometimes a far jump.
+    const std::uint32_t step = rng.next_below(10);
+    if (step < 6) ts += rng.next_below(100000);
+    else if (step < 9) ts -= rng.next_below(100000);
+    else ts = value() | 1;  // emit() stamps a 0 ts with now
+    e.ts_ns = ts;
+    for (std::uint64_t* f : {&e.dur_ns, &e.window, &e.sim_begin, &e.sim_dur,
+                             &e.a1, &e.a2, &e.a3}) {
+      *f = value();
+    }
+    const std::uint8_t kinds[] = {0, 1, 2, 255};
+    e.kind = kinds[rng.next_below(4)];
+    e.tid = tid;
+    return e;
+  };
+
+  std::vector<TraceEvent> wrapped_want, refilled_want;
+  Tracer::Snapshot wrapped, refilled;
+  std::thread t([&] {
+    const std::uint32_t tid = thread_slot();
+    std::vector<TraceEvent> emitted;
+    for (int i = 0; i < 5000; ++i) {
+      emitted.push_back(random_event(tid));
+      Tracer::get().emit(emitted.back());
+    }
+    wrapped_want.assign(emitted.end() - kCap, emitted.end());
+    wrapped = Tracer::get().snapshot();
+    Tracer::get().reset();
+    for (int i = 0; i < 700; ++i) {
+      refilled_want.push_back(random_event(tid));
+      Tracer::get().emit(refilled_want.back());
+    }
+    refilled = Tracer::get().snapshot();
+  });
+  t.join();
+  expect_same_events(wrapped.events, wrapped_want);
+  EXPECT_EQ(wrapped.dropped, 5000u - kCap);
+  expect_same_events(refilled.events, refilled_want);
+  EXPECT_EQ(refilled.dropped, 0u);
+
+  // The exited thread's records now live in the retired ring, which
+  // carries each record's tid.
+  const Tracer::Snapshot retired = Tracer::get().snapshot();
+  expect_same_events(retired.events, refilled_want);
+  EXPECT_EQ(retired.threads, 1u);
+
+  const std::string path = ::testing::TempDir() + "obs_lossless.vwr2trc";
+  std::string why;
+  ASSERT_TRUE(save_capture(wrapped, path, &why)) << why;
+  Capture cap;
+  ASSERT_TRUE(load_capture(path, &cap, &why)) << why;
+  std::remove(path.c_str());
+  const Capture want = to_capture(wrapped);
+  EXPECT_EQ(cap.names, want.names);
+  EXPECT_EQ(cap.dropped, want.dropped);
+  ASSERT_EQ(cap.events.size(), want.events.size());
+  for (std::size_t i = 0; i < cap.events.size(); ++i) {
+    const Capture::Ev& a = cap.events[i];
+    const Capture::Ev& b = want.events[i];
+    EXPECT_TRUE(a.name == b.name && a.tid == b.tid && a.kind == b.kind &&
+                a.ts_ns == b.ts_ns && a.dur_ns == b.dur_ns &&
+                a.window == b.window && a.sim_begin == b.sim_begin &&
+                a.sim_dur == b.sim_dur && a.a1 == b.a1 && a.a2 == b.a2 &&
+                a.a3 == b.a3)
+        << "capture event " << i;
+  }
+  Tracer::get().set_ring_capacity(32768);  // restore the default
+}
+
+/// A snapshot loop races four threads emitting past capacity: every
+/// snapshot sees each thread's newest events as one consecutive run, never
+/// more than the capacity, and the final snapshot accounts for every event.
+TEST(ObsTrace, SnapshotsRaceEmittersPastCapacity) {
+  ObsScope scope(false, true);
+  constexpr std::size_t kCap = 256;
+  constexpr unsigned kEmitters = 4;
+  constexpr std::uint64_t kEach = 20000;
+  Tracer::get().set_ring_capacity(kCap);
+  std::atomic<unsigned> done{0};
+  std::vector<std::thread> emitters;
+  for (unsigned t = 0; t < kEmitters; ++t) {
+    emitters.emplace_back([&done] {
+      for (std::uint64_t i = 0; i < kEach; ++i) {
+        complete("test.race", 0, 1 + i * 3, i & 7, i);
+      }
+      done.fetch_add(1);
+    });
+  }
+  unsigned snapshots = 0;
+  do {
+    const Tracer::Snapshot snap = Tracer::get().snapshot();
+    ++snapshots;
+    std::map<std::uint32_t, std::vector<std::uint64_t>> by_tid;
+    for (const TraceEvent& e : snap.events) {
+      if (std::string(e.name) == "test.race") by_tid[e.tid].push_back(e.a1);
+    }
+    for (const auto& [tid, seq] : by_tid) {
+      ASSERT_LE(seq.size(), kCap);
+      for (std::size_t i = 1; i < seq.size(); ++i) {
+        ASSERT_EQ(seq[i], seq[i - 1] + 1) << "tid " << tid;
+      }
+    }
+    EXPECT_LE(snap.events.size() + snap.dropped, kEmitters * kEach);
+  } while (done.load() < kEmitters);
+  for (auto& t : emitters) t.join();
+  EXPECT_GT(snapshots, 0u);
+  const Tracer::Snapshot end = Tracer::get().snapshot();
+  EXPECT_EQ(end.events.size(), kCap);  // all four folded into the retired ring
+  EXPECT_EQ(end.events.size() + end.dropped, kEmitters * kEach);
   Tracer::get().set_ring_capacity(32768);  // restore the default
 }
 
