@@ -525,14 +525,6 @@ inline Word Column::trace_src(const tc::Src& s) const {
       return srf_.trace_read(s.idx);
     case K::kPrev:
       return rc_prev_[s.rc];
-    case K::kCross:
-      if (cross_ == nullptr) {
-        // Same fault as the interpreter; the caller rolls back and reruns
-        // interpreted so the error surfaces with the exact partial state.
-        throw SimError("RC: kRcCross operand used without a synchronized "
-                       "partner column");
-      }
-      return (*cross_)[s.rc];
     default:
       return 0;
   }

@@ -133,11 +133,6 @@ class Column {
   /// into: 0 = free-running, 1 = sync-scheduled. begin_traced() resets to 0.
   void set_mask_tier(unsigned tier) { mask_tier_ = tier & 1u; }
 
-  /// Publishes (or clears, nullptr) the partner column's previous-cycle RC
-  /// results for kCross operands. Only the lockstep pass keeps this
-  /// current; anywhere else a kCross read faults like the interpreter.
-  void set_cross(const RcOutputs* cross) { cross_ = cross; }
-
   /// Superblock index of the current PC in the attached trace.
   unsigned block() const { return trace_->block_of[pc_]; }
 
@@ -149,27 +144,25 @@ class Column {
   /// (SPM access masks and, when `undo` is given, the copy-on-write SPM
   /// undo log for rollback); run_free() replays free stretches and
   /// step_traced() one compiled line (one cycle of this column, for sync
-  /// blocks and the lockstep pass) with the interpreter's per-cycle
-  /// semantics; end_traced() syncs the observable state back. Bit-identical
-  /// to step() for traceable programs.
+  /// blocks) with the interpreter's per-cycle semantics; end_traced() syncs
+  /// the observable state back. Bit-identical to step() for traceable
+  /// programs.
   void begin_traced(tc::SpmUndo* undo) {
     undo_ = undo;
     spm_rmask_[0] = spm_rmask_[1] = 0;
     spm_wmask_[0] = spm_wmask_[1] = 0;
     mask_tier_ = 0;
-    cross_ = nullptr;
     tb_ = nullptr;
   }
   void step_traced();
   void end_traced() {
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) rcs_[r].out = rc_prev_[r];
     undo_ = nullptr;
-    cross_ = nullptr;
   }
 
   /// Full architectural state of a column, snapshotted before a traced
   /// launch so a detected cross-column SPM conflict (or a replay fault) can
-  /// roll back and rerun in lockstep (or on the interpreter).
+  /// roll back and rerun on the interpreter.
   struct Checkpoint {
     std::array<mem::Vwr::Row, arch::kVwrsPerColumn> vwr;
     std::array<Word, arch::kSrfEntries> srf;
@@ -267,7 +260,6 @@ class Column {
   std::uint64_t spm_rmask_[2] = {0, 0};
   std::uint64_t spm_wmask_[2] = {0, 0};
   unsigned mask_tier_ = 0;
-  const RcOutputs* cross_ = nullptr; ///< partner snapshot for kCross operands
   mem::Vwr::Row shuf_scratch_{};     ///< staged shuffle result (hazard lines)
   const tc::Block* tb_ = nullptr;    ///< step_traced: current block
   unsigned tb_line_ = 0;             ///< step_traced: line within block

@@ -255,9 +255,9 @@ void add_line_energy(const DecodedLine& L,
   }
 }
 
-/// Resolves one RC source. kRcCross resolves to the partner-snapshot slot:
-/// it replays in the lockstep pass (Column::set_cross) and faults like the
-/// interpreter anywhere else.
+/// Resolves one RC source. kRcCross does not resolve: the cross-column
+/// network needs the two columns cycle by cycle, so such a program stays
+/// on the interpreter.
 bool resolve_src(RcSrc s, const isa::RcInstr& I, unsigned r, tc::Src& out) {
   using K = tc::Src::K;
   switch (s) {
@@ -297,10 +297,6 @@ bool resolve_src(RcSrc s, const isa::RcInstr& I, unsigned r, tc::Src& out) {
     case RcSrc::kImm:
       out = {K::kImm, 0, 0, 0, 0,
              static_cast<Word>(static_cast<SWord>(I.imm))};
-      return true;
-    case RcSrc::kRcCross:
-      out.k = K::kCross;
-      out.rc = static_cast<std::uint8_t>(r);  // same lane, partner column
       return true;
     default:
       return false;
@@ -373,17 +369,6 @@ void add_static_spm(const isa::LsuInstr& I, std::uint64_t& sread,
   (is_write ? swrite : sread) |= 1ull << row;
 }
 
-/// True when any active RC of the line reads the partner column.
-bool line_has_cross(const tc::Line& line) {
-  using K = tc::Src::K;
-  for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-    if (((line.rc_mask >> r) & 1u) == 0) continue;
-    const tc::RcUop& u = line.rc[r];
-    if (u.a.k == K::kCross || (!u.unary && u.b.k == K::kCross)) return true;
-  }
-  return false;
-}
-
 /// Lane-uniform shape test: all four RCs run the same op with the same
 /// source/destination kinds and shared indices, differing only in their
 /// slice. The rc_all() idiom every kernel's inner loop uses.
@@ -392,7 +377,7 @@ bool quad_shape(const tc::Line& line) {
   const tc::RcUop& a = line.rc[0];
   using K = tc::Src::K;
   auto lane_ok = [](const tc::Src& s) {
-    return s.k != K::kPrev && s.k != K::kCross;  // lane-crossing sources
+    return s.k != K::kPrev;  // lane-crossing source
   };
   if (!lane_ok(a.a) || (!a.unary && !lane_ok(a.b))) return false;
   for (unsigned r = 1; r < arch::kRcsPerColumn; ++r) {
@@ -675,7 +660,7 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     tc::Line& line = trace->lines[pc];
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
       if (L.rc[r].op == RcOp::kNop) continue;
-      if (!resolve_rc(L.rc[r], r, line.rc[r])) return bail("unresolvable RC");
+      if (!resolve_rc(L.rc[r], r, line.rc[r])) return bail("kRcCross operand");
       line.rc_mask |= 1u << r;
     }
     compile_ops(L, line, pc, trace->ops);
@@ -760,7 +745,6 @@ std::shared_ptr<const CompiledTrace> compile_trace(
     for (unsigned i = pc; i <= end; ++i) {
       add_line_energy(dec[i], counts);
       add_static_spm(dec[i].lsu, b.sread, b.swrite);
-      if (line_has_cross(trace->lines[i])) trace->has_cross = true;
     }
     for (unsigned e = 0; e < counts.size(); ++e) {
       if (counts[e] != 0) {
@@ -820,11 +804,6 @@ SyncPlan make_sync_plan(const CompiledTrace* t0, const CompiledTrace* t1) {
   if (t0 == nullptr || t1 == nullptr || !t0->ok || !t1->ok) {
     // Single-column kernel (or a non-replayable partner, which the caller
     // gates on anyway): nothing to order against, free-run.
-    return p;
-  }
-  if (t0->has_cross || t1->has_cross) {
-    // The cross-column operand network needs per-cycle partner snapshots.
-    p.has_cross = true;
     return p;
   }
   const std::array<const CompiledTrace*, arch::kNumColumns> t{t0, t1};

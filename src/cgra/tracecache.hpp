@@ -31,7 +31,10 @@
 // the residency logic is insensitive to). Anything the compiler cannot
 // prove faithful -- kRcCross operands, static hazards, branch targets past
 // the program end -- makes the program non-traceable and the block falls
-// back to the interpreter for that kernel.
+// back to the interpreter for that kernel. The interpreter is also the one
+// runtime fallback: a launch the replay pass cannot finish exactly (a
+// post-hoc cross-column SPM conflict, an expired replay budget, a replay
+// fault) rolls back to its checkpoint and reruns interpreted.
 //
 // Sharing: compiled traces are cached process-wide (or pool-wide, via
 // isa::ImageCache::traces()) keyed by the ArchConfig variant name plus the
@@ -73,10 +76,6 @@ struct Src {
     kVwr,      ///< vwrs_[vwr] word at slice base + shared index
     kSrf,      ///< SRF[idx]
     kPrev,     ///< rc_prev_[idx] (neighbour result, index pre-wrapped)
-    kCross,    ///< partner column's previous-cycle RC result, read from the
-               ///< per-cycle snapshot the lockstep pass publishes via
-               ///< Column::set_cross (a free pass has no snapshot and
-               ///< faults exactly like the interpreter)
   };
   K k = K::kImm;
   std::uint8_t vwr = 0;    ///< VWR select for kVwr
@@ -285,12 +284,9 @@ class CompiledTrace {
   std::vector<std::uint16_t> block_of;  ///< pc -> index into blocks
   std::vector<tc::SlotOp> ops;  ///< every line's slot ops, in line order
   std::vector<tc::SlotOp> body_ops;  ///< fused loop bodies (Block::body_op)
-  /// Whole-trace unions of the per-block static SPM row masks, and whether
-  /// any kRcCross operand survives into the micro-ops (such a trace replays
-  /// only in the lockstep pass, which has partner snapshots).
+  /// Whole-trace unions of the per-block static SPM row masks.
   std::uint64_t static_reads = 0;
   std::uint64_t static_writes = 0;
-  bool has_cross = false;
 
   unsigned length() const { return static_cast<unsigned>(lines.size()); }
 };
@@ -363,20 +359,20 @@ class TraceCache {
 
 namespace tc {
 
-/// Thrown when a column of a free replay pass (Column::run_free, or a sync
-/// step of Vwr2a::run_scheduled_traced) exceeds its cycle budget. A column
-/// polling SPM state its partner has not produced yet (cross-column
+/// Thrown when a column of a two-column replay pass (Column::run_free, or a
+/// sync step of Vwr2a::run_scheduled_traced) exceeds its cycle budget. A
+/// column polling SPM state its partner has not produced yet (cross-column
 /// dataflow the conflict masks would only catch after the fact) spins
-/// forever when free-run alone; the budget turns that into a rollback +
-/// lockstep rerun, which interleaves the columns like the interpreter and
-/// therefore terminates exactly when it does. The thrower abandons
-/// mid-kernel state -- the caller always rolls back.
+/// forever when free-run alone; the budget turns that into a rollback and
+/// an interpreter rerun, which interleaves the columns cycle by cycle and
+/// therefore terminates exactly when the hardware does. The thrower
+/// abandons mid-kernel state -- the caller always rolls back.
 struct ReplayBudgetExceeded {};
 
-/// Free-pass replay cycle budget per column: ~40x the largest catalog
-/// kernel (~10^5 cycles), so only pathological cross-column polls or
-/// runaway loops ever hit it -- and when they do, the wasted replay stays
-/// in the tens of milliseconds before lockstep takes over.
+/// Replay cycle budget per column: ~40x the largest catalog kernel (~10^5
+/// cycles), so only pathological cross-column polls or runaway loops ever
+/// hit it -- and when they do, the wasted replay stays in the tens of
+/// milliseconds before the interpreter takes over.
 inline constexpr Cycle kReplayBudget = 1ull << 22;
 
 /// Copy-on-write SPM undo log for one traced kernel launch: decoupled
@@ -405,11 +401,9 @@ struct SpmUndo {
 /// interpreter's access order exactly. All other blocks free-run (fused
 /// loops included) and their runtime access masks are validated post hoc.
 /// Empty `sync` vectors mean no block is a sync point (whole-kernel
-/// free-run); `has_cross` means a kRcCross operand needs per-cycle partner
-/// snapshots, so every launch replays in lockstep.
+/// free-run).
 struct SyncPlan {
   std::array<std::vector<std::uint8_t>, arch::kNumColumns> sync;  ///< [col][block]
-  bool has_cross = false;
 };
 
 /// Builds the sync schedule for a kernel occupying the given column traces

@@ -83,18 +83,13 @@ void Vwr2a::start_kernel(unsigned kernel_id) {
         loaded_[c] = kernel_id;
       }
     }
-    if (exec_mode_ == ExecMode::kTraceCache) {
+    if (exec_mode_ == ExecMode::kTraceCache && !rt.plan_ready) {
       // The sync plan is a pure function of the memoized traces, so it is
-      // built once, when they are first bound. A reload only clears the
-      // runtime lockstep hint, so a kernel whose trip counts or pointer
-      // parameters stopped conflicting leaves the slow path again.
-      if (!rt.plan_ready) {
-        rt.plan = tc::make_sync_plan(
-            isa::contains(img.columns, 0) ? rt.trace[0].get() : nullptr,
-            isa::contains(img.columns, 1) ? rt.trace[1].get() : nullptr);
-        rt.plan_ready = true;
-      }
-      rt.lockstep_hint = false;
+      // built once, when they are first bound.
+      rt.plan = tc::make_sync_plan(
+          isa::contains(img.columns, 0) ? rt.trace[0].get() : nullptr,
+          isa::contains(img.columns, 1) ? rt.trace[1].get() : nullptr);
+      rt.plan_ready = true;
     }
   }
   advance(kLaunchCycles);
@@ -135,7 +130,7 @@ Cycle Vwr2a::run_kernel(unsigned kernel_id) {
   return cycles_ - t0;
 }
 
-Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
+Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan) {
   // Behind-column-first schedule over local clocks (a column's local time
   // equals its interpreter global cycle: columns launch together and never
   // stall). The behind column advances; ties go to column 0, matching the
@@ -146,8 +141,7 @@ Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
   // interpreter's (time, column) access order is reproduced exactly. Free
   // stretches leap to the next sync block (fused trip counts included);
   // the rows they touch are checked against the partner's totals after the
-  // run. In lockstep every step is a sync step, so the columns alternate
-  // per cycle like step(), with pre-cycle cross snapshots for kCross.
+  // run.
   const bool r0 = col0_.running();
   const bool r1 = col1_.running();
   if (r0) col0_.begin_traced(undo_.get());
@@ -157,28 +151,15 @@ Cycle Vwr2a::run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep) {
   const std::array<const std::uint8_t*, arch::kNumColumns> sync{
       plan.sync[0].empty() ? nullptr : plan.sync[0].data(),
       plan.sync[1].empty() ? nullptr : plan.sync[1].data()};
-  Column::RcOutputs outs0{}, outs1{};
   Cycle t0 = 0, t1 = 0;
   while (col0_.running() || col1_.running()) {
     const bool pick0 = col0_.running() && (!col1_.running() || t0 <= t1);
     Column& col = pick0 ? col0_ : col1_;
     Cycle& t = pick0 ? t0 : t1;
     const std::uint8_t* s = sync[pick0 ? 0 : 1];
-    if (lockstep) {
-      if (plan.has_cross && (pick0 || !col0_.running())) {
-        // Snapshot both columns' results before column 0 commits this
-        // cycle (or before column 1 once column 0 has exited).
-        const bool synced = col0_.running() && col1_.running();
-        outs0 = col0_.rc_outputs();
-        outs1 = col1_.rc_outputs();
-        col0_.set_cross(synced ? &outs1 : nullptr);
-        col1_.set_cross(synced ? &outs0 : nullptr);
-      }
-    } else if (t > budget) {
-      throw tc::ReplayBudgetExceeded{};
-    }
-    if (lockstep || (s != nullptr && s[col.block()] != 0)) {
-      if (!lockstep && !col.mid_block()) ++replay_.replay_sync_points;
+    if (t > budget) throw tc::ReplayBudgetExceeded{};
+    if (s != nullptr && s[col.block()] != 0) {
+      if (!col.mid_block()) ++replay_.replay_sync_points;
       col.set_mask_tier(1);
       col.step_traced();
       ++t;
@@ -199,8 +180,9 @@ void Vwr2a::run_kernel_traced() {
   const bool r0 = col0_.running();
   const bool r1 = col1_.running();
   if ((r0 && !col0_.has_trace()) || (r1 && !col1_.has_trace())) {
-    // Non-traceable program (static hazard, undecodable line, ...): the
-    // interpreter stays authoritative, including its documented faults.
+    // Non-traceable program (static hazard, kRcCross operand, undecodable
+    // line, ...): the interpreter stays authoritative, including its
+    // documented faults.
     run_interpreted();
     return;
   }
@@ -213,60 +195,45 @@ void Vwr2a::run_kernel_traced() {
   if (r0) col0_.save_state(ck0);
   if (r1) col1_.save_state(ck1);
   const energy::EnergyMeter meter_ck = meter_;
-  auto rollback = [&] {
-    if (r0) col0_.restore_state(ck0);
-    if (r1) col1_.restore_state(ck1);
-    meter_ = meter_ck;
-    for (unsigned row = 0; row < arch::kSpmRows; ++row) {
-      if ((undo_->saved_mask >> row) & 1u) {
-        spm_.trace_restore_row(row, undo_->rows[row], undo_->versions[row]);
-      }
-    }
-    spm_.trace_restore_write_gen(undo_->write_gen);
-    undo_->reset(spm_.write_gen());
-  };
 
-  // The column traces were bound by start_kernel's reload, which also
-  // built this kernel's plan.
-  KernelRuntime& rt = kernel_rt_[cur_kernel_];
-  bool lockstep = rt.plan.has_cross || rt.lockstep_hint;
+  // One pass: sync blocks ordered, the rest free-running and validated
+  // post hoc. The column traces were bound by start_kernel's reload, which
+  // also built this kernel's plan.
   try {
-    // At most two passes: free (sync blocks ordered, the rest free-running
-    // and validated post hoc), then lockstep after a conflict or an expired
-    // budget. The lockstep pass orders every access, so it cannot conflict.
-    for (;;) {
-      bool conflict = true;
-      Cycle n = 0;
-      try {
-        n = run_scheduled_traced(rt.plan, lockstep);
-        conflict = r0 && r1 &&
-                   ((col0_.spm_free_write_mask() &
-                     (col1_.spm_read_mask() | col1_.spm_write_mask())) |
-                    (col1_.spm_free_write_mask() &
-                     (col0_.spm_read_mask() | col0_.spm_write_mask())) |
-                    (col0_.spm_free_read_mask() & col1_.spm_write_mask()) |
-                    (col1_.spm_free_read_mask() & col0_.spm_write_mask())) != 0;
-      } catch (const tc::ReplayBudgetExceeded&) {
-        // A cross-column poll no mask could predict: handled exactly like a
-        // detected conflict.
-      }
-      if (!conflict) {
-        advance(n);
-        ++replay_.traced_launches;
-        return;
-      }
-      ++replay_.traced_rollbacks;
-      rollback();
-      // Dynamically addressed rows carried data across columns this launch;
-      // assume they will again until the next reload re-evaluates.
-      rt.lockstep_hint = lockstep = true;
+    const Cycle n = run_scheduled_traced(kernel_rt_[cur_kernel_].plan);
+    const bool conflict =
+        r0 && r1 &&
+        ((col0_.spm_free_write_mask() &
+          (col1_.spm_read_mask() | col1_.spm_write_mask())) |
+         (col1_.spm_free_write_mask() &
+          (col0_.spm_read_mask() | col0_.spm_write_mask())) |
+         (col0_.spm_free_read_mask() & col1_.spm_write_mask()) |
+         (col1_.spm_free_read_mask() & col0_.spm_write_mask())) != 0;
+    if (!conflict) {
+      advance(n);
+      ++replay_.traced_launches;
+      return;
     }
+    ++replay_.traced_rollbacks;
+  } catch (const tc::ReplayBudgetExceeded&) {
+    // A cross-column poll no mask could predict: handled exactly like a
+    // detected conflict.
+    ++replay_.traced_rollbacks;
   } catch (...) {
-    // Replay fault: rerun interpreted so the documented error surfaces
-    // with the interpreter's exact partial state.
-    rollback();
-    run_interpreted();
+    // Replay fault: the interpreter rerun raises the documented error with
+    // its exact partial state.
   }
+  // Roll back to the checkpoint and rerun the launch on the interpreter.
+  if (r0) col0_.restore_state(ck0);
+  if (r1) col1_.restore_state(ck1);
+  meter_ = meter_ck;
+  for (unsigned row = 0; row < arch::kSpmRows; ++row) {
+    if ((undo_->saved_mask >> row) & 1u) {
+      spm_.trace_restore_row(row, undo_->rows[row], undo_->versions[row]);
+    }
+  }
+  spm_.trace_restore_write_gen(undo_->write_gen);
+  run_interpreted();
 }
 
 } // namespace vwr2a::cgra

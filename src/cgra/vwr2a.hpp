@@ -40,17 +40,19 @@ inline constexpr unsigned kIrqCycles = 2;
 
 /// Replay-engine counters of one accelerator, monotone since construction.
 /// The cycle counters are column-cycles by how they ran: decoupled = free
-/// stretches; lockstep = line-by-line steps (sync blocks and every step of
-/// a lockstep pass); interpreted = the reference interpreter (interpret
-/// mode, tracers, replay-fault reruns).
+/// stretches; lockstep = the line-by-line steps of sync blocks;
+/// interpreted = the reference interpreter (interpret mode, tracers,
+/// non-traceable programs, and the reruns after a rollback).
 /// A kernel stuck on the slow tiers shows up here long before a profiler.
 struct ReplayStats {
   std::uint64_t traced_launches = 0;   ///< launches replayed from traces
-  std::uint64_t traced_rollbacks = 0;  ///< replays undone by SPM conflicts
+  /// Replays undone by a post-hoc SPM conflict or an expired replay budget
+  /// (each reruns on the interpreter; replay faults are not counted).
+  std::uint64_t traced_rollbacks = 0;
   std::uint64_t replay_decoupled_cycles = 0;    ///< free stretches
-  std::uint64_t replay_lockstep_cycles = 0;     ///< line-by-line steps
+  std::uint64_t replay_lockstep_cycles = 0;     ///< sync-block steps
   std::uint64_t replay_interpreted_cycles = 0;  ///< interpreter
-  std::uint64_t replay_sync_points = 0;  ///< sync blocks entered (free pass)
+  std::uint64_t replay_sync_points = 0;  ///< sync blocks entered
 
   bool operator==(const ReplayStats&) const = default;
 };
@@ -144,22 +146,19 @@ class Vwr2a {
  private:
   void advance(Cycle n);
   /// run_kernel body for ExecMode::kTraceCache: checkpoints the columns,
-  /// the meter and (copy-on-write) the SPM, then replays the launch with
-  /// run_scheduled_traced: a free pass, and a lockstep pass after a
-  /// cross-column conflict or an expired budget (which also sets the
-  /// kernel's lockstep hint). A replay fault rolls back and reruns on the
-  /// interpreter, which raises the documented error.
+  /// the meter and (copy-on-write) the SPM, then replays the launch in one
+  /// run_scheduled_traced pass. A post-hoc cross-column conflict, an
+  /// expired replay budget or a replay fault rolls back and reruns the
+  /// launch on the interpreter, which also raises any documented error.
   void run_kernel_traced();
   /// The one replay schedule. The behind column advances (ties go to
   /// column 0, the interpreter's intra-cycle order). Free blocks run as
   /// free stretches (Column::run_free: whole superblocks, fused loops
   /// included, up to the next sync block); sync blocks advance one line
   /// per local cycle, which reproduces the interpreter's cross-column
-  /// access order for every sync/sync pair. With `lockstep` every step is
-  /// a sync step with no budget, and kCross operands read pre-cycle
-  /// partner snapshots: the columns alternate per cycle exactly as step()
-  /// does. Returns the launch's cycles (the later column's local time).
-  Cycle run_scheduled_traced(const tc::SyncPlan& plan, bool lockstep);
+  /// access order for every sync/sync pair. Returns the launch's cycles
+  /// (the later column's local time).
+  Cycle run_scheduled_traced(const tc::SyncPlan& plan);
   /// Runs the started kernel interpreted until both columns exit.
   void run_interpreted() {
     while (busy()) step();
@@ -187,12 +186,6 @@ class Vwr2a {
     /// the memoized traces (it is a pure function of them).
     tc::SyncPlan plan;
     bool plan_ready = false;
-    /// Runtime hint: a *dynamically* addressed cross-column conflict (or a
-    /// budget-expired cross-column poll) forced a rollback, so later
-    /// launches go straight to the lockstep pass. Cleared on reload: trip
-    /// counts and pointer parameters may have changed, so the free pass
-    /// gets re-evaluated instead of pinning the slow path forever.
-    bool lockstep_hint = false;
   };
   std::vector<KernelRuntime> kernel_rt_;
   unsigned cur_kernel_ = 0;  ///< kernel id of the last start_kernel()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -41,6 +42,20 @@ std::uint64_t zigzag(std::uint64_t delta) {
 }
 
 std::uint64_t unzigzag(std::uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
+
+std::uint64_t get_varint(const std::uint8_t*& p) {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t b = *p++;
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
+
+void skip_varint(const std::uint8_t*& p) {
+  while ((*p++ & 0x80) != 0) {
+  }
+}
 
 std::array<std::uint64_t*, kFields> fields_of(TraceEvent& e) {
   return {&e.dur_ns, &e.window, &e.sim_begin, &e.sim_dur, &e.a1, &e.a2, &e.a3};
@@ -82,48 +97,46 @@ struct Tracer::Ring {
     return it->second;
   }
 
-  /// Decodes the record at `pos` into `e` (ts_ns relative to prev) and
-  /// returns the position after it. A record near a chunk end is gathered
-  /// into a local buffer first, since it may straddle into the next chunk.
-  std::uint64_t decode(std::uint64_t pos, std::uint64_t prev,
-                       TraceEvent& e) const {
+  /// The bytes of the record at `pos`. A record near a chunk end is
+  /// gathered into `gathered` first, since it may straddle into the next
+  /// chunk.
+  const std::uint8_t* record_at(std::uint64_t pos,
+                                std::uint8_t (&gathered)[kMaxRecord]) const {
     const std::uint64_t off = pos - base;
     const std::size_t at = off % kChunkBytes;
     const std::uint8_t* p = chunks[off / kChunkBytes]->data() + at;
-    std::uint8_t gathered[kMaxRecord];
-    if (at + kMaxRecord > kChunkBytes) {
-      const std::size_t n = std::min<std::uint64_t>(kMaxRecord, wpos - pos);
-      const std::size_t first = std::min(n, kChunkBytes - at);
-      std::memcpy(gathered, p, first);
-      if (n > first) {
-        std::memcpy(gathered + first, chunks[off / kChunkBytes + 1]->data(),
-                    n - first);
-      }
-      p = gathered;
+    if (at + kMaxRecord <= kChunkBytes) return p;
+    const std::size_t n = std::min<std::uint64_t>(kMaxRecord, wpos - pos);
+    const std::size_t first = std::min(n, kChunkBytes - at);
+    std::memcpy(gathered, p, first);
+    if (n > first) {
+      std::memcpy(gathered + first, chunks[off / kChunkBytes + 1]->data(),
+                  n - first);
     }
+    return gathered;
+  }
+
+  /// Decodes the record at `pos` into `e` (ts_ns relative to prev) and
+  /// returns the position after it.
+  std::uint64_t decode(std::uint64_t pos, std::uint64_t prev,
+                       TraceEvent& e) const {
+    std::uint8_t gathered[kMaxRecord];
+    const std::uint8_t* p = record_at(pos, gathered);
     const std::uint8_t* const start = p;
-    auto varint = [&p] {
-      std::uint64_t v = 0;
-      for (unsigned shift = 0;; shift += 7) {
-        const std::uint8_t b = *p++;
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if ((b & 0x80) == 0) return v;
-      }
-    };
-    const std::uint64_t name = varint();
+    const std::uint64_t name = get_varint(p);
     const std::uint8_t flags = *p++;
     e = TraceEvent{};
     e.name = names[name >> 1];
     e.tid = tid;
     e.kind = flags & 1;
     if ((name & 1) != 0) {
-      e.tid = static_cast<std::uint32_t>(varint());
+      e.tid = static_cast<std::uint32_t>(get_varint(p));
       e.kind = *p++;
     }
-    e.ts_ns = prev + unzigzag(varint());
+    e.ts_ns = prev + unzigzag(get_varint(p));
     const auto fields = fields_of(e);
     for (unsigned f = 0; f < kFields; ++f) {
-      if ((flags >> (f + 1) & 1) != 0) *fields[f] = varint();
+      if ((flags >> (f + 1) & 1) != 0) *fields[f] = get_varint(p);
     }
     return pos + static_cast<std::uint64_t>(p - start);
   }
@@ -169,10 +182,25 @@ struct Tracer::Ring {
     }
   }
 
+  /// Drops the oldest record. Only what locates its end and its ts_ns is
+  /// read: the name varint's ext bit, the flags, the ext tid and kind, and
+  /// the ts delta; field varints are skipped by their continuation bits.
   void evict() {
-    TraceEvent e;
-    rpos = decode(rpos, tail_ts, e);
-    tail_ts = e.ts_ns;
+    std::uint8_t gathered[kMaxRecord];
+    const std::uint8_t* p = record_at(rpos, gathered);
+    const std::uint8_t* const start = p;
+    const bool ext = (*p & 1) != 0;  // the low bit of the name varint
+    skip_varint(p);
+    const std::uint8_t flags = *p++;
+    if (ext) {
+      skip_varint(p);
+      ++p;
+    }
+    tail_ts += unzigzag(get_varint(p));
+    for (int n = std::popcount(static_cast<unsigned>(flags >> 1)); n > 0; --n) {
+      skip_varint(p);
+    }
+    rpos += static_cast<std::uint64_t>(p - start);
     --live;
     while (rpos - base >= kChunkBytes) {
       spare = std::move(chunks.front());

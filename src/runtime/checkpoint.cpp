@@ -12,6 +12,7 @@ namespace vwr2a::runtime {
 //     u64 write_gen
 //     u32 sram_words, i32 x sram_words
 //     u32 row_count, then per row: u32 row, u64 stamp, i32 x kVwrWords
+// (both count-prefixed codec arrays: Writer::array / Reader::array)
 // The checksum covers everything after the fixed 20-byte prologue, so a
 // truncated or bit-flipped blob is rejected before any field is trusted.
 
@@ -26,14 +27,12 @@ std::vector<std::uint8_t> encode_checkpoint(const DeviceCheckpoint& c) {
   w.u32(c.sys_base);
   w.u8(c.bio_resident ? 1 : 0);
   w.u64(c.write_gen);
-  w.u32(static_cast<std::uint32_t>(c.sram.size()));
-  for (Word v : c.sram) w.i32(v);
-  w.u32(static_cast<std::uint32_t>(c.spm_rows.size()));
-  for (const SpmRowImage& r : c.spm_rows) {
-    w.u32(r.row);
-    w.u64(r.stamp);
-    for (Word v : r.data) w.i32(v);
-  }
+  w.array(c.sram, [](codec::Writer& o, Word v) { o.i32(v); });
+  w.array(c.spm_rows, [](codec::Writer& o, const SpmRowImage& r) {
+    o.u32(r.row);
+    o.u64(r.stamp);
+    for (Word v : r.data) o.i32(v);
+  });
   codec::patch_u64(out, 12,
                    codec::fnv1a(out.data() + payload_off,
                                 out.size() - payload_off));
@@ -63,29 +62,31 @@ bool decode_checkpoint(const std::vector<std::uint8_t>& blob,
   c.sys_base = r.u32();
   c.bio_resident = r.u8() != 0;
   c.write_gen = r.u64();
-  const std::uint32_t sram_words = r.u32();
-  if (!r.ok() || sram_words > arch::kSramBytes / 4 ||
-      sram_words * 4ull > r.remaining()) {
+  // The arrays' counts follow the codec's count rule (a count the
+  // remaining bytes cannot hold fails the reader before anything is
+  // allocated); the domain bounds are checked once the arrays are read.
+  c.sram = r.array<Word>(4, [](codec::Reader& in) {
+    return static_cast<Word>(in.i32());
+  });
+  if (!r.ok() || c.sram.size() > arch::kSramBytes / 4) {
     return reject("checkpoint: SRAM region out of bounds");
   }
-  c.sram.reserve(sram_words);
-  for (std::uint32_t i = 0; i < sram_words; ++i) c.sram.push_back(r.i32());
-  const std::uint32_t rows = r.u32();
-  if (!r.ok() || rows > arch::kSpmRows) {
+  constexpr std::size_t kRowBytes = 4 + 8 + 4 * arch::kVwrWords;
+  c.spm_rows = r.array<SpmRowImage>(kRowBytes, [](codec::Reader& in) {
+    SpmRowImage row;
+    row.row = in.u32();
+    row.stamp = in.u64();
+    for (Word& v : row.data) v = static_cast<Word>(in.i32());
+    return row;
+  });
+  if (!r.ok() || c.spm_rows.size() > arch::kSpmRows) {
     return reject("checkpoint: SPM row count out of bounds");
   }
-  c.spm_rows.reserve(rows);
-  for (std::uint32_t i = 0; i < rows; ++i) {
-    SpmRowImage row;
-    row.row = r.u32();
-    row.stamp = r.u64();
-    if (!r.ok() || row.row >= arch::kSpmRows) {
+  for (const SpmRowImage& row : c.spm_rows) {
+    if (row.row >= arch::kSpmRows) {
       return reject("checkpoint: SPM row index out of range");
     }
-    for (Word& v : row.data) v = r.i32();
-    c.spm_rows.push_back(row);
   }
-  if (!r.ok()) return reject("checkpoint: truncated payload");
   if (!r.at_end()) return reject("checkpoint: trailing bytes");
   *out = std::move(c);
   return true;

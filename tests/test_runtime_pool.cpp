@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "app/mbiotracker.hpp"
+#include "common/codec.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "dsp/reference.hpp"
@@ -703,6 +704,45 @@ TEST(RuntimeFaults, CheckpointCodecRoundTripsAndRejectsCorruption) {
   fat.push_back(0);
   EXPECT_FALSE(decode_checkpoint(fat, &d));
   EXPECT_FALSE(decode_checkpoint({}, &d));
+}
+
+/// A blob whose SRAM count lies but whose checksum was recomputed over the
+/// edit passes the checksum, so only the decoder's count rule stands
+/// between it and an over-read: counts just past the remaining bytes (but
+/// inside the SRAM bound) and far past both must be rejected.
+TEST(RuntimeFaults, CheckpointWithLyingSramCountIsRejected) {
+  DeviceCheckpoint c;
+  c.arch = "vwr2a";
+  c.sram = {1u, 2u, 3u, 4u};
+  SpmRowImage row;
+  row.row = 3;
+  c.spm_rows.push_back(row);
+  const std::vector<std::uint8_t> blob = encode_checkpoint(c);
+  constexpr std::size_t kPrologue = 8 + 4 + 8;
+  // Payload: str arch, u32 sys_base, u8 bio_resident, u64 write_gen, then
+  // the SRAM word count.
+  const std::size_t count_off = kPrologue + 4 + c.arch.size() + 4 + 1 + 8;
+  const std::size_t remaining = blob.size() - count_off - 4;
+  const std::uint32_t lies[] = {static_cast<std::uint32_t>(remaining / 4 + 1),
+                                arch::kSramBytes / 4, 0xffffffffu};
+  for (const std::uint32_t lie : lies) {
+    std::vector<std::uint8_t> bad = blob;
+    codec::patch_u32(bad, count_off, lie);
+    codec::patch_u64(bad, 12,
+                     codec::fnv1a(bad.data() + kPrologue,
+                                  bad.size() - kPrologue));
+    DeviceCheckpoint d;
+    std::string why;
+    EXPECT_FALSE(decode_checkpoint(bad, &d, &why)) << "count " << lie;
+    EXPECT_EQ(why, "checkpoint: SRAM region out of bounds") << "count " << lie;
+  }
+  // The same edit with the true count decodes: the offsets above are right.
+  std::vector<std::uint8_t> same = blob;
+  codec::patch_u32(same, count_off, static_cast<std::uint32_t>(c.sram.size()));
+  DeviceCheckpoint d;
+  std::string why;
+  EXPECT_TRUE(decode_checkpoint(same, &d, &why)) << why;
+  EXPECT_EQ(d.sram, c.sram);
 }
 
 TEST(RuntimeFaults, KillAndReviveUnderLoadNeverLosesAJob) {

@@ -127,7 +127,7 @@ isa::RcInstr random_rc(Rng& rng) {
 
 isa::LsuInstr random_lsu(Rng& rng) {
   isa::LsuInstr i;
-  switch (rng.next_below(7)) {
+  switch (rng.next_below(8)) {
     case 0: return i;  // nop
     case 1: return lsu_ld_vwr(static_cast<VwrSel>(rng.next_below(3)),
                               rng.next_below(arch::kSpmRows));
@@ -138,8 +138,12 @@ isa::LsuInstr random_lsu(Rng& rng) {
     case 4: return lsu_st_srf(static_cast<std::uint8_t>(rng.next_below(8)),
                               rng.next_below(arch::kSpmWords));
     case 5: return lsu_shuf(static_cast<isa::ShufMode>(rng.next_below(8)));
-    default:
+    case 6:
       // SRF-based addressing: data-dependent rows, range-checked at replay.
+      return lsu_st_vwr_srf(static_cast<VwrSel>(rng.next_below(3)),
+                            static_cast<std::uint8_t>(rng.next_below(8)),
+                            static_cast<int>(rng.next_below(8)));
+    default:
       return lsu_ld_vwr_srf(static_cast<VwrSel>(rng.next_below(3)),
                             static_cast<std::uint8_t>(rng.next_below(8)),
                             static_cast<int>(rng.next_below(8)));
@@ -209,22 +213,33 @@ isa::LcuInstr random_lcu(Rng& rng, unsigned pc, unsigned len, bool& used_dbnz) {
 }
 
 /// One random VLIW program, terminating by construction (bounded DBNZ,
-/// forward-only conditional skips). The RC source space includes kRcCross
-/// and the LSU rows span the whole SPM, so two-column trials exercise the
-/// lockstep (cross-operand) tier, the sync schedule (static overlaps) and
-/// the post-hoc dynamic masks alike.
+/// forward-only conditional skips). One program in four may read kRcCross,
+/// which keeps it off the trace cache; the rest map it to kImm. Half the
+/// programs fill each RC, MXCU and LCU slot with probability 1/2; dense
+/// lines mostly collide on the single-ported SRF (a compile bail too). The
+/// other half fill them with probability 1/8, so most of those replay. The
+/// LSU slot is filled half the time in both, and its rows span the whole
+/// SPM, so two-column trials exercise the sync schedule (static overlaps)
+/// and the post-hoc dynamic masks alike.
 isa::ColumnProgram random_program(Rng& rng, unsigned len) {
+  const bool cross = rng.next_below(4) == 0;
+  const unsigned fill = rng.next_below(2) != 0 ? 2 : 8;  // 1 in `fill`
   ProgramBuilder pb;
   // Prologue: bound every DBNZ trip count.
   pb.line().lcu(lcu_set(3, 1 + static_cast<int>(rng.next_below(4)))).emit();
   bool used_dbnz = false;
   for (unsigned l = 1; l <= len; ++l) {
     auto line = pb.line();
-    if (rng.next_below(2)) line.lsu(random_lsu(rng));
-    if (rng.next_below(2)) line.mxcu(random_mxcu(rng));
-    if (rng.next_below(2)) line.lcu(random_lcu(rng, l, len, used_dbnz));
+    if (rng.next_below(2) == 0) line.lsu(random_lsu(rng));
+    if (rng.next_below(fill) == 0) line.mxcu(random_mxcu(rng));
+    if (rng.next_below(fill) == 0) line.lcu(random_lcu(rng, l, len, used_dbnz));
     for (unsigned r = 0; r < arch::kRcsPerColumn; ++r) {
-      if (rng.next_below(2)) line.rc(r, random_rc(rng));
+      if (rng.next_below(fill) != 0) continue;
+      isa::RcInstr i = random_rc(rng);
+      for (isa::RcSrc* src : {&i.src_a, &i.src_b}) {
+        if (!cross && *src == isa::RcSrc::kRcCross) *src = isa::RcSrc::kImm;
+      }
+      line.rc(r, i);
     }
     line.emit();
   }
@@ -235,9 +250,12 @@ isa::ColumnProgram random_program(Rng& rng, unsigned len) {
 TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
   Rng rng(0x7AC3);
   unsigned completed = 0, faulted = 0;
-  for (int trial = 0; trial < 300; ++trial) {
+  // Fallback routes to the interpreter, counted per trial.
+  unsigned bailed = 0, cross_bails = 0, replay_faults = 0, rolled_back = 0;
+  for (int trial = 0; trial < 600; ++trial) {
     const std::uint64_t data_seed = rng.next_u64();
     const isa::ColumnProgram prog = random_program(rng, 2 + rng.next_below(12));
+    const auto trace = cgra::compile_trace(prog);
     // Two-column trials exercise the decoupled replay + conflict detector;
     // single-column trials the plain block replay.
     const bool two_cols = rng.next_below(2) == 1;
@@ -250,7 +268,18 @@ TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
     rt.seed(Rng(data_seed));
     // Bound every DBNZ: r3 holds a small count (host-style SRF write would
     // disturb state symmetrically anyway; poke is free and identical).
+    // Two-column trials pass both columns one parameter set of in-range
+    // rows (SRF-based rows add an offset below 8), so a dynamic store can
+    // land where the partner column reads or writes: the post-hoc conflict
+    // route. Single-column trials keep the wide seeded values, which
+    // mostly fault as out-of-range rows.
     for (unsigned c = 0; c < arch::kNumColumns; ++c) {
+      Rng params(data_seed);
+      for (unsigned i = 0; two_cols && i < arch::kSrfEntries; ++i) {
+        const Word v = params.next_below(arch::kSpmRows - 8);
+        ri.acc.column(c).srf().poke(i, v);
+        rt.acc.column(c).srf().poke(i, v);
+      }
       ri.acc.column(c).srf().poke(3, 3);
       rt.acc.column(c).srf().poke(3, 3);
     }
@@ -280,6 +309,13 @@ TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
     ASSERT_EQ(outcome_i, outcome_t) << "trial " << trial << ": interpreter '"
                                     << err_i << "' vs trace '" << err_t << "'";
     ASSERT_EQ(err_i, err_t) << "trial " << trial;
+    if (!trace->ok) {
+      ++bailed;
+      if (trace->bail_reason == "kRcCross operand") ++cross_bails;
+    } else if (outcome_t != 0) {
+      ++replay_faults;
+    }
+    if (rt.acc.replay_stats().traced_rollbacks > 0) ++rolled_back;
     if (outcome_i == 0) {
       ++completed;
       expect_identical(ri, rt, "trial " + std::to_string(trial));
@@ -297,6 +333,18 @@ TEST(TraceCacheFuzz, RandomProgramsBitCycleEnergyIdentical) {
   // faults dominate -- exactly the population that pins the fallback).
   EXPECT_GT(completed, 15u);
   EXPECT_GT(faulted, 100u);
+  // Every route to the interpreter runs, each floored at about half the
+  // count this seed reads: compile bails (kRcCross among them), replay
+  // faults, and post-hoc conflicts that roll back before the rerun.
+  const std::string routes =
+      std::to_string(bailed) + " bailed (" + std::to_string(cross_bails) +
+      " kRcCross), " + std::to_string(replay_faults) + " replay faults, " +
+      std::to_string(rolled_back) + " rolled back, " +
+      std::to_string(completed) + " completed";
+  EXPECT_GE(bailed, 200u) << routes;  // reads 408
+  EXPECT_GE(cross_bails, 9u) << routes;  // reads 19
+  EXPECT_GE(replay_faults, 17u) << routes;  // reads 35
+  EXPECT_GE(rolled_back, 6u) << routes;  // reads 13
 }
 
 // --- multi-line hardware-loop bodies ------------------------------------------
@@ -490,11 +538,10 @@ std::string launch_twice_identical(const isa::KernelImage& img,
   return err_i;
 }
 
-/// The replay a sync plan asks for: "lockstep" (a kRcCross operand),
-/// "scheduled" (some block is a sync point) or "decoupled" (no sync
-/// vectors at all). Non-empty vectors without a sync point read "invalid".
+/// The replay a sync plan asks for: "scheduled" (some block is a sync
+/// point) or "decoupled" (no sync vectors at all). Non-empty vectors
+/// without a sync point read "invalid".
 std::string plan_kind(const cgra::tc::SyncPlan& p) {
-  if (p.has_cross) return "lockstep";
   unsigned flagged = 0, blocks = 0;
   for (const auto& v : p.sync) {
     blocks += static_cast<unsigned>(v.size());
@@ -506,8 +553,8 @@ std::string plan_kind(const cgra::tc::SyncPlan& p) {
 
 /// Multi-line fused bodies against the interpreter: the bound-body replay
 /// must re-read SRF operands every trip and keep each line's slot order,
-/// on one column and on two (decoupled or scheduled, and lockstep after a
-/// conflict rollback).
+/// on one column and on two (decoupled or scheduled, and interpreted after
+/// a conflict rollback).
 TEST(TraceCacheFuzz, MultiLineLoopBodiesMatchInterpreter) {
   Rng rng(0x100B);
   unsigned clean = 0, long_fused = 0;
@@ -792,11 +839,11 @@ TEST(TraceCache, StaticSpmFlowReplaysOnSyncSchedule) {
 
 /// The same dataflow with a *dynamically* addressed store (SRF-based row):
 /// invisible to the static analysis, so the launch free-runs decoupled, the
-/// post-hoc mask check catches the overlap, and the rollback ladder reruns
-/// in per-cycle lockstep. The hint pins later launches to lockstep until a
-/// reload re-evaluates -- and a reload with a non-conflicting row parameter
-/// returns the kernel to the free pass.
-TEST(TraceCache, DynamicSpmConflictRollsBackAndHintReEvaluates) {
+/// post-hoc mask check catches the overlap, and the launch rolls back and
+/// reruns on the interpreter. Each conflicting launch pays its own free
+/// pass and rollback; once the row parameter stops overlapping (here
+/// across a reload), the next launch stays decoupled.
+TEST(TraceCache, DynamicSpmConflictRollsBackEachLaunch) {
   auto writer = [] {
     ProgramBuilder pb;
     pb.line().rc_all(rc_add(isa::RcDst::kVwrA, isa::RcSrc::kVwrA,
@@ -837,28 +884,34 @@ TEST(TraceCache, DynamicSpmConflictRollsBackAndHintReEvaluates) {
   rt.acc.host_write_srf(0, 4, 40);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  expect_identical(ri, rt, "dynamic conflict (rollback to lockstep)");
+  expect_identical(ri, rt, "dynamic conflict (rollback to interpreter)");
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 0u);
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles,
+            ri.acc.replay_stats().replay_interpreted_cycles);
 
-  // Still resident: the hint sends the relaunch straight to lockstep.
+  // Still resident: the relaunch conflicts again and rolls back again.
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  expect_identical(ri, rt, "hinted relaunch (lockstep, no new rollback)");
-  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
+  expect_identical(ri, rt, "relaunch (conflicts again, rollback)");
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 2u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 0u);
 
   // Change the row parameter so the store no longer overlaps, and force a
-  // reload: the hint is re-evaluated, the relaunch free-runs decoupled, and
-  // the post-hoc check passes -- no new rollback, decoupled cycles grow.
+  // reload: the relaunch free-runs decoupled and the post-hoc check passes
+  // -- no new rollback, decoupled cycles grow.
   ri.acc.run_kernel(ei);
   rt.acc.run_kernel(et);
   ri.acc.host_write_srf(0, 4, 10);
   rt.acc.host_write_srf(0, 4, 10);
   const std::uint64_t dec_before =
       rt.acc.replay_stats().replay_decoupled_cycles;
+  const std::uint64_t traced_before = rt.acc.replay_stats().traced_launches;
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  expect_identical(ri, rt, "reload re-evaluates the hint (decoupled again)");
-  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
+  expect_identical(ri, rt, "non-conflicting reload (decoupled)");
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 2u);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, traced_before + 1);
   EXPECT_GT(rt.acc.replay_stats().replay_decoupled_cycles, dec_before);
 }
 
@@ -917,9 +970,9 @@ TEST(TraceCache, StaticCrossColumnPollRunsOnSyncSchedule) {
 
 /// The same poll through an SRF-based (dynamic) address: invisible to the
 /// static analysis, so free-running column 0 alone would never terminate.
-/// The decoupled attempt must hit its replay budget, roll back, and rerun
-/// in lockstep -- terminating exactly like the interpreter.
-TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndGoesLockstep) {
+/// Every launch's decoupled attempt must hit its replay budget, roll back,
+/// and rerun on the interpreter -- terminating exactly like it.
+TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndRunsInterpreted) {
   constexpr unsigned kFlagWord = 40 * arch::kVwrWords;  // row 40, word 0
   auto poller = [] {
     ProgramBuilder pb;
@@ -957,32 +1010,33 @@ TEST(TraceCache, DynamicCrossColumnPollHitsBudgetAndGoesLockstep) {
   const unsigned ki = ri.acc.register_kernel(img);
   const unsigned kt = rt.acc.register_kernel(img);
   ri.acc.run_kernel(ki);
-  rt.acc.run_kernel(kt);  // must terminate (budget -> rollback -> lockstep)
+  rt.acc.run_kernel(kt);  // must terminate (budget -> rollback -> interpreter)
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
   expect_identical(ri, rt, "dynamic cross-column poll");
-  // The lockstep rerun counts every column-cycle the interpreter ran as a
-  // lockstep cycle, and enters no sync point.
-  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+  // The rerun counts every column-cycle the interpreter ran, and the
+  // abandoned pass leaves no traced launch behind.
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles,
             ri.acc.replay_stats().replay_interpreted_cycles);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 0u);
   EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 
-  // Later launches go straight to lockstep (the hint holds while resident).
+  // The relaunch pays the budget again: another rollback and rerun.
   for (Rig* r : {&ri, &rt}) r->acc.spm().poke(kFlagWord, 0);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 1u);
-  expect_identical(ri, rt, "dynamic cross-column poll, lockstep relaunch");
-  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+  EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 2u);
+  expect_identical(ri, rt, "dynamic cross-column poll, relaunch");
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles,
             ri.acc.replay_stats().replay_interpreted_cycles);
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 0u);
   EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 }
 
-/// kRcCross operands inside a lockstep-traced pair: both columns read the
-/// partner's previous-cycle RC results. Such programs used to be
-/// non-traceable (interpreter only); they now compile with a partner
-/// snapshot slot and replay in the per-cycle lockstep pass -- the
-/// interpreter never runs on the happy path.
-TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
+/// kRcCross operands in a two-column pair: both columns read the partner's
+/// previous-cycle RC results, which the interpreter models cycle by cycle.
+/// Such programs do not compile to traces (the bail names kRcCross), so
+/// every launch runs interpreted and nothing is replayed.
+TEST(TraceCache, CrossColumnOperandsBailToInterpreter) {
   auto make_prog = [](isa::RcDst dst) {
     ProgramBuilder pb;
     pb.line().rc_all(rc_add(isa::RcDst::kR0, isa::RcSrc::kVwrA,
@@ -996,12 +1050,12 @@ TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   const isa::ColumnProgram p0 = make_prog(isa::RcDst::kVwrB);
   const isa::ColumnProgram p1 = make_prog(isa::RcDst::kVwrC);
 
-  const auto t0 = cgra::compile_trace(p0);
-  ASSERT_TRUE(t0->ok);
-  EXPECT_TRUE(t0->has_cross);
-  const auto t1 = cgra::compile_trace(p1);
-  EXPECT_EQ(plan_kind(cgra::tc::make_sync_plan(t0.get(), t1.get())),
-            "lockstep");
+  for (const isa::ColumnProgram* p : {&p0, &p1}) {
+    const auto t = cgra::compile_trace(*p);
+    EXPECT_FALSE(t->ok);
+    EXPECT_NE(t->bail_reason.find("kRcCross"), std::string::npos)
+        << t->bail_reason;
+  }
 
   Rig ri(ExecMode::kInterpret);
   Rig rt(ExecMode::kTraceCache);
@@ -1012,22 +1066,16 @@ TEST(TraceCache, CrossColumnOperandsReplayInLockstep) {
   const unsigned kt = rt.acc.register_kernel(img);
   ri.acc.run_kernel(ki);
   rt.acc.run_kernel(kt);
-  expect_identical(ri, rt, "cross-operand lockstep replay");
-  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 1u);
+  expect_identical(ri, rt, "cross-operand interpreted run");
+  EXPECT_EQ(rt.acc.replay_stats().traced_launches, 0u);
   EXPECT_EQ(rt.acc.replay_stats().traced_rollbacks, 0u);
-  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles, 0u);
-  EXPECT_GT(rt.acc.replay_stats().replay_lockstep_cycles, 0u);
-  // A lockstep launch counts every column-cycle the interpreter ran as a
-  // lockstep cycle, and enters no sync point.
-  EXPECT_EQ(rt.acc.replay_stats().replay_lockstep_cycles,
+  EXPECT_EQ(rt.acc.replay_stats().replay_interpreted_cycles,
             ri.acc.replay_stats().replay_interpreted_cycles);
-  EXPECT_EQ(rt.acc.replay_stats().replay_sync_points, 0u);
 }
 
 /// A kRcCross operand without a running partner column must surface the
 /// interpreter's documented SimError with identical partial state: the
-/// replay faults on the missing snapshot, rolls back, and the interpreter
-/// reruns to raise it.
+/// program does not compile to a trace, so the interpreter raises it.
 TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
   ProgramBuilder pb;
   pb.line().rc_all(rc_mv(isa::RcDst::kR0, isa::RcSrc::kOne)).emit();
@@ -1060,8 +1108,8 @@ TEST(TraceCache, CrossWithoutPartnerFaultsIdentically) {
 /// The trace-mode twin of Column.MissingExitThrows: a program that falls
 /// through its last line raises the interpreter's "branch past end" fault
 /// from every replay site -- a plain block and a fused loop on one column,
-/// decoupled and scheduled plans on two, and the lockstep pass -- and
-/// the rollback leaves the interpreter's exact partial state and energy.
+/// decoupled and scheduled plans on two -- and the rollback leaves the
+/// interpreter's exact partial state and energy.
 TEST(TraceCache, MissingExitFaultsIdentically) {
   using isa::RcDst;
   using isa::RcSrc;
@@ -1095,12 +1143,6 @@ TEST(TraceCache, MissingExitFaultsIdentically) {
     pb.line().lsu(lsu_ld_vwr(VwrSel::B, 40)).emit();
     return pb.build();
   };
-  auto cross = [] {
-    ProgramBuilder pb;
-    pb.line().rc_all(rc_add(RcDst::kR0, RcSrc::kVwrA, RcSrc::kOne)).emit();
-    pb.line().rc_all(rc_add(RcDst::kVwrB, RcSrc::kRcCross, RcSrc::kR0)).emit();
-    return pb.build();
-  };
   struct Case {
     const char* what;
     isa::KernelImage img;
@@ -1114,8 +1156,6 @@ TEST(TraceCache, MissingExitFaultsIdentically) {
        "decoupled"},
       {"two columns, scheduled", make_kernel2("fall_sync", store(), load()),
        "scheduled"},
-      {"two columns, lockstep", make_kernel2("fall_cross", cross(), cross()),
-       "lockstep"},
   };
   for (const Case& c : cases) {
     std::array<std::shared_ptr<const cgra::CompiledTrace>, arch::kNumColumns> t;
