@@ -275,6 +275,45 @@ TEST(Journal, ReplayerRefusesProtocolMismatch) {
   EXPECT_NE(rep.error.find("protocol"), std::string::npos);
 }
 
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
+  }
+  return s;
+}
+
+/// A journal fed by hand under a fixed clock: the file bytes are the
+/// format (vwr2a_replay reads journals of older builds), so a reordered
+/// field, a changed width or a moved checksum must fail here.
+TEST(Journal, FinalizedJournalMatchesPinnedBytes) {
+  const std::string path = ::testing::TempDir() + "journal_pinned.vwr2jrn";
+  Journal j;
+  std::string why;
+  ASSERT_TRUE(j.open(path, 9, &why)) << why;
+  const std::uint32_t conn = j.conn_open(1000);
+  j.frame(conn, 2000, {0x01, 0x02, 0x03});
+  j.frame(conn, 3000, {0xaa});
+  j.result(conn, 7, {1, -2});
+  j.conn_close(conn, 4000);
+  ASSERT_TRUE(j.finalize(&why)) << why;
+  const std::vector<std::uint8_t> got = read_file(path);
+  std::remove(path.c_str());
+  // Header (magic, version, protocol, file size, payload and header
+  // checksums, trailer offset), four records (open, two frames, close),
+  // then the one-stream digest trailer.
+  EXPECT_EQ(to_hex(got),
+            "56575232414a524e0100000009000000ac0000000000000080868b14acf80c4e"
+            "d78a2bec2f3cbd0e9000000000000000"
+            "01000000000000000000000000e803000000000000"
+            "02000000000100000000000000d0070000000000000300000001020302000000"
+            "000200000000000000b80b00000000000001000000aa"
+            "03000000000300000000000000a00f000000000000"
+            "0100000000000000070000000100000000000000c826ba3a2adf7900");
+}
+
 TEST(Journal, EverySingleBitFlipRejectsCleanly) {
   const std::string path = ::testing::TempDir() + "journal_fuzz.vwr2jrn";
   record_soak(path, 1);

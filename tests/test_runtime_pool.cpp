@@ -706,6 +706,42 @@ TEST(RuntimeFaults, CheckpointCodecRoundTripsAndRejectsCorruption) {
   EXPECT_FALSE(decode_checkpoint({}, &d));
 }
 
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
+  }
+  return s;
+}
+
+/// The checkpoint bytes are a format (a failover hands them between
+/// devices), so a reordered field or a changed width must fail here.
+TEST(RuntimeFaults, CheckpointEncodesToPinnedBytes) {
+  DeviceCheckpoint c;
+  c.arch = "vwr2a";
+  c.sys_base = 0x8000;
+  c.bio_resident = true;
+  c.write_gen = 0x0102030405060708ull;
+  c.sram = {0x11223344u, 0xfffffffeu};
+  SpmRowImage row;
+  row.row = 5;
+  row.stamp = 9;
+  row.data.front() = 0xa1b2c3d4u;
+  row.data.back() = 7;
+  c.spm_rows.push_back(row);
+  // Prologue (magic, version, payload checksum), then arch, sys_base,
+  // bio_resident, write_gen, the SRAM words and the one row: row index,
+  // stamp, then kVwrWords words of which only the first and last are set.
+  const std::string want =
+      std::string("56575232434b500001000000") + "f439164e4e55f43e" +
+      "0500000076777232610080000001080706050403020102000000443322" +
+      "11feffffff01000000050000000900000000000000d4c3b2a1" +
+      std::string(8 * (arch::kVwrWords - 2), '0') + "07000000";
+  EXPECT_EQ(to_hex(encode_checkpoint(c)), want);
+}
+
 /// A blob whose SRAM count lies but whose checksum was recomputed over the
 /// edit passes the checksum, so only the decoder's count rule stands
 /// between it and an over-read: counts just past the remaining bytes (but
