@@ -2,16 +2,22 @@
 // The one binary codec behind the repo's on-disk and wire formats: device
 // checkpoints (runtime/checkpoint.cpp), traffic journals (.vwr2jrn,
 // obs/journal.cpp), trace captures (.vwr2trc, obs/capture.cpp) and the
-// gateway wire protocol (gateway/protocol.cpp, whose frames are field
-// lists walked over this Writer and Reader). It holds a little-endian
+// gateway wire protocol (gateway/protocol.cpp). It holds a little-endian
 // Writer, a bounds-checked sticky-failure Reader, the FNV-1a checksum the
-// checksummed formats are defined with and the plain word-wise FNV-1a the
-// digests use. Keeping one implementation means byte order, string and
-// array framing and the reject-on-truncation discipline cannot drift
-// between formats. Every count prefix (strings, arrays) follows one rule:
-// count x element wire size must fit the bytes that remain, checked before
-// anything is allocated.
+// checksummed formats are defined with, the plain word-wise FNV-1a the
+// digests use, and the field-list walker (put/get/wire_size) every format
+// encodes and decodes its records with. A record lists its wire fields
+// once, in wire order, in a static `tie`; the walker maps the member types
+// onto wire widths: fixed-width integers at their width (bool as a u8),
+// double as an f64 bit pattern, strings u32-length-prefixed, vectors
+// u32-count-prefixed, std::array as its elements with no prefix, and a
+// nested record as its own `tie`. Keeping one
+// implementation means byte order, string and array framing and the
+// reject-on-truncation discipline cannot drift between formats. Every
+// count prefix, u32 or u64, follows one rule: count x element wire size
+// must fit the bytes that remain, checked before anything is allocated.
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +25,9 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vwr2a::codec {
@@ -63,23 +72,18 @@ class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
 
+  /// Any integer, bool included, as its sizeof(I) low bytes.
+  template <class I>
+  void integer(I v) { put(static_cast<std::uint64_t>(v), sizeof(I)); }
   void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v) { put(v, 2); }
   void u32(std::uint32_t v) { put(v, 4); }
   void u64(std::uint64_t v) { put(v, 8); }
-  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v), 4); }
   /// IEEE-754 bit pattern as a u64: NaN payloads survive the round trip.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   /// u32 length, then the bytes.
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     if (!s.empty()) std::memcpy(grow(s.size()), s.data(), s.size());
-  }
-  /// u32 count, then each element written by `elem(writer, element)`.
-  template <class T, class Elem>
-  void array(const std::vector<T>& v, Elem&& elem) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const T& x : v) elem(*this, x);
   }
 
  private:
@@ -126,11 +130,12 @@ class Reader {
   std::size_t remaining() const { return n_ - pos_; }
   bool at_end() const { return pos_ == n_; }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
+  /// Any integer, bool included (any non-zero byte reads true).
+  template <class I>
+  I integer() { return static_cast<I>(get(sizeof(I))); }
+  std::uint8_t u8() { return integer<std::uint8_t>(); }
+  std::uint32_t u32() { return integer<std::uint32_t>(); }
   std::uint64_t u64() { return get(8); }
-  std::int32_t i32() { return static_cast<std::int32_t>(get(4)); }
   double f64() { return std::bit_cast<double>(get(8)); }
 
   /// The next `len` raw bytes, consumed; empty (and the reader failed)
@@ -147,34 +152,28 @@ class Reader {
 
   /// Length-prefixed string (Writer::str).
   std::string str() {
-    const std::span<const std::uint8_t> b = bytes(count(1));
+    const std::span<const std::uint8_t> b = bytes(count<std::uint32_t>(1));
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
-  /// Count-prefixed array (Writer::array): `elem(reader)` reads one
-  /// element of at least `elem_bytes` (> 0) wire bytes.
-  template <class T, class Elem>
-  std::vector<T> array(std::size_t elem_bytes, Elem&& elem) {
-    const std::uint32_t n = count(elem_bytes);
-    std::vector<T> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(elem(*this));
-    return v;
-  }
-
- private:
-  /// Reads a u32 count and applies the count-vs-remaining rule before the
-  /// caller allocates: a lying count fails the reader (and yields 0)
-  /// instead of over-allocating or over-reading.
-  std::uint32_t count(std::size_t elem_bytes) {
-    const std::uint32_t n = u32();
+  /// Reads a `Count` (u32 or u64) count prefix and applies the
+  /// count-vs-remaining rule before the caller allocates: a count whose
+  /// `elem_bytes` (> 0) wire bytes per element cannot fit the bytes that
+  /// remain fails the reader (and yields 0) instead of over-allocating or
+  /// over-reading.
+  template <class Count>
+  std::size_t count(std::size_t elem_bytes) {
+    static_assert(std::is_same_v<Count, std::uint32_t> ||
+                  std::is_same_v<Count, std::uint64_t>);
+    const std::uint64_t n = get(sizeof(Count));
     if (!ok_ || n > remaining() / elem_bytes) {
       ok_ = false;
       return 0;
     }
-    return n;
+    return static_cast<std::size_t>(n);
   }
 
+ private:
   std::uint64_t get(unsigned bytes) {
     if (!ok_ || bytes > remaining()) {
       ok_ = false;
@@ -199,5 +198,93 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// --- the field-list walker ----------------------------------------------------
+
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+template <class T>
+constexpr bool kIsArray = false;
+template <class T, std::size_t N>
+constexpr bool kIsArray<std::array<T, N>> = true;
+
+/// Wire bytes of one T -- for strings and vectors, of their empty form.
+/// Array elements are sized with it for the count-vs-remaining rule.
+template <class T>
+constexpr std::size_t wire_size() {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (kIsVector<T> || std::is_same_v<T, std::string>) {
+    return 4;
+  } else if constexpr (kIsArray<T>) {
+    return std::tuple_size_v<T> * wire_size<typename T::value_type>();
+  } else {
+    // Summed over the field types alone: no T is built, so a record with
+    // string fields still sizes at compile time.
+    using Tie = decltype(T::tie(std::declval<T&>()));
+    return []<class... F>(std::type_identity<std::tuple<F...>>) {
+      return (std::size_t{0} + ... + wire_size<std::remove_cvref_t<F>>());
+    }(std::type_identity<Tie>{});
+  }
+}
+
+/// The one generic writer: integers and doubles map onto Writer, strings
+/// and vectors are u32-prefixed, std::arrays are their elements, and a
+/// record writes its `tie` fields in order.
+template <class T>
+void put(Writer& w, const T& v) {
+  if constexpr (std::is_integral_v<T>) {
+    w.integer(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (kIsVector<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& x : v) put(w, x);
+  } else if constexpr (kIsArray<T>) {
+    for (const auto& x : v) put(w, x);
+  } else {
+    std::apply([&w](const auto&... f) { (put(w, f), ...); }, T::tie(v));
+  }
+}
+
+/// The one generic reader, field for field the mirror of put(). Reads are
+/// sticky-failure: the caller checks the reader once at the end.
+template <class T>
+void get(Reader& r, T& v) {
+  if constexpr (std::is_integral_v<T>) {
+    v = r.integer<T>();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.str();
+  } else if constexpr (kIsVector<T>) {
+    // The count passes the count rule before the vector is sized from it.
+    v.resize(r.count<std::uint32_t>(wire_size<typename T::value_type>()));
+    for (auto& x : v) get(r, x);
+  } else if constexpr (kIsArray<T>) {
+    for (auto& x : v) get(r, x);
+  } else {
+    std::apply([&r](auto&... f) { (get(r, f), ...); }, T::tie(v));
+  }
+}
+
+/// get() of a record that returns how many `tie` fields were read before
+/// the reader failed (all of them on success), so a decoder can name the
+/// field a truncation or a lying count stopped at.
+template <class T>
+std::size_t get_fields(Reader& r, T& v) {
+  return std::apply(
+      [&r](auto&... f) {
+        std::size_t read = 0;
+        ((get(r, f), read += r.ok() ? 1 : 0), ...);
+        return read;
+      },
+      T::tie(v));
+}
 
 } // namespace vwr2a::codec

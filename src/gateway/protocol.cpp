@@ -1,95 +1,10 @@
 #include "gateway/protocol.hpp"
 
-#include <string>
-#include <tuple>
-#include <type_traits>
-#include <utility>
-
 #include "common/codec.hpp"
 
 namespace vwr2a::gateway {
 
 namespace {
-
-template <class T>
-constexpr bool kIsVector = false;
-template <class T>
-constexpr bool kIsVector<std::vector<T>> = true;
-
-/// Wire bytes of one T -- for strings and vectors, of their empty form.
-/// Array elements are sized with it for the count-vs-remaining check.
-template <class T>
-constexpr std::size_t wire_size() {
-  if constexpr (std::is_arithmetic_v<T>) {
-    return sizeof(T);
-  } else if constexpr (kIsVector<T> || std::is_same_v<T, std::string>) {
-    return 4;
-  } else {
-    // Summed over the field types alone: no T is built, so a struct with
-    // string fields still sizes at compile time.
-    using Tie = decltype(T::tie(std::declval<T&>()));
-    return []<class... F>(std::type_identity<std::tuple<F...>>) {
-      return (std::size_t{0} + ... + wire_size<std::remove_cvref_t<F>>());
-    }(std::type_identity<Tie>{});
-  }
-}
-
-/// The one generic writer: scalars and strings map onto codec::Writer,
-/// vectors are count-prefixed arrays, and a struct writes its `tie` fields
-/// in order.
-template <class T>
-void put(codec::Writer& w, const T& v) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    w.u8(v);
-  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
-    w.u16(v);
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    w.u32(v);
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    w.u64(v);
-  } else if constexpr (std::is_same_v<T, std::int32_t>) {
-    w.i32(v);
-  } else if constexpr (std::is_same_v<T, double>) {
-    w.f64(v);
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    w.str(v);
-  } else if constexpr (kIsVector<T>) {
-    w.array(v, [](codec::Writer& w, const auto& x) { put(w, x); });
-  } else {
-    std::apply([&w](const auto&... f) { (put(w, f), ...); }, T::tie(v));
-  }
-}
-
-/// The one generic reader, field for field the mirror of put(). Reads are
-/// sticky-failure: the caller checks the reader once at the end.
-template <class T>
-void get(codec::Reader& r, T& v) {
-  if constexpr (std::is_same_v<T, std::uint8_t>) {
-    v = r.u8();
-  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
-    v = r.u16();
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    v = r.u32();
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    v = r.u64();
-  } else if constexpr (std::is_same_v<T, std::int32_t>) {
-    v = r.i32();
-  } else if constexpr (std::is_same_v<T, double>) {
-    v = r.f64();
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    v = r.str();
-  } else if constexpr (kIsVector<T>) {
-    using E = typename T::value_type;
-    constexpr std::size_t kElemBytes = wire_size<E>();
-    v = r.array<E>(kElemBytes, [](codec::Reader& r) {
-      E x;
-      get(r, x);
-      return x;
-    });
-  } else {
-    std::apply([&r](auto&... f) { (get(r, f), ...); }, T::tie(v));
-  }
-}
 
 /// Decodes the payload of the Frame alternative whose kType is `type`.
 template <std::size_t I = 0>
@@ -101,7 +16,7 @@ Frame decode_payload(FrameType type, codec::Reader& r) {
     using T = std::variant_alternative_t<I, Frame>;
     if (type != T::kType) return decode_payload<I + 1>(type, r);
     T f;
-    get(r, f);
+    codec::get(r, f);
     return f;
   }
 }
@@ -118,7 +33,7 @@ void encode(const Frame& f, std::vector<std::uint8_t>& out) {
   w.u32(0);  // patched below
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(frame_type(f)));
-  std::visit([&w](const auto& v) { put(w, v); }, f);
+  std::visit([&w](const auto& v) { codec::put(w, v); }, f);
   const std::size_t body = out.size() - len_at - 4;  // ver + type + payload
   if (body - 2 > kMaxFramePayload) {
     throw ProtocolError("gateway: frame payload exceeds kMaxFramePayload");

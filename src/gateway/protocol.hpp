@@ -84,11 +84,11 @@ enum class FrameType : std::uint8_t {
 // --- frame structs ------------------------------------------------------------
 //
 // Each frame struct lists its wire fields once, in wire order, in `tie`;
-// the codec (protocol.cpp) walks that list to encode and decode, so a
-// frame's layout is written nowhere else. The member types are the wire
-// widths: u8/u16/u32/u64 scalars, double as an f64 bit pattern, strings
-// u32-length-prefixed, vectors u32-count-prefixed. `kType` is the frame's
-// FrameType.
+// the field-list walker of common/codec.hpp walks that list to encode and
+// decode, so a frame's layout is written nowhere else. The member types
+// are the wire widths: u8/u16/u32/u64 scalars, double as an f64 bit
+// pattern, strings u32-length-prefixed, vectors u32-count-prefixed.
+// `kType` is the frame's FrameType.
 
 /// Opens one logical stream on the connection. `stream` is a client-chosen
 /// id, unique among the connection's live streams.

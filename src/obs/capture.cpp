@@ -57,48 +57,51 @@ Capture to_capture(const Tracer::Snapshot& snap) {
     auto [it, fresh] =
         interned.try_emplace(name, static_cast<std::uint32_t>(cap.names.size()));
     if (fresh) cap.names.emplace_back(name);
-    Capture::Ev ev;
-    ev.name = it->second;
-    ev.tid = e.tid;
-    ev.kind = e.kind;
-    ev.ts_ns = e.ts_ns;
-    ev.dur_ns = e.dur_ns;
-    ev.window = e.window;
-    ev.sim_begin = e.sim_begin;
-    ev.sim_dur = e.sim_dur;
-    ev.a1 = e.a1;
-    ev.a2 = e.a2;
-    ev.a3 = e.a3;
-    cap.events.push_back(ev);
+    cap.events.push_back({it->second, e.tid, e.kind, e.ts_ns, e.dur_ns,
+                          e.window, e.sim_begin, e.sim_dur, e.a1, e.a2, e.a3});
   }
   return cap;
 }
 
-bool save_capture(const Tracer::Snapshot& snap, const std::string& path,
-                  std::string* why) {
-  const Capture cap = to_capture(snap);
+std::vector<std::uint8_t> encode_capture(const Capture& cap) {
   std::vector<std::uint8_t> out;
   codec::Writer w(out);
   w.u64(kMagic);
   w.u32(kFormatVersion);
   w.u32(cap.threads);
   w.u64(cap.dropped);
-  w.u32(static_cast<std::uint32_t>(cap.names.size()));
-  for (const std::string& n : cap.names) w.str(n);
-  w.u64(cap.events.size());
+  codec::put(w, cap.names);
+  w.u64(cap.events.size());  // the one u64 count of the repo's formats
+  for (const Capture::Ev& e : cap.events) codec::put(w, e);
+  return out;
+}
+
+bool decode_capture(std::span<const std::uint8_t> bytes, Capture* out,
+                    std::string* why) {
+  codec::Reader r(bytes.data(), bytes.size());
+  if (r.u64() != kMagic) return fail(why, "bad magic (not a .vwr2trc capture)");
+  const std::uint32_t version = r.u32();
+  if (!r.ok()) return fail(why, "truncated header");
+  if (version != kFormatVersion) return fail(why, "unsupported capture version");
+  Capture cap;
+  cap.threads = r.u32();
+  cap.dropped = r.u64();
+  codec::get(r, cap.names);
+  if (!r.ok()) return fail(why, "truncated string table");
+  cap.events.resize(r.count<std::uint64_t>(codec::wire_size<Capture::Ev>()));
+  for (Capture::Ev& e : cap.events) codec::get(r, e);
+  if (!r.ok()) return fail(why, "truncated event table");
+  if (!r.at_end()) return fail(why, "trailing bytes after the event table");
   for (const Capture::Ev& e : cap.events) {
-    w.u32(e.name);
-    w.u32(e.tid);
-    w.u8(e.kind);
-    w.u64(e.ts_ns);
-    w.u64(e.dur_ns);
-    w.u64(e.window);
-    w.u64(e.sim_begin);
-    w.u64(e.sim_dur);
-    w.u64(e.a1);
-    w.u64(e.a2);
-    w.u64(e.a3);
+    if (e.name >= cap.names.size()) return fail(why, "event name out of range");
   }
+  *out = std::move(cap);
+  return true;
+}
+
+bool save_capture(const Tracer::Snapshot& snap, const std::string& path,
+                  std::string* why) {
+  const std::vector<std::uint8_t> out = encode_capture(to_capture(snap));
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return fail(why, "cannot open capture file for writing");
   f.write(reinterpret_cast<const char*>(out.data()),
@@ -113,44 +116,7 @@ bool load_capture(const std::string& path, Capture* out, std::string* why) {
   if (!f) return fail(why, "cannot open capture file");
   const std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(f)),
                                       std::istreambuf_iterator<char>());
-  codec::Reader r(buf.data(), buf.size());
-  if (r.u64() != kMagic) return fail(why, "bad magic (not a .vwr2trc capture)");
-  const std::uint32_t version = r.u32();
-  if (!r.ok()) return fail(why, "truncated header");
-  if (version != kFormatVersion) return fail(why, "unsupported capture version");
-  Capture cap;
-  cap.threads = r.u32();
-  cap.dropped = r.u64();
-  // Every name needs at least its 4-byte length on disk.
-  cap.names =
-      r.array<std::string>(4, [](codec::Reader& in) { return in.str(); });
-  if (!r.ok()) return fail(why, "truncated string table");
-  const std::uint64_t nevents = r.u64();
-  if (!r.ok()) return fail(why, "truncated event count");
-  constexpr std::size_t kEvBytes = 4 + 4 + 1 + 8 * 8;
-  if (nevents > r.remaining() / kEvBytes) {
-    return fail(why, "event count exceeds file");
-  }
-  cap.events.reserve(nevents);
-  for (std::uint64_t i = 0; i < nevents; ++i) {
-    Capture::Ev e;
-    e.name = r.u32();
-    e.tid = r.u32();
-    e.kind = r.u8();
-    e.ts_ns = r.u64();
-    e.dur_ns = r.u64();
-    e.window = r.u64();
-    e.sim_begin = r.u64();
-    e.sim_dur = r.u64();
-    e.a1 = r.u64();
-    e.a2 = r.u64();
-    e.a3 = r.u64();
-    if (!r.ok()) return fail(why, "truncated event record");
-    if (e.name >= cap.names.size()) return fail(why, "event name out of range");
-    cap.events.push_back(e);
-  }
-  *out = std::move(cap);
-  return true;
+  return decode_capture(buf, out, why);
 }
 
 void write_chrome_json(const Capture& cap, std::ostream& os) {

@@ -1,23 +1,28 @@
 #pragma once
 // Trace capture files (.vwr2trc): the on-disk form of a Tracer snapshot.
 // A capture is a string table (event names) plus fixed-size little-endian
-// event records; load/save, Chrome trace_event JSON export and window-chain
-// analysis live here so the vwr2a_trace tool and the obs and journal
-// tests all share one implementation. Format (all little-endian, through
-// common/codec.hpp):
+// event records; encode/decode, load/save, Chrome trace_event JSON export
+// and window-chain analysis live here so the vwr2a_trace tool and the obs
+// and journal tests all share one implementation. Format (all
+// little-endian, through the field-list walker of common/codec.hpp):
 //
 //   magic   "VWR2ATRC"                     8 bytes
 //   u32     format version (1)
 //   u32     threads (rings that recorded)
 //   u64     dropped (exact drop-oldest total)
 //   u32     name count, then per name: u32 length + bytes
-//   u64     event count, then per event:
+//   u64     event count, then per event (Capture::Ev::tie):
 //           u32 name index, u32 tid, u8 kind,
 //           u64 ts_ns, dur_ns, window, sim_begin, sim_dur, a1, a2, a3
+//
+// Nothing follows the last event. The encoding is canonical: bytes that
+// decode re-encode to themselves.
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,6 +43,11 @@ struct Capture {
     std::uint64_t a1 = 0;
     std::uint64_t a2 = 0;
     std::uint64_t a3 = 0;
+
+    static constexpr auto tie(auto& e) {
+      return std::tie(e.name, e.tid, e.kind, e.ts_ns, e.dur_ns, e.window,
+                      e.sim_begin, e.sim_dur, e.a1, e.a2, e.a3);
+    }
   };
   std::vector<std::string> names;
   std::vector<Ev> events;
@@ -50,8 +60,19 @@ struct Capture {
 /// Intern a live snapshot into the string-table form (no I/O).
 Capture to_capture(const Tracer::Snapshot& snap);
 
+/// The .vwr2trc bytes of `cap` (format above).
+std::vector<std::uint8_t> encode_capture(const Capture& cap);
+/// Parses .vwr2trc bytes. False (and a reason, when `why` is non-null) on
+/// any bad magic, version, truncation, lying count, out-of-range name
+/// index or trailing byte; `out` is then untouched. Never throws on
+/// malformed input.
+bool decode_capture(std::span<const std::uint8_t> bytes, Capture* out,
+                    std::string* why = nullptr);
+
+/// encode_capture(to_capture(snap)), written to `path`.
 bool save_capture(const Tracer::Snapshot& snap, const std::string& path,
                   std::string* why = nullptr);
+/// Reads `path`, then decode_capture().
 bool load_capture(const std::string& path, Capture* out,
                   std::string* why = nullptr);
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
 
 #include "common/codec.hpp"
 
@@ -13,9 +12,6 @@ namespace {
 
 // Header field offsets (see journal.hpp for the layout).
 constexpr std::uint64_t kHeaderBytes = 48;
-constexpr std::uint64_t kOffMagic = 0;
-constexpr std::uint64_t kOffVersion = 8;
-constexpr std::uint64_t kOffProtocol = 12;
 constexpr std::uint64_t kOffFileSize = 16;
 constexpr std::uint64_t kOffPayloadFnv = 24;
 constexpr std::uint64_t kOffHeaderFnv = 32;
@@ -43,39 +39,38 @@ bool Journal::open(const std::string& path, std::uint32_t protocol,
   return true;
 }
 
+void Journal::head_locked(std::uint8_t kind, std::uint32_t conn,
+                          std::uint64_t ts_ns) {
+  codec::Writer w(records_);
+  JournalRecord head;
+  head.kind = kind;
+  head.conn = conn;
+  head.seq = next_seq_++;
+  head.ts_ns = ts_ns;
+  codec::put(w, head);
+}
+
 std::uint32_t Journal::conn_open(std::uint64_t ts_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint32_t conn = next_conn_++;
   if (failed_ || finalized_) return conn;
-  codec::Writer w(records_);
-  w.u8(JournalRecord::kConnOpen);
-  w.u32(conn);
-  w.u64(next_seq_++);
-  w.u64(ts_ns);
+  head_locked(JournalRecord::kConnOpen, conn, ts_ns);
   return conn;
 }
 
 void Journal::conn_close(std::uint32_t conn, std::uint64_t ts_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   if (failed_ || finalized_) return;
-  codec::Writer w(records_);
-  w.u8(JournalRecord::kConnClose);
-  w.u32(conn);
-  w.u64(next_seq_++);
-  w.u64(ts_ns);
+  head_locked(JournalRecord::kConnClose, conn, ts_ns);
 }
 
 void Journal::frame(std::uint32_t conn, std::uint64_t ts_ns,
                     const std::vector<std::uint8_t>& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (failed_ || finalized_) return;
+  head_locked(JournalRecord::kFrame, conn, ts_ns);
   codec::Writer w(records_);
-  w.u8(JournalRecord::kFrame);
-  w.u32(conn);
-  w.u64(next_seq_++);
-  w.u64(ts_ns);
-  w.u32(static_cast<std::uint32_t>(bytes.size()));
-  records_.insert(records_.end(), bytes.begin(), bytes.end());
+  codec::put(w, bytes);
 }
 
 void Journal::result(std::uint32_t conn, std::uint32_t stream,
@@ -117,13 +112,7 @@ bool Journal::finalize(std::string* why) {
   w.u64(0);  // trailer_off, patched below
   file.insert(file.end(), records_.begin(), records_.end());
   const std::uint64_t trailer_off = file.size();
-  w.u32(static_cast<std::uint32_t>(digests_.size()));
-  for (const JournalDigest& d : digests_) {
-    w.u32(d.conn);
-    w.u32(d.stream);
-    w.u64(d.windows);
-    w.u64(d.fnv);
-  }
+  codec::put(w, digests_);
   codec::patch_u64(file, kOffFileSize, file.size());
   codec::patch_u64(file, kOffTrailerOff, trailer_off);
   codec::patch_u64(
@@ -142,12 +131,8 @@ bool Journal::finalize(std::string* why) {
   return true;
 }
 
-bool load_journal(const std::string& path, JournalFile* out,
-                  std::string* why) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return fail(why, "journal: cannot open '" + path + "'");
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(f)),
-                                std::istreambuf_iterator<char>());
+bool decode_journal(std::span<const std::uint8_t> buf, JournalFile* out,
+                    std::string* why) {
   if (buf.size() < kHeaderBytes) {
     return fail(why, "journal: file shorter than the header");
   }
@@ -188,10 +173,7 @@ bool load_journal(const std::string& path, JournalFile* out,
   std::uint64_t expect_seq = 0;
   while (!r.at_end()) {
     JournalRecord rec;
-    rec.kind = r.u8();
-    rec.conn = r.u32();
-    rec.seq = r.u64();
-    rec.ts_ns = r.u64();
+    codec::get(r, rec);
     if (!r.ok()) return fail(why, "journal: truncated record");
     if (rec.kind != JournalRecord::kConnOpen &&
         rec.kind != JournalRecord::kFrame &&
@@ -202,31 +184,31 @@ bool load_journal(const std::string& path, JournalFile* out,
       return fail(why, "journal: arrival sequence out of order");
     }
     if (rec.kind == JournalRecord::kFrame) {
-      const std::span<const std::uint8_t> frame = r.bytes(r.u32());
+      codec::get(r, rec.bytes);
       if (!r.ok()) return fail(why, "journal: frame record overruns the file");
-      rec.bytes.assign(frame.begin(), frame.end());
     }
     jf.records.push_back(std::move(rec));
   }
 
   // Trailer: bytes [trailer_off, file end).
   codec::Reader t(buf.data() + trailer_off, buf.size() - trailer_off);
-  const std::uint32_t count = t.u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    JournalDigest d;
-    d.conn = t.u32();
-    d.stream = t.u32();
-    d.windows = t.u64();
-    d.fnv = t.u64();
-    if (!t.ok()) return fail(why, "journal: truncated digest trailer");
-    jf.digests.push_back(d);
-  }
-  if (!t.ok() || !t.at_end()) {
+  codec::get(t, jf.digests);
+  if (!t.ok()) return fail(why, "journal: truncated digest trailer");
+  if (!t.at_end()) {
     return fail(why, "journal: trailing bytes after the digest trailer");
   }
 
   *out = std::move(jf);
   return true;
+}
+
+bool load_journal(const std::string& path, JournalFile* out,
+                  std::string* why) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return fail(why, "journal: cannot open '" + path + "'");
+  const std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(f)),
+                                      std::istreambuf_iterator<char>());
+  return decode_journal(buf, out, why);
 }
 
 } // namespace vwr2a::obs

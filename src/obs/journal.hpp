@@ -16,8 +16,8 @@
 // output words makes "replay reproduces the soak" a meaningful bit-exact
 // gate on any machine and any fleet shape.
 //
-// File layout (all little-endian, through the shared codec -- see
-// src/common/codec.hpp and docs/observability.md):
+// File layout (all little-endian; records and digests go through the
+// field-list walker of src/common/codec.hpp -- see docs/observability.md):
 //
 //   header (48 bytes)
 //     u64 magic      "VWR2AJRN"
@@ -27,13 +27,13 @@
 //     u64 payload_fnv  codec::fnv1a over bytes [48, file_size)
 //     u64 header_fnv   codec::fnv1a over the header, this field zeroed
 //     u64 trailer_off  absolute offset of the digest trailer
-//   records, in global arrival order
+//   records, in global arrival order (head: JournalRecord::tie)
 //     u8 kind (1 conn-open, 2 frame, 3 conn-close), u32 conn, u64 seq,
 //     u64 ts_ns; kind 2 adds u32 len + the encoded frame bytes
 //   trailer
-//     u32 count, then per stream: u32 conn, u32 stream, u64 windows,
-//     u64 fnv (offset-basis FNV-1a folding each output word:
-//     h = (h ^ u32(word)) * prime)
+//     u32 count, then per stream (JournalDigest::tie): u32 conn,
+//     u32 stream, u64 windows, u64 fnv (offset-basis FNV-1a folding each
+//     output word: h = (h ^ u32(word)) * prime)
 //
 // Every byte is covered by header_fnv or payload_fnv, so any single-bit
 // flip or truncation is rejected at load -- cleanly (false + reason),
@@ -48,7 +48,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace vwr2a::obs {
@@ -70,6 +72,12 @@ struct JournalRecord {
   std::uint64_t seq = 0;    ///< global arrival sequence, from 0
   std::uint64_t ts_ns = 0;  ///< Server::now_ns() at the event
   std::vector<std::uint8_t> bytes;  ///< kFrame only: the full wire frame
+
+  /// The record head's wire fields; a kFrame record's `bytes` follow it as
+  /// a length-prefixed tail.
+  static constexpr auto tie(auto& r) {
+    return std::tie(r.kind, r.conn, r.seq, r.ts_ns);
+  }
 };
 
 /// Delivered-output digest of one stream: the replay identity contract.
@@ -78,6 +86,10 @@ struct JournalDigest {
   std::uint32_t stream = 0;      ///< client-chosen stream id
   std::uint64_t windows = 0;     ///< WINDOW_RESULT frames delivered
   std::uint64_t fnv = 0;         ///< FNV-1a over output words, index order
+
+  static constexpr auto tie(auto& d) {
+    return std::tie(d.conn, d.stream, d.windows, d.fnv);
+  }
 };
 
 /// A fully validated journal, as loaded from disk.
@@ -126,10 +138,19 @@ class Journal {
   std::vector<JournalDigest> digests_;
   bool finalized_ = false;
   bool failed_ = false;  ///< open() failed; all recording is a no-op
+
+  /// Appends the next record head (under mu_, recording).
+  void head_locked(std::uint8_t kind, std::uint32_t conn,
+                   std::uint64_t ts_ns);
 };
 
-/// Loads and fully validates a journal. False + reason on any corruption
-/// (bad magic/version/checksum, truncation, malformed record stream).
+/// Fully validates journal bytes. False + reason on any corruption (bad
+/// magic/version/checksum, truncation, malformed record stream); `out` is
+/// then untouched. Never throws on malformed input.
+bool decode_journal(std::span<const std::uint8_t> bytes, JournalFile* out,
+                    std::string* why = nullptr);
+
+/// Reads `path`, then decode_journal().
 bool load_journal(const std::string& path, JournalFile* out,
                   std::string* why = nullptr);
 

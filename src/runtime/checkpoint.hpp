@@ -15,16 +15,17 @@
 // output words the dead device would have produced.
 //
 // The encoding goes through the shared codec (common/codec.hpp): a magic
-// u64, a format version, explicit little-endian field-by-field layout
-// through codec::Writer, a codec::fnv1a checksum over the payload, and a
-// bounds-checked sticky-failure parse through codec::Reader. A corrupt
-// blob is rejected cleanly (decode returns false with a reason); the pool
-// then restores nothing and the target device re-stages the image from
-// scratch, which costs cycles but never correctness.
+// u64, a format version and a codec::fnv1a checksum, then the payload,
+// which is DeviceCheckpoint's field list (`tie`) walked by the codec's
+// generic put/get. A corrupt blob is rejected cleanly (decode returns
+// false with a reason); the pool then restores nothing and the target
+// device re-stages the image from scratch, which costs cycles but never
+// correctness.
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/types.hpp"
@@ -42,6 +43,11 @@ struct SpmRowImage {
   std::uint32_t row = 0;
   std::array<Word, arch::kVwrWords> data{};
   std::uint64_t stamp = 0;
+
+  /// Wire fields in wire order (the stamp precedes the data).
+  static constexpr auto tie(auto& r) {
+    return std::tie(r.row, r.stamp, r.data);
+  }
 };
 
 /// The resident state of one device (see the header comment).
@@ -52,6 +58,13 @@ struct DeviceCheckpoint {
   std::vector<Word> sram;      ///< [sys_base, sys_base + size) app region
   std::vector<SpmRowImage> spm_rows;  ///< band-mask rows + write stamps
   std::uint64_t write_gen = 0;        ///< source SPM generation at capture
+
+  /// The payload's wire fields in wire order (checkpoint.cpp has the
+  /// whole layout).
+  static constexpr auto tie(auto& c) {
+    return std::tie(c.arch, c.sys_base, c.bio_resident, c.write_gen, c.sram,
+                    c.spm_rows);
+  }
 };
 
 /// Serializes a checkpoint (shared codec, see above).

@@ -189,7 +189,6 @@ unsigned DevicePool::resolve_alive(unsigned d) const {
 
 Cycle DevicePool::estimate_locked(const Job& job) const {
   const Cycle prior = estimate_cost(job);
-  if (!cfg_.online_estimator) return prior;
   const double f = family_factor_[job.work.index()];
   const auto est = static_cast<Cycle>(
       std::llround(static_cast<double>(prior) * f));
@@ -207,7 +206,6 @@ std::array<double, kJobFamilies> DevicePool::family_factors() const {
 }
 
 void DevicePool::fold_estimator_locked() {
-  if (!cfg_.online_estimator) return;
   // EWMA over per-family (measured / prior) ratios, alpha = 1/4. Both sums
   // are integers accumulated per completed job, so the fold is independent
   // of the order completions landed in.
@@ -330,22 +328,33 @@ void DevicePool::finish_kill_locked(unsigned d) {
   if (inflight_ == 0) idle_cv_.notify_all();
 }
 
+void DevicePool::kill_locked(unsigned d) {
+  begin_kill_locked(d);
+  if (devices_[d].claimed) {
+    // A worker is driving the device: the fault lands at its batch
+    // boundary (jobs are atomic); the worker completes the fail-stop.
+    devices_[d].kill_pending = true;
+  } else {
+    finish_kill_locked(d);
+  }
+}
+
+void DevicePool::revive_locked(unsigned d) {
+  DeviceState& ds = devices_[d];
+  ds.dead = false;
+  ds.failover = -1;
+  tally_.add<&FleetCounters::devices_revived>();
+  obs::instant("fault.revive", 0, d);
+}
+
 bool DevicePool::kill_device(unsigned d) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (d >= devices_.size()) {
       throw HostError("DevicePool: kill_device index out of range");
     }
-    DeviceState& ds = devices_[d];
-    if (ds.dead) return false;
-    begin_kill_locked(d);
-    if (ds.claimed) {
-      // A worker is driving the device: the fault lands at its batch
-      // boundary (jobs are atomic); the worker completes the fail-stop.
-      ds.kill_pending = true;
-    } else {
-      finish_kill_locked(d);
-    }
+    if (devices_[d].dead) return false;
+    kill_locked(d);
   }
   work_cv_.notify_all();
   return true;
@@ -357,12 +366,9 @@ bool DevicePool::revive_device(unsigned d) {
     if (d >= devices_.size()) {
       throw HostError("DevicePool: revive_device index out of range");
     }
-    DeviceState& ds = devices_[d];
+    const DeviceState& ds = devices_[d];
     if (!ds.dead || ds.kill_pending) return false;
-    ds.dead = false;
-    ds.failover = -1;
-    tally_.add<&FleetCounters::devices_revived>();
-    obs::instant("fault.revive", 0, d);
+    revive_locked(d);
   }
   work_cv_.notify_all();
   return true;
@@ -380,33 +386,38 @@ void DevicePool::check_faults_locked() {
   const std::uint64_t completed =
       tally_.get<&FleetCounters::jobs_completed>();
   for (FaultTrace& t : fault_trace_) {
+    const DeviceState& ds = devices_[t.ev.device];
     if (!t.killed && completed >= t.ev.kill_after_jobs) {
       t.killed = true;
-      DeviceState& ds = devices_[t.ev.device];
       if (!ds.dead) {
-        begin_kill_locked(t.ev.device);
-        if (ds.claimed) {
-          ds.kill_pending = true;
-        } else {
-          finish_kill_locked(t.ev.device);
-        }
+        kill_locked(t.ev.device);
         work_cv_.notify_all();
       }
     }
     if (t.killed && !t.revived && t.ev.revive_after_jobs > 0 &&
         completed >= t.ev.revive_after_jobs) {
-      DeviceState& ds = devices_[t.ev.device];
       if (ds.kill_pending) continue;  // fail-stop mid-flight; next boundary
       t.revived = true;
       if (ds.dead) {
-        ds.dead = false;
-        ds.failover = -1;
-        tally_.add<&FleetCounters::devices_revived>();
-        obs::instant("fault.revive", 0, t.ev.device);
+        revive_locked(t.ev.device);
         work_cv_.notify_all();
       }
     }
   }
+}
+
+void DevicePool::enqueue_locked(Job job, std::promise<JobResult> promise) {
+  const std::uint64_t seq = next_seq_;
+  const unsigned family = static_cast<unsigned>(job.work.index());
+  const unsigned d = route(job, seq);  // throws before enqueuing
+  ++next_seq_;
+  const bool spans = obs::spans_enabled();
+  const std::uint64_t enq =
+      obs::tracing_enabled() || spans ? obs::now_ns() : 0;
+  devices_[d].queue.push_back(Pending{std::move(job), std::move(promise), seq,
+                                      family, enq,
+                                      spans ? sched_load_[d] : 0});
+  ++inflight_;
 }
 
 JobHandle DevicePool::submit(Job job) {
@@ -415,17 +426,7 @@ JobHandle DevicePool::submit(Job job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) throw HostError("DevicePool: submit after shutdown");
-    const std::uint64_t seq = next_seq_;
-    const unsigned family = static_cast<unsigned>(job.work.index());
-    const unsigned d = route(job, seq);  // throws before enqueuing
-    DeviceState& ds = devices_[d];
-    ++next_seq_;
-    const bool spans = obs::spans_enabled();
-    const std::uint64_t enq =
-        obs::tracing_enabled() || spans ? obs::now_ns() : 0;
-    ds.queue.push_back(Pending{std::move(job), std::move(promise), seq, family,
-                               enq, spans ? sched_load_[d] : 0});
-    ++inflight_;
+    enqueue_locked(std::move(job), std::move(promise));
   }
   work_cv_.notify_one();
   return handle;
@@ -442,16 +443,7 @@ std::vector<JobHandle> DevicePool::submit_batch(std::vector<Job> jobs) {
     for (Job& job : jobs) {
       std::promise<JobResult> promise;
       handles.emplace_back(promise.get_future());
-      const std::uint64_t seq = next_seq_++;
-      const unsigned family = static_cast<unsigned>(job.work.index());
-      const unsigned d = route(job, seq);
-      DeviceState& ds = devices_[d];
-      const bool spans = obs::spans_enabled();
-      const std::uint64_t enq =
-          obs::tracing_enabled() || spans ? obs::now_ns() : 0;
-      ds.queue.push_back(Pending{std::move(job), std::move(promise), seq,
-                                 family, enq, spans ? sched_load_[d] : 0});
-      ++inflight_;
+      enqueue_locked(std::move(job), std::move(promise));
     }
   }
   work_cv_.notify_all();

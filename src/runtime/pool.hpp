@@ -199,13 +199,6 @@ class DevicePool {
     std::vector<soc::ArchConfig> device_arch;
     /// Placement policy for unpinned jobs.
     Schedule schedule = Schedule::kRoundRobin;
-    /// Online per-family EWMA cost estimator: measured job costs refine the
-    /// analytic prior the shortest-local-clock policy plans with. Updates
-    /// fold in only at fleet-quiescent points (wait_idle/stats), from
-    /// order-independent integer sums, so placement stays a pure function
-    /// of the submission order and the barrier history -- never of worker
-    /// timing. Off: the hand-calibrated priors are used as-is.
-    bool online_estimator = true;
     /// Per-device feature switches (SPM residency tracking, cross-job
     /// staging dedup); on by default, off reproduces the PR-2 baseline.
     Device::Options device_opts;
@@ -355,6 +348,16 @@ class DevicePool {
   /// failover target, and re-places the queued jobs in order. Caller holds
   /// mu_; d is dead and not driven by any other worker.
   void finish_kill_locked(unsigned d);
+  /// Kills live device d: begin_kill_locked, then finish_kill_locked now,
+  /// or at the claiming worker's batch boundary if one drives d. Caller
+  /// holds mu_ and notifies the workers.
+  void kill_locked(unsigned d);
+  /// Returns dead device d (fail-stop complete) to service. Caller holds
+  /// mu_ and notifies the workers.
+  void revive_locked(unsigned d);
+  /// Routes one job, stamps it and queues it with its promise. Caller
+  /// holds mu_ and notifies the workers.
+  void enqueue_locked(Job job, std::promise<JobResult> promise);
   /// Evaluates the scripted fault plan against the completed-job count.
   /// Caller holds mu_.
   void check_faults_locked();
@@ -377,9 +380,12 @@ class DevicePool {
   std::vector<double> sched_speed_;  ///< per-device arch speed factor
   std::vector<std::thread> workers_;
 
-  // Online estimator state (guarded by mu_). Pending sums are integers, so
-  // they are independent of the order completions arrive in; factors only
-  // change inside fold_estimator_locked() at quiescent points.
+  // Online per-family EWMA cost estimator (guarded by mu_): measured job
+  // costs refine the analytic prior placement plans with. Pending sums are
+  // integers, so they are independent of the order completions arrive in;
+  // factors only change inside fold_estimator_locked() at quiescent points
+  // (wait_idle/stats), so placement stays a pure function of the
+  // submission order and the barrier history -- never of worker timing.
   std::array<double, kJobFamilies> family_factor_{};  ///< init to 1.0
   std::array<std::uint64_t, kJobFamilies> pend_measured_{};
   std::array<std::uint64_t, kJobFamilies> pend_prior_{};

@@ -8,8 +8,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <string>
 #include <tuple>
@@ -17,28 +15,12 @@
 #include <variant>
 #include <vector>
 
+#include "alloc_cap.hpp"
 #include "common/codec.hpp"
 #include "common/rng.hpp"
+#include "fuzz_util.hpp"
 #include "gateway/protocol.hpp"
 #include "runtime/pool.hpp"
-
-// Allocation cap for this test binary. The decoder promises never to
-// allocate much more than one frame, whatever a length or count prefix
-// claims; refusing any single allocation above a few frames' worth turns a
-// buffer sized from a lying prefix into a test failure (std::bad_alloc)
-// instead of a quiet multi-GiB reservation.
-void* operator new(std::size_t n) {
-  if (n <= 4 * vwr2a::gateway::kMaxFramePayload) {
-    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  }
-  throw std::bad_alloc();
-}
-// GCC flags free() on operator-new memory; here both sides are replaced.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace vwr2a::gateway {
 namespace {
@@ -401,7 +383,8 @@ TEST(GatewayProtocol, CorruptedFrameFuzzRoundTrips) {
   // wait, or throw -- never crash. The codec is canonical: a corrupted
   // frame that still decodes re-encodes to exactly the bytes it was
   // decoded from (the journal stores re-encoded inbound frames and relies
-  // on this to replay byte-identical traffic).
+  // on this to replay byte-identical traffic). fuzz::check holds both
+  // rules.
   Rng rng(11004);
   unsigned decoded = 0;
   for (unsigned round = 0; round < 2600; ++round) {
@@ -409,21 +392,9 @@ TEST(GatewayProtocol, CorruptedFrameFuzzRoundTrips) {
     std::vector<std::uint8_t> wire = encode(f);
     const std::size_t at = rng.next_below(static_cast<unsigned>(wire.size()));
     wire[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
-    Decoder dec;
-    dec.feed(wire);
-    std::size_t begin = 0;
-    try {
-      while (const auto got = dec.next()) {
-        const std::size_t end = wire.size() - dec.buffered();
-        const std::vector<std::uint8_t> in(
-            wire.begin() + static_cast<long>(begin),
-            wire.begin() + static_cast<long>(end));
-        EXPECT_EQ(encode(*got), in) << "round " << round;
-        begin = end;
-        ++decoded;
-      }
-    } catch (const ProtocolError&) {
-    }
+    decoded += fuzz::check(fuzz::frames, fuzz::Policy::kRejectOrCanonical,
+                           wire, "round " + std::to_string(round))
+                   .values;
   }
   EXPECT_GT(decoded, 1300u);  // most single-byte flips still parse
 }

@@ -1,8 +1,9 @@
 // Black-box journal (.vwr2jrn): record a live gateway soak under an
 // injectable clock, validate the loaded record stream and digests, replay
-// it bit-exactly onto a *different* fleet shape, and prove the loader
+// it bit-exactly onto a *different* fleet shape, and prove the decoder
 // rejects -- cleanly, never a crash or over-read -- every single-bit flip
-// and every truncation of the file.
+// and every truncation of the file (through the shared mutation fuzzer,
+// tests/fuzz_util.hpp).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "dsp/signal.hpp"
+#include "fuzz_util.hpp"
 #include "gateway/client.hpp"
 #include "gateway/server.hpp"
 #include "obs/capture.hpp"
@@ -99,12 +101,6 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(is),
                                    std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(b.data()),
-           static_cast<std::streamsize>(b.size()));
 }
 
 TEST(Journal, RecordsValidatedTrafficWithInjectedClockAndDigests) {
@@ -322,33 +318,17 @@ TEST(Journal, EverySingleBitFlipRejectsCleanly) {
   JournalFile jf;
   ASSERT_TRUE(load_journal(path, &jf));
 
-  const std::string mut = ::testing::TempDir() + "journal_fuzz_mut.vwr2jrn";
   // Exhaustive over the header and the trailer neighborhood (the
   // structured regions), strided across the bulk so the sweep stays fast
-  // while still touching every region of every record.
-  const std::size_t stride = good.size() > 4096 ? good.size() / 2048 : 1;
+  // while still touching every region of every record. Each flip must be
+  // rejected with a reason.
   std::size_t tried = 0;
-  auto try_byte = [&](std::size_t at) {
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> bad = good;
-      bad[at] = static_cast<std::uint8_t>(bad[at] ^ (1u << bit));
-      write_file(mut, bad);
-      JournalFile out;
-      std::string why;
-      ASSERT_FALSE(load_journal(mut, &out, &why))
-          << "bit " << bit << " of byte " << at << " accepted";
-      EXPECT_FALSE(why.empty());
-      ++tried;
-    }
-  };
-  for (std::size_t at = 0; at < 48; ++at) try_byte(at);
-  for (std::size_t at = good.size() - 64; at < good.size(); ++at) {
-    try_byte(at);
-  }
-  for (std::size_t at = 48; at < good.size() - 64; at += stride) {
-    try_byte(at);
-  }
-  std::remove(mut.c_str());
+  fuzz::bit_flips(good, {.head = 48, .tail = 64},
+                  [&](const fuzz::Bytes& bad, const std::string& label) {
+                    fuzz::check(fuzz::journal, fuzz::Policy::kRejectAll, bad,
+                                label);
+                    ++tried;
+                  });
   EXPECT_GE(tried, (48u + 64u) * 8u);
 }
 
@@ -358,41 +338,17 @@ TEST(Journal, EveryTruncationRejectsCleanly) {
   const std::vector<std::uint8_t> good = read_file(path);
   ASSERT_GE(good.size(), 48u);
 
-  const std::string mut = ::testing::TempDir() + "journal_trunc_mut.vwr2jrn";
-  const std::size_t stride = good.size() > 4096 ? good.size() / 2048 : 1;
-  auto try_len = [&](std::size_t len) {
-    std::vector<std::uint8_t> bad(good.begin(),
-                                  good.begin() + static_cast<long>(len));
-    write_file(mut, bad);
-    JournalFile out;
-    std::string why;
-    ASSERT_FALSE(load_journal(mut, &out, &why)) << "length " << len
-                                                << " accepted";
-  };
-  // Every boundary-ish length exhaustively, the middle strided.
-  for (std::size_t len = 0; len < std::min<std::size_t>(96, good.size());
-       ++len) {
-    try_len(len);
-  }
-  for (std::size_t len = good.size() - 1;
-       len > good.size() - std::min<std::size_t>(64, good.size()); --len) {
-    try_len(len);
-  }
-  for (std::size_t len = 96; len + 64 < good.size(); len += stride) {
-    try_len(len);
-  }
-  // Trailing garbage is a size mismatch too.
-  std::vector<std::uint8_t> grown = good;
-  grown.push_back(0);
-  write_file(mut, grown);
-  JournalFile out;
-  ASSERT_FALSE(load_journal(mut, &out));
-  std::remove(mut.c_str());
+  // Every boundary-ish length exhaustively, the middle strided, then one
+  // trailing garbage byte (a size mismatch too): each rejected.
+  fuzz::truncations(good, {.head = 96, .tail = 64},
+                    [](const fuzz::Bytes& bad, const std::string& label) {
+                      fuzz::check(fuzz::journal, fuzz::Policy::kRejectAll,
+                                  bad, label);
+                    });
 
   // And the pristine bytes still load -- the harness itself is sound.
-  write_file(mut, good);
-  ASSERT_TRUE(load_journal(mut, &out));
-  std::remove(mut.c_str());
+  JournalFile out;
+  ASSERT_TRUE(decode_journal(good, &out));
 }
 
 TEST(Journal, UnwritableJournalPathFailsServerConstructionFast) {

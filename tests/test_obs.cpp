@@ -28,6 +28,7 @@
 
 #include "common/rng.hpp"
 #include "dsp/signal.hpp"
+#include "fuzz_util.hpp"
 #include "obs/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -648,13 +649,6 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
-void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(b.data()),
-          static_cast<std::streamsize>(b.size()));
-  ASSERT_TRUE(f.good());
-}
-
 TEST(ObsTrace, CaptureBytesFollowTheDocumentedLayout) {
   const std::string path = ::testing::TempDir() + "obs_layout.vwr2trc";
   const Tracer::Snapshot snap = tiny_snapshot();
@@ -697,9 +691,9 @@ TEST(ObsTrace, CaptureBytesFollowTheDocumentedLayout) {
   EXPECT_EQ(got, want);
 }
 
-/// Every proper prefix of a capture fails load_capture with a reason --
-/// never an accept, an exception or an over-read -- and the full file
-/// still loads.
+/// Every proper prefix of a capture, and the capture plus one trailing
+/// byte, fails decode_capture with a reason -- never an accept, an
+/// exception or an over-read -- and the full file still loads.
 TEST(ObsTrace, EveryCaptureTruncationRejectsCleanly) {
   const std::string path = ::testing::TempDir() + "obs_sweep.vwr2trc";
   std::string why;
@@ -707,17 +701,11 @@ TEST(ObsTrace, EveryCaptureTruncationRejectsCleanly) {
   const std::vector<std::uint8_t> good = read_bytes(path);
   ASSERT_GT(good.size(), 0u);
 
-  const std::string mut = ::testing::TempDir() + "obs_sweep_mut.vwr2trc";
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    write_bytes(mut, std::vector<std::uint8_t>(
-                         good.begin(), good.begin() + static_cast<long>(len)));
-    Capture out;
-    why.clear();
-    EXPECT_FALSE(load_capture(mut, &out, &why)) << "length " << len
-                                                << " accepted";
-    EXPECT_FALSE(why.empty()) << "length " << len;
-  }
-  std::remove(mut.c_str());
+  fuzz::truncations(good, {.head = good.size()},
+                    [](const fuzz::Bytes& bad, const std::string& label) {
+                      fuzz::check(fuzz::capture, fuzz::Policy::kRejectAll,
+                                  bad, label);
+                    });
 
   Capture cap;
   ASSERT_TRUE(load_capture(path, &cap, &why)) << why;
