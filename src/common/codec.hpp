@@ -11,11 +11,11 @@
 // onto wire widths: fixed-width integers at their width (bool as a u8),
 // double as an f64 bit pattern, strings u32-length-prefixed, vectors
 // u32-count-prefixed, std::array as its elements with no prefix, and a
-// nested record as its own `tie`. Keeping one
-// implementation means byte order, string and array framing and the
-// reject-on-truncation discipline cannot drift between formats. Every
-// count prefix, u32 or u64, follows one rule: count x element wire size
-// must fit the bytes that remain, checked before anything is allocated.
+// nested record as its own `tie`. Keeping one implementation means byte
+// order, string and array framing and the reject-on-truncation discipline
+// cannot drift between formats. Every count prefix, u32 or u64, follows
+// one rule: count x element wire size must fit the bytes that remain,
+// checked before anything is allocated.
 
 #include <array>
 #include <bit>
