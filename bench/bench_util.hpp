@@ -5,9 +5,6 @@
 // measured-vs-paper claim can be audited from the bench output alone.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,70 +59,5 @@ inline void place_complex_input(Rig& rig, unsigned n, unsigned base, Rng& rng) {
 inline double us(Cycle cycles) {
   return static_cast<double>(cycles) / arch::kClockHz * 1e6;
 }
-
-// --- machine-readable perf records (BENCH_runtime.json) ----------------------
-// Each runtime bench appends one JSON object per measured configuration, so
-// nightly CI can upload the file as an artifact and the perf trajectory
-// (host wall-clock, simulated cycles per host second, makespan) is tracked
-// run over run. The file is a valid JSON array; appending rewrites only the
-// closing bracket.
-
-/// One record under construction. Finish with write().
-class JsonRecord {
- public:
-  explicit JsonRecord(std::string bench) {
-    os_ << "  {\"bench\": \"" << bench << "\"";
-  }
-
-  JsonRecord& field(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os_ << ", \"" << key << "\": " << buf;
-    return *this;
-  }
-  JsonRecord& field(const std::string& key, std::uint64_t v) {
-    os_ << ", \"" << key << "\": " << v;
-    return *this;
-  }
-  JsonRecord& field(const std::string& key, const std::string& v) {
-    os_ << ", \"" << key << "\": \"" << v << "\"";
-    return *this;
-  }
-  JsonRecord& field(const std::string& key, bool v) {
-    os_ << ", \"" << key << "\": " << (v ? "true" : "false");
-    return *this;
-  }
-
-  /// Appends the record to the report file (default BENCH_runtime.json in
-  /// the working directory; override with $BENCH_RUNTIME_JSON).
-  void write() const {
-    const char* env = std::getenv("BENCH_RUNTIME_JSON");
-    const std::string path = env != nullptr ? env : "BENCH_runtime.json";
-    std::string body;
-    {
-      std::ifstream in(path);
-      if (in) {
-        std::ostringstream all;
-        all << in.rdbuf();
-        body = all.str();
-      }
-    }
-    // Strip the closing "\n]\n" of an existing array, or start a new one.
-    const std::string tail = "\n]\n";
-    if (body.size() >= tail.size() &&
-        body.compare(body.size() - tail.size(), tail.size(), tail) == 0) {
-      body.resize(body.size() - tail.size());
-      body += ",\n";
-    } else {
-      body = "[\n";
-    }
-    body += os_.str() + "}" + tail;
-    std::ofstream out(path, std::ios::trunc);
-    out << body;
-  }
-
- private:
-  std::ostringstream os_;
-};
 
 } // namespace vwr2a::bench

@@ -130,9 +130,17 @@ class Reader {
   std::size_t remaining() const { return n_ - pos_; }
   bool at_end() const { return pos_ == n_; }
 
-  /// Any integer, bool included (any non-zero byte reads true).
+  /// Any integer, bool included; a bool byte other than 0 or 1 fails the
+  /// reader, so every encoding stays canonical.
   template <class I>
-  I integer() { return static_cast<I>(get(sizeof(I))); }
+  I integer() {
+    const std::uint64_t v = get(sizeof(I));
+    if constexpr (std::is_same_v<I, bool>) {
+      if (v > 1) ok_ = false;
+      return v == 1;
+    }
+    return static_cast<I>(v);
+  }
   std::uint8_t u8() { return integer<std::uint8_t>(); }
   std::uint32_t u32() { return integer<std::uint32_t>(); }
   std::uint64_t u64() { return get(8); }

@@ -16,14 +16,16 @@ namespace vwr2a::gateway {
 
 // --- Connection ---------------------------------------------------------------
 
+/// Outbound frames buffered per connection before sinks block.
+constexpr std::size_t kWriterQueueFrames = 256;
+
 /// One served connection: reader thread (frame dispatch, session driving)
 /// plus writer thread (bounded outbound queue -> transport).
 class Server::Connection {
  public:
   Connection(Server& srv, std::unique_ptr<Transport> t,
              std::uint32_t journal_conn)
-      : srv_(&srv), t_(std::move(t)), journal_conn_(journal_conn),
-        bound_(srv.cfg_.writer_queue_frames) {}
+      : srv_(&srv), t_(std::move(t)), journal_conn_(journal_conn) {}
 
   void start() {
     writer_ = std::thread([this] { writer_loop(); });
@@ -64,7 +66,9 @@ class Server::Connection {
   bool enqueue(const Frame& f) {
     std::vector<std::uint8_t> bytes = encode(f);
     std::unique_lock<std::mutex> lock(wmu_);
-    wspace_cv_.wait(lock, [this] { return closed_ || wq_.size() < bound_; });
+    wspace_cv_.wait(lock, [this] {
+      return closed_ || wq_.size() < kWriterQueueFrames;
+    });
     if (closed_) return false;
     wq_.push_back(std::move(bytes));
     w_cv_.notify_one();
@@ -320,10 +324,7 @@ class Server::Connection {
                  "gateway: STATS_SUBSCRIBE cadence_ms must be > 0");
       return;
     }
-    const std::uint32_t cadence =
-        sub.enable != 0
-            ? std::max(sub.cadence_ms, srv_->cfg_.min_stats_cadence_ms)
-            : 0;
+    const std::uint32_t cadence = sub.enable != 0 ? sub.cadence_ms : 0;
     bool start = false;
     {
       std::lock_guard<std::mutex> lock(pmu_);
@@ -402,7 +403,6 @@ class Server::Connection {
   std::condition_variable w_cv_;       ///< writer: frames queued / stop
   std::condition_variable wspace_cv_;  ///< enqueuers: space freed / closed
   std::deque<std::vector<std::uint8_t>> wq_;
-  std::size_t bound_;
   bool finishing_ = false;  ///< no more producers; flush and exit
   bool closed_ = false;     ///< transport dead; drop everything
   std::atomic<bool> done_{false};  ///< reader exited; reapable

@@ -96,12 +96,6 @@ class Server {
     /// off the connection reader threads.
     stream::StreamServer::Config stream;
     Quotas quotas;
-    /// Outbound frames buffered per connection before sinks block.
-    std::size_t writer_queue_frames = 256;
-    /// Floor on STATS_SUBSCRIBE cadence: subscriptions asking for a
-    /// shorter period are clamped up to this, bounding the push load one
-    /// connection can demand.
-    std::uint32_t min_stats_cadence_ms = 1;
     /// Monotonic nanosecond clock the rate limiter reads; null = wall
     /// clock (std::chrono::steady_clock). Tests inject a fake.
     std::function<std::uint64_t()> clock_ns;

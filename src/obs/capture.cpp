@@ -119,66 +119,13 @@ bool load_capture(const std::string& path, Capture* out, std::string* why) {
   return decode_capture(buf, out, why);
 }
 
-void write_chrome_json(const Capture& cap, std::ostream& os) {
-  // Rebase timestamps so the viewer opens at t=0 with microsecond units.
-  std::uint64_t t0 = ~std::uint64_t{0};
-  for (const Capture::Ev& e : cap.events) t0 = std::min(t0, e.ts_ns);
-  if (cap.events.empty()) t0 = 0;
-  auto us = [&](std::uint64_t ns) {
-    return static_cast<double>(ns - t0) / 1000.0;
-  };
-  auto dus = [](std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
+namespace {
 
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const Capture::Ev& e : cap.events) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":";
-    put_json_string(os, cap.name_of(e));
-    os << ",\"ph\":\"" << (e.kind == 1 ? "i" : "X") << "\"";
-    os << ",\"ts\":" << us(e.ts_ns);
-    if (e.kind != 1) os << ",\"dur\":" << dus(e.dur_ns);
-    if (e.kind == 1) os << ",\"s\":\"t\"";
-    os << ",\"pid\":1,\"tid\":" << e.tid;
-    os << ",\"args\":{";
-    os << "\"window\":" << e.window;
-    os << ",\"a1\":" << e.a1 << ",\"a2\":" << e.a2 << ",\"a3\":" << e.a3;
-    if (e.sim_dur != 0 || e.sim_begin != 0) {
-      os << ",\"sim_begin\":" << e.sim_begin << ",\"sim_cycles\":" << e.sim_dur;
-    }
-    os << "}}";
-  }
-  // Flow arrows: one chain per window id, start/step/finish through every
-  // window-bound complete span in timestamp order.
-  std::map<std::uint64_t, std::vector<std::size_t>> chains;
-  for (std::size_t i = 0; i < cap.events.size(); ++i) {
-    if (cap.events[i].window != 0 && cap.events[i].kind == 0) {
-      chains[cap.events[i].window].push_back(i);
-    }
-  }
-  for (auto& [window, idx] : chains) {
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return cap.events[a].ts_ns < cap.events[b].ts_ns;
-    });
-    if (idx.size() < 2) continue;
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      const Capture::Ev& e = cap.events[idx[k]];
-      const char* ph = k == 0 ? "s" : (k + 1 == idx.size() ? "f" : "t");
-      os << ",{\"name\":\"window\",\"cat\":\"window\",\"ph\":\"" << ph
-         << "\",\"id\":" << window << ",\"ts\":" << us(e.ts_ns)
-         << ",\"pid\":1,\"tid\":" << e.tid;
-      if (*ph == 'f') os << ",\"bp\":\"e\"";
-      os << "}";
-    }
-  }
-  os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
-     << cap.dropped << ",\"threads\":" << cap.threads << "}}\n";
-}
-
-void write_chrome_json_merged(
+/// The Chrome trace of `procs` (see write_chrome_json_merged); `other`,
+/// when non-empty, is the body of a top-level "otherData" object.
+void write_chrome(
     const std::vector<std::pair<std::string, const Capture*>>& procs,
-    std::ostream& os) {
+    const std::string& other, std::ostream& os) {
   // One shared timebase: all captures came from obs::now_ns on one host
   // (the loopback/TCP client and server are co-resident in this repo), so
   // the global minimum rebases every process onto the same t=0.
@@ -249,7 +196,24 @@ void write_chrome_json_merged(
       os << "}";
     }
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  os << "],\"displayTimeUnit\":\"ms\"";
+  if (!other.empty()) os << ",\"otherData\":{" << other << "}";
+  os << "}\n";
+}
+
+} // namespace
+
+void write_chrome_json(const Capture& cap, std::ostream& os) {
+  write_chrome({{"vwr2a", &cap}},
+               "\"dropped\":" + std::to_string(cap.dropped) +
+                   ",\"threads\":" + std::to_string(cap.threads),
+               os);
+}
+
+void write_chrome_json_merged(
+    const std::vector<std::pair<std::string, const Capture*>>& procs,
+    std::ostream& os) {
+  write_chrome(procs, "", os);
 }
 
 std::vector<WindowChain> analyze_windows(const Capture& cap) {

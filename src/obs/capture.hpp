@@ -77,8 +77,9 @@ bool load_capture(const std::string& path, Capture* out,
                   std::string* why = nullptr);
 
 /// Chrome trace_event JSON ("X" complete events, "i" instants, flow arrows
-/// chaining each window id across threads). Open in chrome://tracing or
-/// https://ui.perfetto.dev.
+/// chaining each window id across threads): write_chrome_json_merged with
+/// one process, "vwr2a", plus the capture's `dropped` and `threads` under
+/// "otherData". Open in chrome://tracing or https://ui.perfetto.dev.
 void write_chrome_json(const Capture& cap, std::ostream& os);
 
 /// Per-window lifecycle reconstructed from the propagated window ids.

@@ -50,11 +50,15 @@ bool decode_checkpoint(const std::vector<std::uint8_t>& blob,
 
   // With the checksum good, a read can only fail on a count the remaining
   // bytes cannot hold (the codec's count rule, applied before anything is
-  // allocated). The field it stopped at names the reject, and the domain
-  // bounds are checked once the arrays are read. Fields in tie order:
-  // arch, sys_base, bio_resident, write_gen, sram, spm_rows.
+  // allocated) or on a bool byte other than 0 or 1. The field it stopped
+  // at names the reject, and the domain bounds are checked once the arrays
+  // are read. Fields in tie order: arch, sys_base, bio_resident,
+  // write_gen, sram, spm_rows.
   DeviceCheckpoint c;
   const std::size_t fields = codec::get_fields(r, c);
+  if (fields == 2 && r.remaining() > 0) {
+    return reject("checkpoint: bio_resident is not 0 or 1");
+  }
   if (fields < 4) return reject("checkpoint: truncated payload");
   if (fields == 4 || c.sram.size() > arch::kSramBytes / 4) {
     return reject("checkpoint: SRAM region out of bounds");

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <variant>
@@ -196,6 +197,24 @@ class JobHandle {
           "moved-from, or result already retrieved)");
     }
     return future_.get();
+  }
+
+  /// get() for a caller that reports a failed job instead of handling its
+  /// exception: stores the result in `out`, or returns the failure's
+  /// message. The message is read while this handle still holds the job's
+  /// shared state, so a worker that drops the state last (destroying the
+  /// exception) is ordered after the read by the state's reference count,
+  /// which ThreadSanitizer sees; the exception's own count lives in the
+  /// uninstrumented C++ runtime, and a read after future::get() released
+  /// the state reports as a race.
+  std::optional<std::string> get_or_error(JobResult& out) {
+    const std::shared_future<JobResult> state = future_.share();
+    try {
+      out = state.get();
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return std::nullopt;
   }
 
  private:

@@ -70,7 +70,7 @@ void Completer::lane_loop(Lane& lane) {
     }
     // The wait on the future and the sink both run unlocked: a blocking
     // sink holds up only this lane, never an enqueue.
-    item.session->deliver_async(std::move(item.handle));
+    item.session->deliver(std::move(item.handle));
     lock.lock();
   }
 }

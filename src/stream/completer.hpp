@@ -1,9 +1,10 @@
 #pragma once
 // Dedicated completion/delivery lanes for the stream layer: with
-// StreamServer::Config::completion_threads > 0, reaping a session's
-// finished windows -- and running its sink -- moves off the producer thread
-// onto this small pool of delivery threads, so a sink that blocks (a slow
-// network peer, a stalled file) no longer stalls ingest.
+// StreamServer::Config::completion_threads > 0, delivering a session's
+// finished windows (Session::deliver, the routine the producer runs itself
+// without lanes) moves off the producer thread onto this small pool of
+// delivery threads, so a sink that blocks (a slow network peer, a stalled
+// file) no longer stalls ingest.
 //
 // Ordering. Sessions are statically assigned to lanes (session id modulo
 // lane count) and a session's handles are enqueued in submission order, so

@@ -34,11 +34,11 @@ class StreamServer {
  public:
   struct Config {
     runtime::DevicePool::Config pool;
-    /// Dedicated completion/delivery threads. 0 (the default) reaps results
-    /// on each session's producer thread -- bit-identical to the original
-    /// behavior. > 0 moves delivery onto Completer lanes: sinks may block
-    /// without stalling any session's ingest, per-session order preserved
-    /// by construction (see completer.hpp).
+    /// Dedicated completion/delivery threads. 0 (the default) delivers
+    /// results on each session's producer thread. > 0 moves delivery onto
+    /// Completer lanes: sinks may block without stalling any session's
+    /// ingest, per-session order preserved by construction (see
+    /// completer.hpp). Results and failure reports are the same either way.
     unsigned completion_threads = 0;
     Config() { pool.schedule = runtime::Schedule::kShortestLocalClock; }
   };
@@ -53,8 +53,9 @@ class StreamServer {
 
   /// Opens a tenant session and soft-pins it to a device (see above).
   /// Thread-safe. The returned reference lives as long as the server.
-  /// `on_error` receives failed-window reports in completion-lane mode
-  /// (ignored under producer-thread reaping, where failures rethrow).
+  /// `on_error` receives failed-window reports on the delivering thread;
+  /// without one, the session's drain()/finish() rethrows the first
+  /// failure (see session.hpp).
   Session& open_session(SessionConfig cfg = {}, Session::Sink sink = nullptr,
                         Session::ErrorSink on_error = nullptr);
 

@@ -103,79 +103,101 @@ void Session::submit_window(WindowView window) {
     obs::Span slice("window.slice", wid, id_, stats_.windows_submitted);
     return pool_->submit(std::move(job));
   }();
-  if (completer_ != nullptr) {
+  // The slot is claimed before the handle can reach its deliverer, so a
+  // drain can never observe zero in-flight while a window sits queued. If
+  // the hand-off itself fails (completer stopping), no delivery will ever
+  // release the slot -- roll it back or a later drain() hangs.
+  {
+    std::lock_guard<std::mutex> lock(smu_);
+    ++inflight_n_;
+    ++stats_.windows_submitted;
+  }
+  try {
+    if (completer_ != nullptr) {
+      completer_->enqueue(this, std::move(h));
+    } else {
+      inflight_.push_back(std::move(h));
+    }
+  } catch (...) {
     {
       std::lock_guard<std::mutex> lock(smu_);
-      ++inflight_n_;
-      ++stats_.windows_submitted;
+      --inflight_n_;
+      --stats_.windows_submitted;
     }
-    // The slot is claimed before the lane can see the handle, so a drain
-    // can never observe zero in-flight while an item sits queued. If the
-    // enqueue itself fails (completer stopping), no delivery will ever
-    // release the slot -- roll it back or a later drain() hangs.
-    try {
-      completer_->enqueue(this, std::move(h));
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(smu_);
-        --inflight_n_;
-        --stats_.windows_submitted;
-      }
-      // The failed slot may be the one a concurrent drain()/wait_slot() is
-      // blocked on; no delivery will ever come to wake it.
-      slot_cv_.notify_all();
-      throw;
-    }
-  } else {
-    inflight_.push_back(std::move(h));
-    std::lock_guard<std::mutex> lock(smu_);
-    ++stats_.windows_submitted;
+    // The failed slot may be the one a concurrent drain()/make_room() is
+    // blocked on; no delivery will ever come to wake it.
+    slot_cv_.notify_all();
+    throw;
   }
 }
 
-void Session::account_delivery_locked(const runtime::JobResult& job) {
-  const Cycle lat = job.cost.total_cycles();
-  stats_.latency_cycles_total += lat;
-  stats_.latency_cycles_max = std::max(stats_.latency_cycles_max, lat);
-  if (stats_.windows_delivered > 0 && job.device != stats_.device) {
-    ++stats_.windows_migrated;  // the pin's failover chain moved us
+void Session::settle(const runtime::JobResult& job,
+                     const std::optional<std::string>& err) {
+  {
+    std::lock_guard<std::mutex> lock(smu_);
+    --inflight_n_;
+    if (err) {
+      ++stats_.windows_failed;
+      if (!error_sink_ && !unreported_error_) unreported_error_ = *err;
+    } else {
+      const Cycle lat = job.cost.total_cycles();
+      stats_.latency_cycles_total += lat;
+      stats_.latency_cycles_max = std::max(stats_.latency_cycles_max, lat);
+      if (stats_.windows_delivered > 0 && job.device != stats_.device) {
+        ++stats_.windows_migrated;  // the pin's failover chain moved us
+      }
+      stats_.device = job.device;
+      ++stats_.windows_delivered;
+      if (obs::metrics_enabled()) {
+        static obs::Counter& delivered =
+            obs::Registry::get().counter("session.windows_delivered");
+        delivered.add(1);
+        static obs::Histogram& latency =
+            obs::Registry::get().histogram("session.latency_cycles");
+        latency.record(lat);
+        if (m_delivered_ != nullptr) m_delivered_->add(1);
+      }
+    }
   }
-  stats_.device = job.device;
-  ++stats_.windows_delivered;
-  if (obs::metrics_enabled()) {
-    static obs::Counter& delivered =
-        obs::Registry::get().counter("session.windows_delivered");
-    delivered.add(1);
-    static obs::Histogram& latency =
-        obs::Registry::get().histogram("session.latency_cycles");
-    latency.record(lat);
-    if (m_delivered_ != nullptr) m_delivered_->add(1);
+  slot_cv_.notify_all();
+}
+
+void Session::deliver(runtime::JobHandle h) {
+  WindowResult r;
+  r.session = id_;
+  // Windows are delivered in submission order, so the delivery count is
+  // the window's index; a failed window uses its index up too.
+  r.index = next_index_++;
+  const std::uint64_t wid =
+      obs::tracing_enabled() ? obs::window_id(id_, r.index) : 0;
+  std::optional<std::string> err;
+  {
+    obs::Span sp("window.complete", wid, id_);
+    err = h.get_or_error(r.job);
   }
+  // The sink runs before the slot is released: a producer blocked on
+  // backpressure resumes only once the delivery fully happened, and
+  // drain() returning means every sink call has returned. A throwing sink
+  // still settles its window before the exception leaves.
+  try {
+    obs::Span sp("window.deliver", wid, id_, err ? 0 : 1);
+    if (!err && sink_) sink_(r);
+    if (err && error_sink_) error_sink_(id_, r.index, *err);
+  } catch (...) {
+    settle(r.job, err);
+    throw;
+  }
+  settle(r.job, err);
 }
 
 void Session::reap_front() {
   if (inflight_.empty()) throw HostError("Session: nothing in flight");
   runtime::JobHandle h = std::move(inflight_.front());
   inflight_.pop_front();
-  WindowResult r;
-  r.session = id_;
-  r.index = stats_.windows_delivered;
-  const std::uint64_t wid =
-      obs::tracing_enabled() ? obs::window_id(id_, r.index) : 0;
-  {
-    obs::Span sp("window.complete", wid, id_);
-    r.job = h.get();  // rethrows job failures on the producer thread
-  }
-  {
-    std::lock_guard<std::mutex> lock(smu_);
-    account_delivery_locked(r.job);
-  }
-  obs::Span sp("window.deliver", wid, id_, 1);
-  if (sink_) sink_(r);
+  deliver(std::move(h));
 }
 
 void Session::reap_ready() {
-  if (completer_ != nullptr) return;  // the lane delivers
   using namespace std::chrono_literals;
   while (!inflight_.empty() &&
          inflight_.front().wait_for(0s) == std::future_status::ready) {
@@ -183,60 +205,16 @@ void Session::reap_ready() {
   }
 }
 
-void Session::deliver_async(runtime::JobHandle h) {
-  WindowResult r;
-  r.session = id_;
-  bool ok = true;
-  std::string err;
-  // next_delivery_ is only ever advanced by this session's lane (the
-  // thread running here), so reading it early for the trace id is safe.
-  const std::uint64_t wid =
-      obs::tracing_enabled() ? obs::window_id(id_, next_delivery_) : 0;
-  {
-    obs::Span sp("window.complete", wid, id_);
-    try {
-      r.job = h.get();
-    } catch (const std::exception& e) {
-      ok = false;
-      err = e.what();
-    }
-  }
-  // Only this session's lane assigns indices, in enqueue (= submission)
-  // order; failed windows consume their index too.
-  r.index = next_delivery_++;
-  // The sink runs before the slot is released (and unlocked): a producer
-  // blocked on backpressure resumes only once the delivery fully happened,
-  // and drain() returning means every sink call has returned.
-  {
-    obs::Span sp("window.deliver", wid, id_, ok ? 1 : 0);
-    if (ok && sink_) sink_(r);
-    if (!ok && error_sink_) error_sink_(id_, r.index, err);
-  }
-  {
-    std::lock_guard<std::mutex> lock(smu_);
-    if (ok) {
-      account_delivery_locked(r.job);
-    } else {
-      ++stats_.windows_failed;
-      if (first_error_.empty() && !error_sink_) {
-        first_error_ = err;
-        error_pending_ = true;
-      }
-    }
-    --inflight_n_;
-  }
-  slot_cv_.notify_all();
-}
-
 bool Session::at_inflight_limit() const {
-  if (completer_ != nullptr) {
-    std::lock_guard<std::mutex> lock(smu_);
-    return inflight_n_ >= cfg_.max_inflight;
-  }
-  return inflight_.size() >= cfg_.max_inflight;
+  std::lock_guard<std::mutex> lock(smu_);
+  return inflight_n_ >= cfg_.max_inflight;
 }
 
-void Session::wait_slot() {
+void Session::make_room() {
+  if (completer_ == nullptr) {
+    if (at_inflight_limit()) reap_front();
+    return;
+  }
   std::unique_lock<std::mutex> lock(smu_);
   slot_cv_.wait(lock, [this] { return inflight_n_ < cfg_.max_inflight; });
 }
@@ -245,11 +223,7 @@ bool Session::pump(bool may_block) {
   while (win_.has_window()) {
     if (at_inflight_limit()) {
       if (!may_block) return false;
-      if (completer_ != nullptr) {
-        wait_slot();
-      } else {
-        reap_front();  // backpressure: deliver the oldest window first
-      }
+      make_room();  // backpressure: the oldest window delivers first
     }
     submit_window(win_.pop_window_view());
   }
@@ -311,28 +285,20 @@ void Session::flush() {
   obs::Span sp("session.flush", 0, id_);
   pump(/*may_block=*/true);
   if (win_.has_tail()) {
-    if (at_inflight_limit()) {
-      if (completer_ != nullptr) {
-        wait_slot();
-      } else {
-        reap_front();
-      }
-    }
+    make_room();
     submit_window(win_.pop_tail_view());
   }
 }
 
 void Session::drain() {
-  if (completer_ != nullptr) {
-    std::unique_lock<std::mutex> lock(smu_);
-    slot_cv_.wait(lock, [this] { return inflight_n_ == 0; });
-    if (error_pending_) {
-      error_pending_ = false;
-      throw HostError("Session: window job failed: " + first_error_);
-    }
-    return;
+  while (!inflight_.empty()) reap_front();  // the producer FIFO; lanes: empty
+  std::unique_lock<std::mutex> lock(smu_);
+  slot_cv_.wait(lock, [this] { return inflight_n_ == 0; });
+  if (unreported_error_) {
+    const std::string err = std::move(*unreported_error_);
+    unreported_error_.reset();
+    throw HostError("Session: window job failed: " + err);
   }
-  while (!inflight_.empty()) reap_front();
 }
 
 void Session::finish() {
@@ -341,11 +307,8 @@ void Session::finish() {
 }
 
 std::size_t Session::inflight() const {
-  if (completer_ != nullptr) {
-    std::lock_guard<std::mutex> lock(smu_);
-    return inflight_n_;
-  }
-  return inflight_.size();
+  std::lock_guard<std::mutex> lock(smu_);
+  return inflight_n_;
 }
 
 SessionStats Session::stats() const {

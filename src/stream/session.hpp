@@ -12,17 +12,19 @@
 // MBioTracker state (band masks, tables) local, so consecutive windows hit
 // the SPM-residency fast path.
 //
-// Delivery modes. Who reaps depends on the owning server's configuration:
-//   * producer-thread reaping (the default): push/flush/drain reap the
-//     futures and run the sink on the producer's thread -- the original
-//     single-threaded behavior, bit-identical to PR 3;
+// Delivery. One routine, deliver(), hands every window to the sink; only
+// the thread that runs it depends on the owning server's configuration:
+//   * producer-thread reaping (the default): push/flush/drain deliver the
+//     oldest finished window on the producer's thread;
 //   * completion lanes (StreamServer::Config::completion_threads > 0): the
 //     session hands every submitted handle to a Completer lane, which
-//     waits, builds the WindowResult and runs the sink on a dedicated
-//     delivery thread. A sink may then block indefinitely without stalling
-//     this or any other session's ingest. Job failures are routed to the
-//     error sink when one is set, otherwise the first failure is rethrown
-//     from drain()/finish().
+//     delivers it on a dedicated thread. A sink may then block
+//     indefinitely without stalling this or any other session's ingest.
+// Either way a window's index is its submission position (a failed window
+// uses its index up too), and a failed window goes to the error sink when
+// one is set and is counted in SessionStats::windows_failed; with no error
+// sink, the first failure not yet reported is rethrown once from
+// drain()/finish(), never from the middle of push().
 //
 // Backpressure. At most `max_inflight` windows of a session are queued or
 // running at once, and the staging buffer bounds the buffered samples:
@@ -40,7 +42,9 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "app/mbiotracker.hpp"
@@ -81,8 +85,8 @@ struct WindowResult {
 class Session {
  public:
   using Sink = std::function<void(const WindowResult&)>;
-  /// Failed-window report (completion-lane mode): session id, window index,
-  /// error message. Runs on the delivery thread.
+  /// Failed-window report: session id, window index, error message. Runs
+  /// on the delivering thread.
   using ErrorSink =
       std::function<void(std::uint64_t, std::uint64_t, const std::string&)>;
 
@@ -110,9 +114,9 @@ class Session {
   /// (if any samples past the last window remain). Blocking.
   void flush();
 
-  /// Blocks until every submitted window has been delivered. In
-  /// completion-lane mode, rethrows the first job failure (once) when no
-  /// error sink was installed.
+  /// Blocks until every submitted window has been delivered, then
+  /// rethrows the first job failure not yet reported (once) when no error
+  /// sink was installed.
   void drain();
 
   /// flush() + drain(): end-of-stream.
@@ -126,10 +130,12 @@ class Session {
   /// Counter snapshot. Thread-safe.
   SessionStats stats() const;
 
-  /// Completion-lane entry point: waits for `h`, delivers the result to the
-  /// sink (or the failure to the error sink) and releases one in-flight
-  /// slot. Called only by the owning Completer's lane thread.
-  void deliver_async(runtime::JobHandle h);
+  /// Delivers the session's oldest undelivered window: waits for `h`, runs
+  /// the sink (or the error sink on a failure), accounts the window and
+  /// releases its in-flight slot. Called in submission order by the one
+  /// thread that delivers this session: its producer, or its Completer
+  /// lane.
+  void deliver(runtime::JobHandle h);
 
   /// A template of the per-window job this session will submit (null
   /// buffers), for cost estimation against the pool's online estimator.
@@ -146,22 +152,24 @@ class Session {
   /// hop-overlap between consecutive windows is never copied per window.
   runtime::Job make_job(WindowView window);
   void submit_window(WindowView window);
-  /// Delivers the oldest in-flight result to the sink (producer-thread
-  /// reaping; blocking).
+  /// Producer-thread reaping: pops the oldest handle and delivers it
+  /// (blocking).
   void reap_front();
-  /// Producer-reaping mode: delivers every already-completed front result
-  /// without blocking. Completion-lane mode: no-op (the lane delivers).
+  /// Producer-thread reaping: delivers every already-finished front window
+  /// without blocking. A no-op with lanes (the producer FIFO stays empty).
   void reap_ready();
-  /// Blocks until an in-flight slot frees (completion-lane mode).
-  void wait_slot();
+  /// Blocks until an in-flight slot is free: the producer delivers its
+  /// oldest window itself, or waits for a lane to deliver one.
+  void make_room();
   /// True when the in-flight bound is currently met.
   bool at_inflight_limit() const;
   /// Submits buffered full windows; blocks on backpressure when allowed,
   /// stops early otherwise. Returns false if it stopped early.
   bool pump(bool may_block);
-  /// Folds one delivered result into stats_ (caller holds smu_ or is the
-  /// single producer in producer-reaping mode).
-  void account_delivery_locked(const runtime::JobResult& job);
+  /// Accounts one delivered or failed (`err` set) window into stats_ and
+  /// releases its in-flight slot.
+  void settle(const runtime::JobResult& job,
+              const std::optional<std::string>& err);
 
   std::uint64_t id_;
   runtime::DevicePool* pool_;
@@ -171,21 +179,22 @@ class Session {
   ErrorSink error_sink_;
   Completer* completer_;  ///< null: producer-thread reaping
   Windower win_;
-  /// Producer-reaping mode only: the session's own in-flight FIFO.
+  /// Producer-thread reaping: the submitted handles, oldest first.
   std::deque<runtime::JobHandle> inflight_;
+  /// Index of the next window to deliver; touched only by the delivering
+  /// thread.
+  std::uint64_t next_index_ = 0;
 
-  /// Counter + in-flight-slot state. In producer-reaping mode only the
-  /// producer touches it; in completion-lane mode the producer and the lane
-  /// share it under smu_.
+  /// Counter + in-flight-slot state, shared by the producer and the
+  /// delivering thread.
   mutable std::mutex smu_;
   std::condition_variable slot_cv_;   ///< in-flight slot freed / drained
-  std::size_t inflight_n_ = 0;        ///< completion-lane in-flight count
-  std::uint64_t next_delivery_ = 0;   ///< lane-side window index counter
+  std::size_t inflight_n_ = 0;        ///< submitted, not yet delivered
   /// Per-session delivered-window counter ("session.<id>.windows_delivered"),
   /// bound at construction iff metrics were enabled then; observability only.
   obs::Counter* m_delivered_ = nullptr;
-  std::string first_error_;           ///< first job failure (lane mode)
-  bool error_pending_ = false;        ///< first_error_ not yet rethrown
+  /// First failure not yet rethrown (no error sink set).
+  std::optional<std::string> unreported_error_;
   SessionStats stats_;
 };
 

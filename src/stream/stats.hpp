@@ -24,7 +24,7 @@ struct SessionStats {
   std::uint64_t dropped_pushes = 0;    ///< try_push calls that dropped
   std::uint64_t windows_submitted = 0; ///< windows turned into jobs
   std::uint64_t windows_delivered = 0; ///< results handed to the sink
-  std::uint64_t windows_failed = 0;    ///< jobs that raised instead (lanes)
+  std::uint64_t windows_failed = 0;    ///< jobs that raised instead
 
   /// Per-window service latency on the device (job cycle deltas).
   Cycle latency_cycles_total = 0;

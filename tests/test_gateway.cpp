@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -492,6 +493,112 @@ TEST(Gateway, MatchesDirectStreamServerBitForBit) {
     SCOPED_TRACE("stream " + std::to_string(i));
     EXPECT_EQ(direct[i], gated[i]);
     EXPECT_GT(direct[i].size(), 0u);
+  }
+}
+
+TEST(Gateway, ChaosKillTwoReviveOneDeliversEveryWindowBitIdentical) {
+  // Fault tolerance end to end: loopback clients push fixed streams (even:
+  // whole-app bio; odd: feature pipeline) into a gateway over a 16-device
+  // mixed-architecture trace-cache fleet while a scripted FaultPlan
+  // fail-stops two devices mid-run and revives one of them. Kills land at
+  // fleet job-count boundaries: queued work is re-placed along failover
+  // chains and resident per-device state travels by checkpoint. Every
+  // window must still arrive exactly once, in order, and bit-identical to
+  // a fault-free twin run of the same workload.
+  constexpr unsigned kClients = 32;
+  constexpr unsigned kWindowsPerClient = 6;
+  constexpr unsigned kChunk = 256;  // push granularity (samples)
+  constexpr std::uint64_t kTotal = std::uint64_t{kClients} * kWindowsPerClient;
+  std::vector<std::vector<std::int32_t>> streams;
+  for (unsigned i = 0; i < kClients; ++i) {
+    streams.push_back(make_stream_samples(kWindowsPerClient * app::kWindow,
+                                          0.12 + 0.04 * (i % 12), 8600 + i));
+  }
+
+  struct Run {
+    std::vector<std::vector<std::int32_t>> outputs;  ///< per client, joined
+    std::vector<std::vector<std::uint64_t>> indices;
+    std::uint64_t failed = 0, dropped = 0;
+    runtime::FleetStats fleet;
+  };
+  auto run = [&](bool chaos) {
+    Server::Config cfg;
+    cfg.stream.pool.devices = 16;
+    const std::vector<soc::ArchConfig> mix = {
+        soc::ArchConfig{.exec_mode = cgra::ExecMode::kTraceCache},
+        soc::ArchConfig{.vwr_count = 2,
+                        .exec_mode = cgra::ExecMode::kTraceCache},
+        soc::ArchConfig{.vwr_count = 4,
+                        .exec_mode = cgra::ExecMode::kTraceCache},
+        soc::ArchConfig{.simd_width = 16,
+                        .exec_mode = cgra::ExecMode::kTraceCache}};
+    for (unsigned d = 0; d < 16; ++d) {
+      cfg.stream.pool.device_arch.push_back(mix[d % 4]);
+    }
+    if (chaos) {
+      // A quarter in, device 3 dies; at the halfway mark device 7 follows
+      // for good; device 3 comes back at five eighths.
+      cfg.stream.pool.faults.events = {
+          runtime::FaultEvent{3, kTotal / 4, (kTotal * 5) / 8},
+          runtime::FaultEvent{7, kTotal / 2, 0}};
+    }
+    cfg.stream.completion_threads = 4;
+    Server server(cfg);
+    // Pre-sized slots: client i's results arrive on its own reader thread.
+    Run r;
+    r.outputs.resize(kClients);
+    r.indices.resize(kClients);
+    std::atomic<std::uint64_t> failed{0}, dropped{0};
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < kClients; ++i) {
+      threads.emplace_back([&, i] {
+        Client client(server.connect_loopback());
+        Client::StreamOpts opts;
+        opts.tenant = i;
+        if (i % 2 == 1) opts.kind = 1;  // pipeline
+        const std::uint32_t sid =
+            client.open(opts, [&r, i](const WindowResult& w) {
+              r.indices[i].push_back(w.index);
+              r.outputs[i].insert(r.outputs[i].end(), w.output.begin(),
+                                  w.output.end());
+            });
+        for (std::size_t sent = 0; sent < streams[i].size(); sent += kChunk) {
+          client.push(sid, std::span<const std::int32_t>(streams[i]).subspan(
+                               sent, std::min<std::size_t>(
+                                         kChunk, streams[i].size() - sent)));
+        }
+        client.flush(sid);
+        const CloseOk co = client.close_stream(sid);
+        failed += co.windows_failed;
+        dropped += co.dropped_samples;
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    r.failed = failed;
+    r.dropped = dropped;
+    r.fleet = server.streams().pool().stats();
+    server.stop();
+    return r;
+  };
+
+  const Run chaos = run(true);
+  const Run calm = run(false);
+  EXPECT_EQ(chaos.fleet.devices_failed, 2u);
+  EXPECT_EQ(chaos.fleet.devices_revived, 1u);
+  EXPECT_EQ(chaos.fleet.devices_dead, 1u);
+  EXPECT_EQ(calm.fleet.devices_failed, 0u);
+  std::vector<std::uint64_t> all(kWindowsPerClient);
+  std::iota(all.begin(), all.end(), 0);
+  for (const Run* r : {&chaos, &calm}) {
+    EXPECT_EQ(r->failed, 0u);
+    EXPECT_EQ(r->dropped, 0u);
+    for (unsigned i = 0; i < kClients; ++i) {
+      EXPECT_EQ(r->indices[i], all) << "stream " << i;
+    }
+  }
+  for (unsigned i = 0; i < kClients; ++i) {
+    EXPECT_FALSE(chaos.outputs[i].empty()) << "stream " << i;
+    EXPECT_EQ(chaos.outputs[i], calm.outputs[i]) << "stream " << i;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -240,11 +241,30 @@ TEST(GatewayProtocol, RejectsBadVersionAndUnknownType) {
   }
 }
 
+/// Feeds `wire` to a fresh decoder: it must throw (with `code`, when
+/// given) and stay poisoned -- the next call throws too.
+void expect_rejected_and_poisoned(const fuzz::Bytes& wire,
+                                  const std::string& what,
+                                  std::optional<ErrorCode> code = {}) {
+  Decoder dec;
+  dec.feed(wire);
+  try {
+    dec.next();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const ProtocolError& e) {
+    if (code) {
+      EXPECT_EQ(e.code, *code) << what;
+    }
+  }
+  EXPECT_THROW(dec.next(), ProtocolError) << what;
+}
+
 TEST(GatewayProtocol, RejectsLyingArrayCountWithoutOverReading) {
-  // Every count prefix patched to claim far more than its frame holds: the
-  // decoder must reject the frame (kBadFrame) before touching bytes past
-  // it or allocating count * element size -- the allocation cap at the top
-  // of this file turns a buffer sized from the lie into a failure here.
+  // Every count prefix patched by the shared fuzzer to claim more than its
+  // frame holds: the decoder must reject the frame (kBadFrame) before
+  // touching bytes past it or allocating count * element size -- the
+  // allocation cap at the top of this file turns a buffer sized from the
+  // lie into a failure here.
   struct Case {
     Frame frame;
     std::size_t count_at;  ///< wire offset of the count prefix
@@ -261,19 +281,12 @@ TEST(GatewayProtocol, RejectsLyingArrayCountWithoutOverReading) {
       {StatsPush{1, {}, {}, {{1, 2, 3, 4, 5, 6}}}, 22, 1},
   };
   for (const Case& c : cases) {
-    for (const std::uint32_t lie : {0x7fffffffu, 0xffffffffu}) {
-      std::vector<std::uint8_t> wire = encode(c.frame);
-      ASSERT_EQ(codec::Reader(wire.data() + c.count_at, 4).u32(), c.count);
-      codec::patch_u32(wire, c.count_at, lie);
-      Decoder dec;
-      dec.feed(wire);
-      try {
-        dec.next();
-        ADD_FAILURE() << "lying count accepted at " << c.count_at;
-      } catch (const ProtocolError& e) {
-        EXPECT_EQ(e.code, ErrorCode::kBadFrame);
-      }
-    }
+    fuzz::lying_counts(encode(c.frame),
+                       {{.at = c.count_at, .value = c.count}},
+                       [](const fuzz::Bytes& bad, const std::string& label) {
+                         expect_rejected_and_poisoned(bad, label,
+                                                      ErrorCode::kBadFrame);
+                       });
   }
 }
 
@@ -287,21 +300,22 @@ TEST(GatewayProtocol, RejectsTrailingBytesInsidePayload) {
   EXPECT_THROW(dec.next(), ProtocolError);
 }
 
-/// Chops `f`'s length prefix down so the payload ends after every proper
-/// prefix of it: each cut must throw (truncated read or count-vs-remaining
-/// reject), never crash or over-read, and poison the decoder.
+/// Every truncation the shared fuzzer makes of `f`, with the length
+/// prefix patched to cover exactly what is left, so the payload ends early
+/// (or, for the one trailing byte, late): each must throw (truncated read,
+/// count-vs-remaining or trailing-byte reject), never crash or over-read,
+/// and poison the decoder. Cuts inside the 6-byte header only wait.
 void expect_every_truncation_throws(const Frame& f) {
-  const std::vector<std::uint8_t> full = encode(f);
-  for (std::size_t keep = 0; 6 + keep < full.size(); ++keep) {
-    std::vector<std::uint8_t> wire(full.begin(),
-                                   full.begin() + 6 + static_cast<long>(keep));
-    codec::patch_u32(wire, 0, static_cast<std::uint32_t>(keep + 2));
-    Decoder dec;
-    dec.feed(wire);
-    EXPECT_THROW(dec.next(), ProtocolError)
-        << "type " << static_cast<int>(frame_type(f)) << " keep " << keep;
-    EXPECT_THROW(dec.next(), ProtocolError);
-  }
+  const fuzz::Bytes full = encode(f);
+  const std::string type = std::to_string(static_cast<int>(frame_type(f)));
+  fuzz::truncations(full, fuzz::Sweep{.head = full.size()},
+                    [&](fuzz::Bytes wire, const std::string& label) {
+                      if (wire.size() < 6) return;
+                      const auto len = static_cast<std::uint32_t>(wire.size());
+                      codec::patch_u32(wire, 0, len - 4);
+                      expect_rejected_and_poisoned(
+                          wire, "type " + type + " " + label);
+                    });
 }
 
 TEST(GatewayProtocol, TruncatedPayloadFieldsThrowNotCrash) {

@@ -769,6 +769,38 @@ TEST(RuntimeFaults, CheckpointWithLyingSramCountIsRejected) {
   EXPECT_EQ(d.sram, c.sram);
 }
 
+/// The checkpoint encoding is canonical: a resealed blob whose
+/// bio_resident byte is neither 0 nor 1 passes the checksum but must not
+/// decode (it would re-encode as 1, to other bytes).
+TEST(RuntimeFaults, CheckpointWithNonCanonicalBoolIsRejected) {
+  DeviceCheckpoint c;
+  c.arch = "vwr2a";
+  c.bio_resident = true;
+  c.sram = {1u, 2u};
+  const std::vector<std::uint8_t> blob = encode_checkpoint(c);
+  constexpr std::size_t kPrologue = 8 + 4 + 8;
+  // Payload: str arch, u32 sys_base, then the bio_resident byte.
+  const std::size_t bool_off = kPrologue + 4 + c.arch.size() + 4;
+  ASSERT_EQ(blob[bool_off], 1u);
+  for (const std::uint8_t byte : {0, 1, 2, 0xff}) {
+    std::vector<std::uint8_t> bad = blob;
+    bad[bool_off] = byte;
+    codec::patch_u64(bad, 12,
+                     codec::fnv1a(bad.data() + kPrologue,
+                                  bad.size() - kPrologue));
+    DeviceCheckpoint d;
+    std::string why;
+    if (byte <= 1) {
+      EXPECT_TRUE(decode_checkpoint(bad, &d, &why)) << why;
+      EXPECT_EQ(d.bio_resident, byte == 1);
+      EXPECT_EQ(encode_checkpoint(d), bad);
+    } else {
+      EXPECT_FALSE(decode_checkpoint(bad, &d, &why)) << int{byte};
+      EXPECT_EQ(why, "checkpoint: bio_resident is not 0 or 1") << int{byte};
+    }
+  }
+}
+
 TEST(RuntimeFaults, KillAndReviveUnderLoadNeverLosesAJob) {
   DevicePool::Config cfg;
   cfg.devices = 4;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -801,6 +802,63 @@ TEST(StreamSession, EnqueueAfterStopRollsBackAndNeverHangsDrain) {
   EXPECT_TRUE(drained.load());  // would hang before the notify fix
   waiter.join();
   EXPECT_EQ(session.stats().windows_submitted, 1u);  // rollback accounted
+}
+
+TEST(StreamSession, FailedWindowsReportAlikeInBothDeliveryModes) {
+  // One failure policy for both delivery modes: every window of a
+  // pipeline session with 10 taps fails ("FirKernels: need 11 taps").
+  // Each failed window uses its index up, reaches the error sink and is
+  // counted in windows_failed; with no error sink, drain() rethrows the
+  // failure once and then returns normally. push() never throws it.
+  constexpr unsigned kWindows = 5;
+  SessionConfig cfg;
+  cfg.kind = SessionKind::kPipeline;
+  cfg.taps = runtime::make_buffer(std::vector<std::int32_t>(10, 1));
+  cfg.max_inflight = 2;  // backpressure delivers failures mid-push too
+  const auto samples = make_stream(kWindows * app::kWindow, 0.3, 1800);
+  std::vector<std::uint64_t> all(kWindows);
+  std::iota(all.begin(), all.end(), 0);
+
+  for (const unsigned lanes : {0u, 2u}) {
+    SCOPED_TRACE(std::to_string(lanes) + " completion lanes");
+    StreamServer::Config scfg;
+    scfg.pool.devices = 2;
+    scfg.completion_threads = lanes;
+    StreamServer server(scfg);
+
+    // Written by the delivering thread; drain() orders it before the reads.
+    std::vector<std::uint64_t> reported;
+    std::uint64_t delivered = 0;
+    Session& reporting = server.open_session(
+        cfg, [&](const WindowResult&) { ++delivered; },
+        [&](std::uint64_t, std::uint64_t index, const std::string& msg) {
+          EXPECT_NE(msg.find("need 11 taps"), std::string::npos) << msg;
+          reported.push_back(index);
+        });
+    EXPECT_NO_THROW(reporting.push(samples));
+    EXPECT_NO_THROW(reporting.finish());
+    EXPECT_EQ(reported, all);
+    EXPECT_EQ(delivered, 0u);
+    SessionStats st = reporting.stats();
+    EXPECT_EQ(st.windows_submitted, kWindows);
+    EXPECT_EQ(st.windows_failed, kWindows);
+    EXPECT_EQ(st.windows_delivered, 0u);
+
+    Session& silent = server.open_session(cfg);
+    EXPECT_NO_THROW(silent.push(samples));
+    EXPECT_NO_THROW(silent.flush());
+    try {
+      silent.drain();
+      ADD_FAILURE() << "drain() did not report the failures";
+    } catch (const HostError& e) {
+      EXPECT_NE(std::string(e.what()).find("need 11 taps"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(silent.drain());  // reported once
+    st = silent.stats();
+    EXPECT_EQ(st.windows_failed, kWindows);
+    EXPECT_EQ(st.windows_delivered, 0u);
+  }
 }
 
 TEST(StreamServer, SessionSurvivesItsDeviceDyingMidStream) {
