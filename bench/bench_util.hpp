@@ -55,6 +55,47 @@ inline void place_complex_input(Rig& rig, unsigned n, unsigned base, Rng& rng) {
   }
 }
 
+/// Table 2's VWR2A cell: cycles of one n-point complex (or real) FFT on a
+/// fresh rig, over random 16.15 input drawn from `rng`. The bench and the
+/// paper ledger test (tests/test_paper_ledger.cpp) share this driver.
+inline Cycle vwr2a_fft_cycles(unsigned n, bool real, Rng& rng) {
+  Rig rig;
+  kernels::FftKernels fft(rig.host);
+  fft.prepare(0);
+  const unsigned in = kernels::FftKernels::table_words();
+  const unsigned out = in + 2 * n + 2;
+  const unsigned scratch = out + 2 * n + 2;
+  if (real) {
+    for (unsigned i = 0; i < n; ++i) {
+      rig.sram.poke(in + i, static_cast<Word>(
+                                fx::to_q16_15(rng.next_range(-0.4, 0.4))));
+    }
+    return fft.rfft(n, in, out, scratch).cycles;
+  }
+  place_complex_input(rig, n, in, rng);
+  return fft.cfft(n, in, out, scratch).cycles;
+}
+
+/// Table 4's VWR2A cells: one n-point FIR-11 on a fresh rig.
+struct FirCell {
+  Cycle cycles = 0;
+  double uj = 0.0;  ///< accelerator energy
+};
+
+/// Runs Table 4's VWR2A FIR-11 over random 16.15 input drawn from `rng`.
+/// Shared by the bench and the paper ledger test.
+inline FirCell vwr2a_fir11(unsigned n, Rng& rng) {
+  Rig rig;
+  kernels::FirKernels fir(rig.host);
+  fir.prepare(0);
+  for (unsigned i = 0; i < n; ++i) {
+    rig.sram.poke(64 + i, static_cast<Word>(
+                              fx::to_q16_15(rng.next_range(-0.8, 0.8))));
+  }
+  const auto stats = fir.fir11(n, dsp::fir11_lowpass_q15(), 64, 64 + n);
+  return {stats.cycles, rig.acc.meter().total_uj()};
+}
+
 /// Microseconds at the 80 MHz architectural clock.
 inline double us(Cycle cycles) {
   return static_cast<double>(cycles) / arch::kClockHz * 1e6;

@@ -54,23 +54,6 @@ Cycle accel_fft_cycles(unsigned n, bool real, Rng& rng) {
   return fa.cfft(x).cycles;
 }
 
-Cycle vwr2a_fft_cycles(unsigned n, bool real, Rng& rng) {
-  Rig rig;
-  kernels::FftKernels fft(rig.host);
-  fft.prepare(0);
-  const unsigned in = kernels::FftKernels::table_words();
-  const unsigned out = in + 2 * n + 2;
-  const unsigned scratch = out + 2 * n + 2;
-  if (real) {
-    for (unsigned i = 0; i < n; ++i) {
-      rig.sram.poke(in + i, static_cast<Word>(fx::to_q16_15(rng.next_range(-0.4, 0.4))));
-    }
-    return fft.rfft(n, in, out, scratch).cycles;
-  }
-  place_complex_input(rig, n, in, rng);
-  return fft.cfft(n, in, out, scratch).cycles;
-}
-
 } // namespace
 } // namespace vwr2a::bench
 

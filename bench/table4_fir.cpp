@@ -44,25 +44,12 @@ int main() {
       cpu_cycles = m4.cycles();
       cpu_uj = m.total_uj();
     }
-    // VWR2A.
-    Cycle vwr_cycles = 0;
-    double vwr_uj = 0;
-    {
-      Rig rig;
-      kernels::FirKernels fir(rig.host);
-      fir.prepare(0);
-      for (unsigned i = 0; i < p.n; ++i) {
-        rig.sram.poke(64 + i, static_cast<Word>(fx::to_q16_15(rng.next_range(-0.8, 0.8))));
-      }
-      const auto stats = fir.fir11(p.n, dsp::fir11_lowpass_q15(), 64, 64 + p.n);
-      vwr_cycles = stats.cycles;
-      vwr_uj = rig.acc.meter().total_uj();
-    }
+    const FirCell vwr = vwr2a_fir11(p.n, rng);
     std::printf("  %-8u | %10llu %8.3f | %10llu %8.3f | %7.1fx %8.1f%%\n", p.n,
                 static_cast<unsigned long long>(cpu_cycles), cpu_uj,
-                static_cast<unsigned long long>(vwr_cycles), vwr_uj,
-                static_cast<double>(cpu_cycles) / static_cast<double>(vwr_cycles),
-                100.0 * (1.0 - vwr_uj / cpu_uj));
+                static_cast<unsigned long long>(vwr.cycles), vwr.uj,
+                static_cast<double>(cpu_cycles) / static_cast<double>(vwr.cycles),
+                100.0 * (1.0 - vwr.uj / cpu_uj));
     std::printf("    paper  | %10.0f %8.3f | %10.0f %8.3f | %7.1fx %8.1f%%\n",
                 p.cpu_cycles, p.cpu_uj, p.vwr_cycles, p.vwr_uj, p.speedup,
                 p.savings_pct);

@@ -1,17 +1,16 @@
-// fleet_top: a `top`-style terminal dashboard for a live fleet, driven
-// entirely by v4 push-mode stats. One subscriber connection asks the
-// gateway for STATS_PUSH frames every 200 ms (no polling -- the server
-// initiates every frame) while 8 producer threads stream biosignals
-// through their own connections. Each push repaints:
-//   * every named STATS row the push carries (the fleet and gateway
+// fleet_top: a `top`-style terminal dashboard for a live fleet. One
+// dashboard connection polls the gateway for a STATS frame every 200 ms
+// while 8 producer threads stream biosignals through their own
+// connections. Each frame repaints:
+//   * every named STATS row the frame carries (the fleet and gateway
 //     counter tables: jobs, makespan, energy, faults, the replay tier
 //     mix, frames, bytes, quota rejections), printed generically;
 //   * per-device occupancy bars (device-local cycles relative to the
 //     busiest device), job counts and the health bitmap;
-//   * per-session window rates computed from consecutive pushes, plus the
+//   * per-session window rates computed from consecutive frames, plus the
 //     mean end-to-end latency from the v6 WINDOW_RESULT span breakdown
 //     (queue + run + deliver host ns, accumulated by the producers'
-//     result callbacks) -- per-stage truth, not a push-delta guess.
+//     result callbacks) -- per-stage truth, not a frame-delta guess.
 // The demo renders a fixed number of frames and exits; point the same
 // code at listen_tcp/connect_tcp for a real remote dashboard.
 
@@ -19,7 +18,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -52,7 +50,7 @@ int main() {
 
   constexpr unsigned kProducers = 8;
   constexpr unsigned kWindowsPerProducer = 12;
-  constexpr unsigned kFrames = 12;        // pushes to render before exiting
+  constexpr unsigned kFrames = 12;        // frames to render before exiting
   constexpr std::uint32_t kCadenceMs = 200;
 
   gateway::Server::Config cfg;
@@ -71,7 +69,7 @@ int main() {
 
   // Per-session e2e accumulation, fed by the producers' result callbacks
   // (keyed by the *server-side* session id so the dashboard can join it
-  // against STATS_PUSH session rows).
+  // against the STATS session loads).
   struct E2eAcc {
     std::mutex mu;
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
@@ -115,39 +113,36 @@ int main() {
     });
   }
 
-  // --- subscriber: render every STATS_PUSH ------------------------------------
-  std::mutex mu;
-  std::condition_variable cv;
-  unsigned frames = 0;
-  gateway::StatsPush prev;
-  std::chrono::steady_clock::time_point prev_at;
-
+  // --- dashboard: poll and render STATS every kCadenceMs --------------------
   gateway::Client dash(server.connect_loopback());
-  dash.subscribe_stats(kCadenceMs, [&](const gateway::StatsPush& p) {
+  gateway::Stats prev;
+  std::chrono::steady_clock::time_point prev_at;
+  for (unsigned frame = 0; frame < kFrames; ++frame) {
+    if (frame > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kCadenceMs));
+    }
+    const gateway::Stats st = dash.stats();
     const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(mu);
     const double dt =
-        frames > 0
-            ? std::chrono::duration<double>(now - prev_at).count()
-            : 0.0;
+        frame > 0 ? std::chrono::duration<double>(now - prev_at).count()
+                   : 0.0;
 
     std::printf("\x1b[2J\x1b[H");  // clear + home (harmless when piped)
-    std::printf("fleet_top -- push %llu, cadence %u ms, %zu devices\n",
-                static_cast<unsigned long long>(p.seq), kCadenceMs,
-                p.devices.size());
+    std::printf("fleet_top -- frame %u, every %u ms, %zu devices\n", frame,
+                kCadenceMs, st.devices.size());
     // Every STATS row as it arrives, two per line: a counter added to the
     // fleet or gateway table shows up here without touching this file.
-    for (std::size_t i = 0; i < p.stats.rows.size(); ++i) {
-      const gateway::StatRow& r = p.stats.rows[i];
+    for (std::size_t i = 0; i < st.rows.size(); ++i) {
+      const gateway::StatRow& r = st.rows[i];
       std::printf("  %-32s %14s%s", r.name.c_str(), format_row(r).c_str(),
-                  i % 2 == 1 || i + 1 == p.stats.rows.size() ? "\n" : "");
+                  i % 2 == 1 || i + 1 == st.rows.size() ? "\n" : "");
     }
     std::printf("\n");
 
     std::uint64_t busiest = 1;
-    for (const auto& d : p.devices) busiest = std::max(busiest, d.cycles);
-    for (std::size_t d = 0; d < p.devices.size(); ++d) {
-      const auto& dev = p.devices[d];
+    for (const auto& d : st.devices) busiest = std::max(busiest, d.cycles);
+    for (std::size_t d = 0; d < st.devices.size(); ++d) {
+      const auto& dev = st.devices[d];
       const int width =
           static_cast<int>(32 * dev.cycles / busiest);
       std::printf("  dev %2zu %s [%-32.*s] %10llu cy %6llu jobs\n", d,
@@ -159,8 +154,8 @@ int main() {
 
     std::printf("\n  %-8s %-6s %10s %10s %9s %9s %8s\n", "session", "dev",
                 "submitted", "delivered", "win/s", "e2e ms", "dropped");
-    for (const auto& s : p.sessions) {
-      // Rate from consecutive pushes: delivered delta over the wall gap.
+    for (const auto& s : st.sessions) {
+      // Rate from consecutive frames: delivered delta over the wall gap.
       double rate = 0.0;
       if (dt > 0) {
         for (const auto& q : prev.sessions) {
@@ -189,28 +184,19 @@ int main() {
     }
     std::fflush(stdout);
 
-    prev = p;
+    prev = st;
     prev_at = now;
-    ++frames;
-    cv.notify_all();
-  });
-
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(30),
-                [&frames] { return frames >= kFrames; });
   }
-  dash.unsubscribe_stats();
   stop_producing = true;
   for (auto& t : producers) t.join();
 
   const gateway::Telemetry final_stats =
       obs::view<gateway::kTelemetryFields>(dash.stats().rows);
-  std::printf("\nrendered %u pushed frames; final: %llu windows delivered, "
+  std::printf("\nrendered %u frames; final: %llu windows delivered, "
               "%llu sessions served\n",
-              frames,
+              kFrames,
               static_cast<unsigned long long>(final_stats.results_sent),
               static_cast<unsigned long long>(final_stats.sessions));
   server.stop();
-  return frames >= kFrames ? 0 : 1;
+  return 0;
 }

@@ -167,25 +167,6 @@ Stats Client::stats() {
   return std::get<Stats>(request(StatsRequest{}, kConnectionStream));
 }
 
-void Client::subscribe_stats(std::uint32_t cadence_ms, StatsPushFn on_push) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) throw HostError("gateway: client is closed");
-    // Registered before the frame goes out: the first push doubles as the
-    // subscribe ack and may arrive immediately.
-    on_stats_push_ = std::move(on_push);
-  }
-  send_frame(StatsSubscribe{cadence_ms, 1});
-}
-
-void Client::unsubscribe_stats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    on_stats_push_ = nullptr;
-  }
-  send_frame(StatsSubscribe{0, 0});
-}
-
 void Client::fail_all_pending() {
   std::map<std::uint32_t, std::promise<Frame>> pending;
   {
@@ -226,15 +207,6 @@ void Client::reader_loop() {
           }
           if (known) feed_remote_spans(*wr, session);
           if (cb) cb(*wr);
-          continue;
-        }
-        if (auto* push = std::get_if<StatsPush>(&*f)) {
-          StatsPushFn cb;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            cb = on_stats_push_;
-          }
-          if (cb) cb(*push);
           continue;
         }
         if (auto* err = std::get_if<Error>(&*f)) {

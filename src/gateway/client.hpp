@@ -42,7 +42,6 @@ class Client {
  public:
   using ResultFn = std::function<void(const WindowResult&)>;
   using ErrorFn = std::function<void(const Error&)>;
-  using StatsPushFn = std::function<void(const StatsPush&)>;
 
   /// Stream parameters (the OPEN_SESSION payload minus the stream id,
   /// which the client allocates).
@@ -86,20 +85,9 @@ class Client {
   /// CLOSE barrier: final per-stream accounting.
   CloseOk close_stream(std::uint32_t stream);
 
-  /// Server/fleet telemetry snapshot.
+  /// Server/fleet telemetry snapshot: every counter row plus the
+  /// per-device and per-session loads.
   Stats stats();
-
-  /// v4 push-mode stats: asks the server for a STATS_PUSH every
-  /// `cadence_ms` ms and routes each to `on_push` (reader thread -- same
-  /// rules as result callbacks). Fire-and-forget: the subscribe ack IS the
-  /// first push, which arrives immediately. Re-subscribing re-configures
-  /// the cadence. cadence_ms must be > 0 (the server rejects 0 with
-  /// ERROR kBadParams on the connection stream).
-  void subscribe_stats(std::uint32_t cadence_ms, StatsPushFn on_push);
-
-  /// Stops the pushes (frames already in flight may still arrive and are
-  /// dropped once the callback is cleared).
-  void unsubscribe_stats();
 
   /// Shuts the connection down and joins the reader. Idempotent. Pending
   /// requests fail with GatewayError(kShutdown).
@@ -124,7 +112,6 @@ class Client {
   mutable std::mutex mu_;  ///< pending_, streams_, next_stream_, closed_
   std::map<std::uint32_t, std::promise<Frame>> pending_;  ///< by stream key
   std::map<std::uint32_t, StreamCbs> streams_;
-  StatsPushFn on_stats_push_;  ///< set while subscribed
   std::uint32_t next_stream_ = 1;
   bool closed_ = false;
 

@@ -27,9 +27,9 @@
 namespace vwr2a::gateway {
 
 /// The versioning byte every frame carries, bumped on breaking changes
-/// (history: docs/protocol.md "Version history"). v9 made STATS a list of
-/// named rows, so adding or dropping a counter no longer changes it.
-inline constexpr std::uint8_t kProtocolVersion = 9;
+/// (history: docs/protocol.md "Version history"). v10 made STATS the one
+/// stats frame: it carries the device and session loads too.
+inline constexpr std::uint8_t kProtocolVersion = 10;
 /// Hard bound on one frame's payload; larger length prefixes are rejected
 /// before any allocation happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -70,7 +70,6 @@ enum class FrameType : std::uint8_t {
   kFlush = 0x03,
   kClose = 0x04,
   kStatsRequest = 0x05,
-  kStatsSubscribe = 0x06,
   // server -> client
   kOpenOk = 0x81,
   kWindowResult = 0x82,
@@ -78,7 +77,6 @@ enum class FrameType : std::uint8_t {
   kCloseOk = 0x84,
   kStats = 0x85,
   kError = 0x86,
-  kStatsPush = 0x87,
 };
 
 // --- frame structs ------------------------------------------------------------
@@ -200,16 +198,51 @@ struct StatRow {
   bool operator==(const StatRow&) const = default;
 };
 
-/// Server + fleet telemetry (runtime::DevicePool::peek_stats picture: live,
-/// non-blocking, batch-boundary freshness): one row per row of the fleet
-/// and gateway counter tables, in table order; obs::view reads a table's
-/// block back by name. The rows are kept verbatim, so a frame re-encodes
-/// to its input bytes even when it carries rows this build does not know.
+/// One device's live load in a STATS frame (index in the array = device id).
+struct DeviceLoad {
+  std::uint64_t cycles = 0;  ///< device-local clock (simulated)
+  std::uint64_t jobs = 0;    ///< jobs completed on this device
+  std::uint8_t dead = 0;     ///< 1 while fail-stopped
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.cycles, f.jobs, f.dead);
+  }
+  bool operator==(const DeviceLoad&) const = default;
+};
+
+/// One session's live load in a STATS frame.
+struct SessionLoad {
+  std::uint64_t id = 0;
+  std::uint32_t device = 0;  ///< device of the last delivered window
+  std::uint64_t windows_submitted = 0;
+  std::uint64_t windows_delivered = 0;
+  std::uint64_t dropped_samples = 0;
+  std::uint64_t latency_cycles_total = 0;
+
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.id, f.device, f.windows_submitted, f.windows_delivered,
+                    f.dropped_samples, f.latency_cycles_total);
+  }
+  bool operator==(const SessionLoad&) const = default;
+};
+
+/// Server + fleet telemetry, all from live non-blocking snapshots
+/// (runtime::DevicePool::peek_stats: batch-boundary freshness). `rows` has
+/// one row per row of the fleet and gateway counter tables, in table
+/// order; obs::view reads a table's block back by name. The rows are kept
+/// verbatim, so a frame re-encodes to its input bytes even when it carries
+/// rows this build does not know. `sessions` carries at most the newest
+/// kMaxSessionLoads sessions.
 struct Stats {
   static constexpr FrameType kType = FrameType::kStats;
+  static constexpr std::size_t kMaxSessionLoads = 256;
   std::vector<StatRow> rows;
+  std::vector<DeviceLoad> devices;
+  std::vector<SessionLoad> sessions;
 
-  static constexpr auto tie(auto& f) { return std::tie(f.rows); }
+  static constexpr auto tie(auto& f) {
+    return std::tie(f.rows, f.devices, f.sessions);
+  }
   bool operator==(const Stats&) const = default;
 };
 
@@ -252,72 +285,11 @@ struct Error {
   bool operator==(const Error&) const = default;
 };
 
-/// v4: starts (enable=1) or stops (enable=0) server-initiated STATS_PUSH
-/// frames on this connection, every `cadence_ms` milliseconds. A fresh
-/// subscribe while already subscribed re-configures the cadence. The first
-/// push is sent immediately (it doubles as the subscribe ack).
-/// enable=1 with cadence_ms=0 is rejected with ERROR kBadParams.
-struct StatsSubscribe {
-  static constexpr FrameType kType = FrameType::kStatsSubscribe;
-  std::uint32_t cadence_ms = 0;
-  std::uint8_t enable = 1;
-
-  static constexpr auto tie(auto& f) {
-    return std::tie(f.cadence_ms, f.enable);
-  }
-  bool operator==(const StatsSubscribe&) const = default;
-};
-
-/// One device's live load in a STATS_PUSH (index in the array = device id).
-struct DeviceLoad {
-  std::uint64_t cycles = 0;  ///< device-local clock (simulated)
-  std::uint64_t jobs = 0;    ///< jobs completed on this device
-  std::uint8_t dead = 0;     ///< 1 while fail-stopped
-
-  static constexpr auto tie(auto& f) {
-    return std::tie(f.cycles, f.jobs, f.dead);
-  }
-  bool operator==(const DeviceLoad&) const = default;
-};
-
-/// One session's live load in a STATS_PUSH.
-struct SessionLoad {
-  std::uint64_t id = 0;
-  std::uint32_t device = 0;  ///< device of the last delivered window
-  std::uint64_t windows_submitted = 0;
-  std::uint64_t windows_delivered = 0;
-  std::uint64_t dropped_samples = 0;
-  std::uint64_t latency_cycles_total = 0;
-
-  static constexpr auto tie(auto& f) {
-    return std::tie(f.id, f.device, f.windows_submitted, f.windows_delivered,
-                    f.dropped_samples, f.latency_cycles_total);
-  }
-  bool operator==(const SessionLoad&) const = default;
-};
-
-/// v4: server-initiated stats frame. A distinct type from STATS so pushes
-/// can never be mistaken for the reply to an in-flight STATS_REQUEST.
-/// `sessions` carries at most the newest kMaxSessionLoads sessions.
-struct StatsPush {
-  static constexpr FrameType kType = FrameType::kStatsPush;
-  static constexpr std::size_t kMaxSessionLoads = 256;
-  std::uint64_t seq = 0;  ///< per-connection push counter, from 0
-  Stats stats;
-  std::vector<DeviceLoad> devices;
-  std::vector<SessionLoad> sessions;
-
-  static constexpr auto tie(auto& f) {
-    return std::tie(f.seq, f.stats, f.devices, f.sessions);
-  }
-  bool operator==(const StatsPush&) const = default;
-};
-
 /// Every frame type, one alternative each; decode dispatch walks the
 /// alternatives for the one whose kType matches the type byte.
 using Frame = std::variant<OpenSession, PushSamples, Flush, Close,
                            StatsRequest, OpenOk, WindowResult, FlushOk,
-                           CloseOk, Stats, Error, StatsSubscribe, StatsPush>;
+                           CloseOk, Stats, Error>;
 
 /// The FrameType a Frame alternative encodes as (its kType).
 FrameType frame_type(const Frame& f);

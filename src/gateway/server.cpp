@@ -37,7 +37,6 @@ class Server::Connection {
 
   void join() {
     if (reader_.joinable()) reader_.join();
-    stop_pusher();  // backstop; the reader normally joined it already
     if (writer_.joinable()) writer_.join();
   }
 
@@ -176,9 +175,6 @@ class Server::Connection {
     if (srv_->journal_ != nullptr) {
       srv_->journal_->conn_close(journal_conn_, srv_->now_ns());
     }
-    // The stats pusher enqueues frames; it must be gone before the writer
-    // is told no more producers exist.
-    stop_pusher();
     {
       std::lock_guard<std::mutex> lock(wmu_);
       finishing_ = true;  // writer exits once the queue is flushed
@@ -198,8 +194,6 @@ class Server::Connection {
       handle_close(*close);
     } else if (std::get_if<StatsRequest>(&f) != nullptr) {
       enqueue(srv_->build_stats());
-    } else if (const auto* sub = std::get_if<StatsSubscribe>(&f)) {
-      handle_subscribe(*sub);
     } else {
       // A structurally valid frame of a server->client type: a confused
       // peer, not a framing corruption. Report, keep the connection.
@@ -316,59 +310,6 @@ class Server::Connection {
     enqueue(ok);
   }
 
-  // --- stats push (v4) --------------------------------------------------------
-
-  void handle_subscribe(const StatsSubscribe& sub) {
-    if (sub.enable != 0 && sub.cadence_ms == 0) {
-      send_error(kConnectionStream, ErrorCode::kBadParams,
-                 "gateway: STATS_SUBSCRIBE cadence_ms must be > 0");
-      return;
-    }
-    const std::uint32_t cadence = sub.enable != 0 ? sub.cadence_ms : 0;
-    bool start = false;
-    {
-      std::lock_guard<std::mutex> lock(pmu_);
-      cadence_ms_ = cadence;
-      push_now_ = cadence != 0;  // first push immediately (the ack)
-      start = cadence != 0 && !pusher_.joinable();
-      if (start) pusher_ = std::thread([this] { pusher_loop(); });
-    }
-    p_cv_.notify_all();
-  }
-
-  /// Periodic server-initiated STATS_PUSH frames. One lazily-started
-  /// thread per subscribed connection; lives until the reader exits.
-  void pusher_loop() {
-    std::uint64_t seq = 0;
-    std::unique_lock<std::mutex> lock(pmu_);
-    for (;;) {
-      p_cv_.wait(lock, [this] { return pusher_stop_ || cadence_ms_ != 0; });
-      if (pusher_stop_) return;
-      push_now_ = false;
-      const std::uint32_t cadence = cadence_ms_;
-      lock.unlock();
-      // Built and enqueued unlocked: build_stats_push takes server-side
-      // snapshots and enqueue may block on writer backpressure.
-      enqueue(srv_->build_stats_push(seq++));
-      lock.lock();
-      p_cv_.wait_for(lock, std::chrono::milliseconds(cadence),
-                     [this, cadence] {
-                       return pusher_stop_ || push_now_ ||
-                              cadence_ms_ != cadence;
-                     });
-      if (pusher_stop_) return;
-    }
-  }
-
-  void stop_pusher() {
-    {
-      std::lock_guard<std::mutex> lock(pmu_);
-      pusher_stop_ = true;
-    }
-    p_cv_.notify_all();
-    if (pusher_.joinable()) pusher_.join();
-  }
-
   /// EOF/teardown: settle every live stream (deliver what was submitted;
   /// buffered-but-unsubmitted samples are discarded -- the peer is gone)
   /// and release its quota.
@@ -391,13 +332,6 @@ class Server::Connection {
   std::thread writer_;
 
   std::map<std::uint32_t, StreamState> streams_;  ///< reader-thread-owned
-
-  std::mutex pmu_;                ///< pusher state below
-  std::condition_variable p_cv_;  ///< cadence change / immediate push / stop
-  std::thread pusher_;            ///< started on first STATS_SUBSCRIBE
-  std::uint32_t cadence_ms_ = 0;  ///< 0 = not subscribed
-  bool push_now_ = false;         ///< one immediate push requested
-  bool pusher_stop_ = false;
 
   std::mutex wmu_;
   std::condition_variable w_cv_;       ///< writer: frames queued / stop
@@ -587,39 +521,27 @@ bool Server::charge_rate(std::uint32_t tenant, std::size_t bytes) {
 }
 
 Stats Server::build_stats() const {
-  return build_stats(stream_.pool().peek_stats());
-}
-
-Stats Server::build_stats(const runtime::FleetStats& fleet) const {
+  const runtime::FleetStats fleet = stream_.pool().peek_stats();
   Stats s;
   s.rows.reserve(runtime::kFleetFields.size() + kTelemetryFields.size());
   obs::to_rows<runtime::kFleetFields>(fleet, s.rows);
   obs::to_rows<kTelemetryFields>(telemetry(), s.rows);
-  return s;
-}
-
-StatsPush Server::build_stats_push(std::uint64_t seq) const {
-  const runtime::FleetStats fleet = stream_.pool().peek_stats();
-  StatsPush p;
-  p.seq = seq;
-  p.stats = build_stats(fleet);
-  p.devices.reserve(fleet.device_cycles.size());
+  s.devices.reserve(fleet.device_cycles.size());
   for (std::size_t d = 0; d < fleet.device_cycles.size(); ++d) {
     DeviceLoad load;
     load.cycles = fleet.device_cycles[d];
     load.jobs = d < fleet.device_jobs.size() ? fleet.device_jobs[d] : 0;
     load.dead = d < fleet.device_dead.size() ? fleet.device_dead[d] : 0;
-    p.devices.push_back(load);
+    s.devices.push_back(load);
   }
   // StreamServer sessions are append-only (closed sessions keep their
   // final counters), so on a long-lived server the newest tail is the
   // live set -- and it bounds the frame size.
   std::vector<stream::SessionStats> sessions = stream_.peek_sessions();
-  const std::size_t first =
-      sessions.size() > StatsPush::kMaxSessionLoads
-          ? sessions.size() - StatsPush::kMaxSessionLoads
-          : 0;
-  p.sessions.reserve(sessions.size() - first);
+  const std::size_t first = sessions.size() > Stats::kMaxSessionLoads
+                                ? sessions.size() - Stats::kMaxSessionLoads
+                                : 0;
+  s.sessions.reserve(sessions.size() - first);
   for (std::size_t i = first; i < sessions.size(); ++i) {
     const stream::SessionStats& ss = sessions[i];
     SessionLoad l;
@@ -629,9 +551,9 @@ StatsPush Server::build_stats_push(std::uint64_t seq) const {
     l.windows_delivered = ss.windows_delivered;
     l.dropped_samples = ss.dropped_samples;
     l.latency_cycles_total = ss.latency_cycles_total;
-    p.sessions.push_back(l);
+    s.sessions.push_back(l);
   }
-  return p;
+  return s;
 }
 
 } // namespace vwr2a::gateway

@@ -59,7 +59,7 @@ struct Telemetry {
 };
 
 /// The gateway counter table: Server::telemetry(), the obs::Registry
-/// mirror and the gateway rows of STATS / STATS_PUSH derive from it.
+/// mirror and the gateway rows of STATS derive from it.
 inline constexpr auto kTelemetryFields = [] {
   using enum obs::StatKind;
   using T = Telemetry;
@@ -132,16 +132,10 @@ class Server {
 
   Telemetry telemetry() const { return tel_.snapshot(); }
 
-  /// The STATS-frame picture: the fleet rows of the pool's non-blocking
-  /// aggregate (runtime::DevicePool::peek_stats), then the gateway rows.
+  /// The STATS frame: the fleet rows and per-device loads of one
+  /// non-blocking pool snapshot (runtime::DevicePool::peek_stats), the
+  /// gateway rows, and the newest sessions' loads.
   Stats build_stats() const;
-  /// Same, over an already-fetched fleet snapshot (lets STATS_PUSH build
-  /// the scalar block and the per-device array from one snapshot).
-  Stats build_stats(const runtime::FleetStats& fleet) const;
-
-  /// One v4 STATS_PUSH frame: build_stats() + per-device loads + the
-  /// newest sessions' loads, all from live non-blocking snapshots.
-  StatsPush build_stats_push(std::uint64_t seq) const;
 
  private:
   class Connection;

@@ -1,7 +1,7 @@
 #pragma once
 // Typed metrics registry: counters, gauges and log-bucketed histograms
 // behind one enumerable dot-separated namespace ("fleet.jobs_rescued",
-// "session.3.windows_delivered", "gateway.bytes_in", ...). Counters and
+// "session.latency_cycles", "gateway.bytes_in", ...). Counters and
 // histograms record through cache-line-aligned per-thread shards (a relaxed
 // fetch_add on the shard picked by obs::thread_slot()) so concurrent
 // recording never contends on one line; reads sum the shards and are exact

@@ -4,7 +4,7 @@
 // descriptor table lists each member once: registry name, kind, member.
 // Every export walks the table: Tally keeps a component's live values and
 // mirrors counter rows into the obs::Registry; to_rows / view write
-// and read the named rows of the gateway's STATS and STATS_PUSH frames.
+// and read the named rows of the gateway's STATS frame.
 // Adding a counter is one member, one table row and its increment site.
 
 #include <array>

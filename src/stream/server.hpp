@@ -68,8 +68,8 @@ class StreamServer {
   ServerStats stats();
 
   /// Non-blocking per-session snapshots (Session::stats() is thread-safe):
-  /// safe to call while producers stream. Feeds the v4 STATS_PUSH
-  /// per-session load array.
+  /// safe to call while producers stream. Feeds the per-session load
+  /// array of the gateway's STATS frame.
   std::vector<SessionStats> peek_sessions() const;
 
   runtime::DevicePool& pool() { return pool_; }

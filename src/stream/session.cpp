@@ -7,6 +7,7 @@
 
 #include "common/status.hpp"
 #include "dsp/signal.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stream/completer.hpp"
 
@@ -50,10 +51,6 @@ Session::Session(std::uint64_t id, runtime::DevicePool& pool, unsigned device,
       win_(cfg_.window, cfg_.hop, cfg_.buffer_capacity) {
   stats_.id = id_;
   stats_.device = device_;
-  if (obs::metrics_enabled()) {
-    m_delivered_ = &obs::Registry::get().counter(
-        "session." + std::to_string(id_) + ".windows_delivered");
-  }
 }
 
 runtime::Job Session::window_job(const SessionConfig& cfg) {
@@ -155,7 +152,6 @@ void Session::settle(const runtime::JobResult& job,
         static obs::Histogram& latency =
             obs::Registry::get().histogram("session.latency_cycles");
         latency.record(lat);
-        if (m_delivered_ != nullptr) m_delivered_->add(1);
       }
     }
   }

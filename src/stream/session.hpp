@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "app/mbiotracker.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/pool.hpp"
 #include "stream/stats.hpp"
 #include "stream/windower.hpp"
@@ -190,9 +189,6 @@ class Session {
   mutable std::mutex smu_;
   std::condition_variable slot_cv_;   ///< in-flight slot freed / drained
   std::size_t inflight_n_ = 0;        ///< submitted, not yet delivered
-  /// Per-session delivered-window counter ("session.<id>.windows_delivered"),
-  /// bound at construction iff metrics were enabled then; observability only.
-  obs::Counter* m_delivered_ = nullptr;
   /// First failure not yet rethrown (no error sink set).
   std::optional<std::string> unreported_error_;
   SessionStats stats_;

@@ -46,10 +46,8 @@ struct ServerStats {
   std::uint64_t windows_failed = 0;     ///< over all sessions
   std::uint64_t dropped_samples = 0;    ///< over all sessions
 
-  /// Folds one session into the aggregate. This is the single place the
-  /// per-session -> server-totals mapping lives: StreamServer::stats() and
-  /// the gateway's STATS/STATS_PUSH assembly both go through it, so the
-  /// wire frames and local telemetry cannot drift.
+  /// Folds one session into the aggregate: the single place the
+  /// per-session -> server-totals mapping lives (StreamServer::stats()).
   void fold(const SessionStats& s) {
     sessions.push_back(s);
     windows_delivered += s.windows_delivered;

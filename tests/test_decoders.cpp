@@ -46,13 +46,13 @@ fuzz::Target frame_target() {
   add({WindowResult{5, 1, 2, 3, 0.5, {4, 5}}},
       {{.value = 86}, {.at = 38, .elem_bytes = 4, .value = 2}});
   add({Error{1, 2, "abc"}}, {{.value = 15}, {.at = 12, .value = 3}});
-  add({Stats{{{"a", 1}, {"bc", 2}}}},
+  // STATS: two rows (13 + 14 bytes from 10), then one device load (at 37)
+  // and one session load (at 58).
+  add({Stats{{{"a", 1}, {"bc", 2}}, {{1, 2, 0}}, {{1, 2, 3, 4, 5, 6}}}},
       {{.at = 6, .elem_bytes = codec::wire_size<StatRow>(), .value = 2},
-       {.at = 10, .value = 1}});
-  add({StatsPush{1, {}, {{1, 2, 0}}, {{1, 2, 3, 4, 5, 6}}}},
-      {{.at = 14, .elem_bytes = codec::wire_size<StatRow>(), .value = 0},
-       {.at = 18, .elem_bytes = codec::wire_size<DeviceLoad>(), .value = 1},
-       {.at = 39, .elem_bytes = codec::wire_size<SessionLoad>(),
+       {.at = 10, .value = 1},
+       {.at = 37, .elem_bytes = codec::wire_size<DeviceLoad>(), .value = 1},
+       {.at = 58, .elem_bytes = codec::wire_size<SessionLoad>(),
         .value = 1}});
   // A two-frame stream: the second length prefix follows the first frame.
   add({Flush{3}, Close{4}}, {{.value = 6}, {.at = 10, .value = 6}});

@@ -726,111 +726,34 @@ TEST(Gateway, AbruptDisconnectReleasesSessionQuota) {
   server.stop();
 }
 
-TEST(Gateway, StatsSubscribeDeliversPushesWithoutPolling) {
-  // v4 push-mode: one subscribe must yield server-initiated STATS_PUSH
-  // frames at the requested cadence -- strictly increasing seq, a device
-  // array matching the fleet, the per-session load array -- with no
-  // STATS_REQUEST ever in flight. Unsubscribe settles the stream.
+TEST(Gateway, StatsCarriesDeviceAndSessionLoads) {
+  // One STATS frame carries the counter rows and, from the same pool
+  // snapshot, one load per device and one per session.
   Server::Config cfg;
   cfg.stream.pool.devices = 2;
   Server server(cfg);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<StatsPush> pushes;
-
   Client client(server.connect_loopback());
-  // A little real work first so the pushed frames carry live counters.
-  Client::StreamOpts opts;
-  const std::uint32_t sid =
-      client.open(opts, [](const WindowResult&) {});
-  const auto samples = make_stream_samples(app::kWindow, 0.2, 9301);
-  client.push(sid, samples);
-  client.flush(sid);
 
-  client.subscribe_stats(5, [&](const StatsPush& p) {
-    std::lock_guard<std::mutex> lock(mu);
-    pushes.push_back(p);
-    cv.notify_all();
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                            [&pushes] { return pushes.size() >= 4; }));
-  }
-  client.unsubscribe_stats();
-  // Frames already queued may still land; after the settle window the
-  // count must stop moving.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  std::size_t settled;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    settled = pushes.size();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(pushes.size(), settled);
-    ASSERT_GE(pushes.size(), 4u);
-    for (std::size_t i = 0; i < pushes.size(); ++i) {
-      if (i > 0) {
-        EXPECT_EQ(pushes[i].seq, pushes[i - 1].seq + 1);
-      }
-      EXPECT_EQ(pushes[i].devices.size(), 2u);
-      EXPECT_EQ(
-          obs::view<runtime::kFleetFields>(pushes[i].stats.rows).devices, 2u);
-    }
-    // The stream above ran one window; the newest push must know it.
-    const StatsPush& last = pushes.back();
-    ASSERT_EQ(last.sessions.size(), 1u);
-    EXPECT_EQ(last.sessions[0].windows_submitted, 1u);
-    EXPECT_EQ(last.sessions[0].windows_delivered, 1u);
-    EXPECT_GT(last.sessions[0].latency_cycles_total, 0u);
-    std::uint64_t dev_jobs = 0;
-    for (const auto& d : last.devices) dev_jobs += d.jobs;
-    EXPECT_EQ(dev_jobs,
-              obs::view<runtime::kFleetFields>(last.stats.rows).jobs_completed);
-  }
+  const std::uint32_t sid = client.open(Client::StreamOpts{}, nullptr);
+  client.push(sid, make_stream_samples(app::kWindow, 0.2, 9301));
+  client.flush(sid);
+  server.streams().pool().wait_idle();
+
+  const Stats st = client.stats();
+  const auto fleet = obs::view<runtime::kFleetFields>(st.rows);
+  EXPECT_EQ(fleet.devices, 2u);
+  EXPECT_EQ(st.devices.size(), 2u);
+  // The stream above ran one window; the newest session load knows it.
+  ASSERT_EQ(st.sessions.size(), 1u);
+  EXPECT_EQ(st.sessions[0].id, client.session_of(sid));
+  EXPECT_EQ(st.sessions[0].windows_submitted, 1u);
+  EXPECT_EQ(st.sessions[0].windows_delivered, 1u);
+  EXPECT_GT(st.sessions[0].latency_cycles_total, 0u);
+  std::uint64_t dev_jobs = 0;
+  for (const DeviceLoad& d : st.devices) dev_jobs += d.jobs;
+  EXPECT_EQ(dev_jobs, fleet.jobs_completed);
   client.close_stream(sid);
   client.close();
-  server.stop();
-}
-
-TEST(Gateway, StatsSubscribeZeroCadenceRejected) {
-  // enable=1 with cadence 0 is a contract violation: the server answers
-  // with ERROR kBadParams on the connection stream and keeps serving.
-  Server::Config cfg;
-  cfg.stream.pool.devices = 1;
-  Server server(cfg);
-  auto t = server.connect_loopback();
-
-  auto send_frame = [&t](const Frame& f) {
-    const auto bytes = encode(f);
-    ASSERT_TRUE(t->send(bytes.data(), bytes.size()));
-  };
-  Decoder dec;
-  auto read_frame = [&t, &dec]() -> Frame {
-    std::uint8_t buf[4096];
-    for (;;) {
-      if (auto f = dec.next()) return std::move(*f);
-      const std::size_t n = t->recv(buf, sizeof buf);
-      if (n == 0) throw HostError("connection closed");
-      dec.feed(buf, n);
-    }
-  };
-
-  send_frame(StatsSubscribe{0, 1});
-  {
-    const Frame f = read_frame();
-    const auto* err = std::get_if<Error>(&f);
-    ASSERT_NE(err, nullptr);
-    EXPECT_EQ(err->code, static_cast<std::uint16_t>(ErrorCode::kBadParams));
-    EXPECT_EQ(err->stream, kConnectionStream);
-  }
-  // The connection survives: a normal request still gets its reply.
-  send_frame(StatsRequest{});
-  EXPECT_TRUE(std::holds_alternative<Stats>(read_frame()));
-  t->shutdown();
   server.stop();
 }
 

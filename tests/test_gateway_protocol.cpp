@@ -83,48 +83,42 @@ const std::vector<PinnedFrame>& pinned_frames() {
   static const Stats kStats{
       {{"fleet.jobs_completed", 41},
        {"fleet.total_pj", std::bit_cast<std::uint64_t>(3.25)},
-       {"gateway.frames_in", 7}}};
+       {"gateway.frames_in", 7}},
+      {{100, 3, 0}, {200, 4, 1}},
+      {{9, 1, 10, 9, 2, 500}}};
   static const std::vector<PinnedFrame> kFrames = {
       {OpenSession{0x01020304, 7, 1, 2, 1, 512, 256, 4, 2048},
-       "1d00000009010403020107000000010201000200000001000004000000000800"
+       "1d0000000a010403020107000000010201000200000001000004000000000800"
        "00"},
       {PushSamples{9, {1, -2, 0x7fffffff}},
-       "160000000902090000000300000001000000feffffffffffff7f"},
+       "160000000a02090000000300000001000000feffffffffffff7f"},
       {Flush{3},
-       "06000000090303000000"},
+       "060000000a0303000000"},
       {Close{4},
-       "06000000090404000000"},
+       "060000000a0404000000"},
       {StatsRequest{},
-       "020000000905"},
+       "020000000a05"},
       {OpenOk{5, 0x1122334455667788ull, 6},
-       "12000000098105000000887766554433221106000000"},
+       "120000000a8105000000887766554433221106000000"},
       {WindowResult{5, 123, 2, 456, 1.5, {10, -20, 30}, 7, 8, 9, 10, 11},
-       "5a0000000982050000007b0000000000000002000000c8010000000000000000"
+       "5a0000000a82050000007b0000000000000002000000c8010000000000000000"
        "00000000f83f030000000a000000ecffffff1e00000007000000000000000800"
        "00000000000009000000000000000a000000000000000b00000000000000"},
       {FlushOk{5, 42},
-       "0e0000000983050000002a00000000000000"},
+       "0e0000000a83050000002a00000000000000"},
       {CloseOk{5, 1, 2, 3, 4, 5, 6, 7, 8},
-       "4600000009840500000001000000000000000200000000000000030000000000"
+       "460000000a840500000001000000000000000200000000000000030000000000"
        "0000040000000000000005000000000000000600000000000000070000000000"
        "00000800000000000000"},
       {kStats,
-       "5d00000009850300000014000000666c6565742e6a6f62735f636f6d706c6574"
+       "b30000000a850300000014000000666c6565742e6a6f62735f636f6d706c6574"
        "656429000000000000000e000000666c6565742e746f74616c5f706a00000000"
        "00000a4011000000676174657761792e6672616d65735f696e07000000000000"
-       "00"},
+       "00020000006400000000000000030000000000000000c8000000000000000400"
+       "00000000000001010000000900000000000000010000000a0000000000000009"
+       "000000000000000200000000000000f401000000000000"},
       {Error{kConnectionStream, 4, "bad params"},
-       "160000000986ffffffff04000a00000062616420706172616d73"},
-      {StatsSubscribe{250, 1},
-       "070000000906fa00000001"},
-      {StatsPush{7, kStats, {{100, 3, 0}, {200, 4, 1}},
-                 {{9, 1, 10, 9, 2, 500}}},
-       "bb000000098707000000000000000300000014000000666c6565742e6a6f6273"
-       "5f636f6d706c6574656429000000000000000e000000666c6565742e746f7461"
-       "6c5f706a0000000000000a4011000000676174657761792e6672616d65735f69"
-       "6e0700000000000000020000006400000000000000030000000000000000c800"
-       "000000000000040000000000000001010000000900000000000000010000000a"
-       "0000000000000009000000000000000200000000000000f401000000000000"},
+       "160000000a86ffffffff04000a00000062616420706172616d73"},
   };
   return kFrames;
 }
@@ -227,14 +221,15 @@ TEST(GatewayProtocol, RejectsBadVersionAndUnknownType) {
       EXPECT_EQ(e.code, ErrorCode::kBadVersion);
     }
   }
-  {
+  // 0x06 and 0x87 were STATS_SUBSCRIBE and STATS_PUSH before v10.
+  for (const std::uint8_t type : {0x7f, 0x06, 0x87}) {
     std::vector<std::uint8_t> wire = encode(Flush{1});
-    wire[5] = 0x7f;  // no such frame type
+    wire[5] = type;  // no such frame type
     Decoder dec;
     dec.feed(wire);
     try {
       dec.next();
-      FAIL() << "unknown type accepted";
+      FAIL() << "unknown type " << int{type} << " accepted";
     } catch (const ProtocolError& e) {
       EXPECT_EQ(e.code, ErrorCode::kUnknownType);
     }
@@ -274,11 +269,10 @@ TEST(GatewayProtocol, RejectsLyingArrayCountWithoutOverReading) {
       {PushSamples{9, {1, 2, 3}}, 10, 3},
       {WindowResult{5, 1, 2, 3, 0.5, {4, 5}}, 38, 2},
       {Error{1, 2, "abc"}, 12, 3},
-      {Stats{{{"a", 1}, {"bc", 2}}}, 6, 2},          // STATS row count
-      {Stats{{{"abcd", 1}}}, 10, 4},                 // row name length
-      {StatsPush{1, {{{"a", 1}}}, {}, {}}, 14, 1},   // embedded row count
-      {StatsPush{1, {}, {{1, 2, 0}}, {}}, 18, 1},
-      {StatsPush{1, {}, {}, {{1, 2, 3, 4, 5, 6}}}, 22, 1},
+      {Stats{{{"a", 1}, {"bc", 2}}, {}, {}}, 6, 2},  // STATS row count
+      {Stats{{{"abcd", 1}}, {}, {}}, 10, 4},         // row name length
+      {Stats{{}, {{1, 2, 0}}, {}}, 10, 1},           // device count
+      {Stats{{}, {}, {{1, 2, 3, 4, 5, 6}}}, 14, 1},  // session count
   };
   for (const Case& c : cases) {
     fuzz::lying_counts(encode(c.frame),
@@ -324,15 +318,14 @@ TEST(GatewayProtocol, TruncatedPayloadFieldsThrowNotCrash) {
   }
 }
 
-TEST(GatewayProtocol, TruncatedStatsPushThrowsNotCrash) {
-  // Longer load arrays than the pinned STATS_PUSH: every truncation must
-  // throw before allocating either array.
-  StatsPush push;
-  push.seq = 7;
-  push.stats.rows = {{"fleet.devices", 4}, {"gateway.sessions", 2}};
-  push.devices.resize(3);
-  push.sessions.resize(2);
-  expect_every_truncation_throws(push);
+TEST(GatewayProtocol, TruncatedStatsLoadsThrowNotCrash) {
+  // Longer load arrays than the pinned STATS: every truncation must throw
+  // before allocating either array.
+  Stats st;
+  st.rows = {{"fleet.devices", 4}, {"gateway.sessions", 2}};
+  st.devices.resize(3);
+  st.sessions.resize(2);
+  expect_every_truncation_throws(st);
 }
 
 TEST(GatewayProtocol, UnknownStatsRowRoundTripsAndTypedViewIgnoresIt) {

@@ -288,7 +288,7 @@ TEST(Journal, FinalizedJournalMatchesPinnedBytes) {
   const std::string path = ::testing::TempDir() + "journal_pinned.vwr2jrn";
   Journal j;
   std::string why;
-  ASSERT_TRUE(j.open(path, 9, &why)) << why;
+  ASSERT_TRUE(j.open(path, 10, &why)) << why;
   const std::uint32_t conn = j.conn_open(1000);
   j.frame(conn, 2000, {0x01, 0x02, 0x03});
   j.frame(conn, 3000, {0xaa});
@@ -301,8 +301,8 @@ TEST(Journal, FinalizedJournalMatchesPinnedBytes) {
   // checksums, trailer offset), four records (open, two frames, close),
   // then the one-stream digest trailer.
   EXPECT_EQ(to_hex(got),
-            "56575232414a524e0100000009000000ac0000000000000080868b14acf80c4e"
-            "d78a2bec2f3cbd0e9000000000000000"
+            "56575232414a524e010000000a000000ac0000000000000080868b14acf80c4e"
+            "9aaceaaf5aaa9e7c9000000000000000"
             "01000000000000000000000000e803000000000000"
             "02000000000100000000000000d0070000000000000300000001020302000000"
             "000200000000000000b80b00000000000001000000aa"

@@ -924,5 +924,72 @@ TEST(StreamServer, SessionSurvivesItsDeviceDyingMidStream) {
   EXPECT_EQ(fs.checkpoints_restored, 0u);
 }
 
+TEST(StreamServer, ScriptedKillRescuesQueuedWindowsBitIdentical) {
+  // A scripted kill that lands while the victim device still holds queued
+  // windows: they are re-placed along the failover chain (the pool's
+  // rescue loop) and every stream still delivers bit-identically to a
+  // fault-free twin. One worker and one job per claim serve device 0 (the
+  // victim) first; its session pushes all six windows in one call with
+  // room for all of them in flight, so five are queued when the first
+  // completes and the kill fires.
+  constexpr unsigned kWindows = 6;
+  const std::vector<std::vector<std::int32_t>> streams = {
+      make_stream(kWindows * app::kWindow, 0.2, 1800),
+      make_stream(kWindows * app::kWindow, 0.35, 1801)};
+
+  struct Run {
+    std::vector<std::vector<WindowResult>> delivered;
+    std::vector<unsigned> pins;
+    runtime::FleetStats fleet;
+  };
+  auto run = [&streams](bool chaos) {
+    StreamServer::Config scfg;
+    scfg.pool.devices = 2;
+    scfg.pool.workers = 1;
+    scfg.pool.max_batch = 1;
+    if (chaos) scfg.pool.faults.events = {runtime::FaultEvent{0, 1, 0}};
+    scfg.completion_threads = 2;
+    StreamServer server(scfg);
+    Run r;
+    r.delivered.resize(streams.size());
+    std::vector<Session*> sessions;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      SessionConfig sc;
+      sc.max_inflight = kWindows;
+      sc.buffer_capacity = kWindows * app::kWindow;
+      sessions.push_back(&server.open_session(
+          sc, [&r, i](const WindowResult& w) { r.delivered[i].push_back(w); }));
+      r.pins.push_back(sessions.back()->device());
+    }
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      sessions[i]->push(streams[i]);
+    }
+    server.finish();
+    r.fleet = server.pool().stats();
+    return r;
+  };
+
+  const Run chaos = run(true);
+  const Run calm = run(false);
+  ASSERT_EQ(chaos.pins, (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(chaos.fleet.devices_failed, 1u);
+  EXPECT_GT(chaos.fleet.jobs_rescued, 0u);
+  EXPECT_EQ(chaos.fleet.jobs_failed, 0u);
+  EXPECT_EQ(calm.fleet.jobs_rescued, 0u);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    SCOPED_TRACE("stream " + std::to_string(i));
+    ASSERT_EQ(chaos.delivered[i].size(), kWindows);
+    ASSERT_EQ(calm.delivered[i].size(), kWindows);
+    for (unsigned w = 0; w < kWindows; ++w) {
+      EXPECT_EQ(chaos.delivered[i][w].index, w);
+      EXPECT_EQ(chaos.delivered[i][w].job.output,
+                calm.delivered[i][w].job.output)
+          << "window " << w;
+    }
+  }
+  // The rescued windows ran on the survivor.
+  EXPECT_EQ(chaos.delivered[0].back().job.device, 1u);
+}
+
 } // namespace
 } // namespace vwr2a::stream

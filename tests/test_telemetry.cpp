@@ -3,9 +3,9 @@
 // gateway over a heterogeneous pool through a scripted kill + revive, a
 // failing job, a rate-limited push and the metrics recorder, so every row
 // but one carries a nonzero value, then checks that each row reads the
-// same in FleetStats / Server::telemetry(), in a decoded STATS frame, in
-// a decoded STATS_PUSH frame and -- for counter rows -- in the obs
-// registry and its Prometheus text.
+// same in FleetStats / Server::telemetry(), in a decoded STATS frame and
+// -- for counter rows -- in the obs registry and its Prometheus text. The
+// STATS device loads match FleetStats' per-device vectors.
 
 #include <gtest/gtest.h>
 
@@ -166,8 +166,6 @@ TEST(Telemetry, EveryCounterReachesEveryExport) {
   const runtime::FleetStats fleet = pool.stats();
   const Telemetry tel = server.telemetry();
   const Stats st = decode_one<Stats>(encode(server.build_stats()));
-  const StatsPush push =
-      decode_one<StatsPush>(encode(server.build_stats_push(0)));
   std::map<std::string, const obs::Counter*> registry;
   for (const obs::Registry::Entry& e : obs::Registry::get().entries()) {
     if (e.kind == obs::Registry::Entry::Kind::kCounter) {
@@ -179,7 +177,6 @@ TEST(Telemetry, EveryCounterReachesEveryExport) {
 
   // The STATS rows are the two tables, in table order.
   ASSERT_EQ(st.rows.size(), kFleetFields.size() + kTelemetryFields.size());
-  EXPECT_EQ(push.stats, st);
 
   std::size_t row = 0;
   auto check = [&](const auto& fields, const auto& block) {
@@ -212,7 +209,21 @@ TEST(Telemetry, EveryCounterReachesEveryExport) {
   // The typed views read the same blocks back by name.
   EXPECT_TRUE(obs::view<kFleetFields>(st.rows) ==
               static_cast<const FleetCounters&>(fleet));
-  EXPECT_TRUE(obs::view<kTelemetryFields>(push.stats.rows) == tel);
+  EXPECT_TRUE(obs::view<kTelemetryFields>(st.rows) == tel);
+
+  // One load per device, read from the same snapshot as the rows.
+  ASSERT_EQ(st.devices.size(), fleet.device_cycles.size());
+  ASSERT_EQ(fleet.device_jobs.size(), st.devices.size());
+  ASSERT_EQ(fleet.device_dead.size(), st.devices.size());
+  for (std::size_t d = 0; d < st.devices.size(); ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    EXPECT_EQ(st.devices[d].cycles, fleet.device_cycles[d]);
+    EXPECT_EQ(st.devices[d].jobs, fleet.device_jobs[d]);
+    EXPECT_EQ(st.devices[d].dead, fleet.device_dead[d]);
+  }
+  // Device 2 stays dead after its scripted kill; device 0 revived.
+  EXPECT_EQ(st.devices[0].dead, 0u);
+  EXPECT_EQ(st.devices[2].dead, 1u);
 
   client.close_stream(sid);
   client.close();
